@@ -12,17 +12,22 @@ central objects are, per triple of labels (a1, a2, a3) with N(a1,a2;a3) > 0:
   by the delta-contraction identity,
 * the sqrt-modified bilinear form and its S3 invariance.
 
+Two kernels are shared with :mod:`fullfield.ffa`: ``linalg.change_basis4``
+is the one 4-slot change of basis, and ``ChiralData.fusing_delta`` is the one
+delta contraction, parametrized by where the dual blocks come from.
+
 Reports are lists of CheckRecord; an empty list means the identity holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 
 from fullfield.bundles import Bundle, BundleError
 from fullfield.cyclotomic import CycScalar
-from fullfield.linalg import identity, mat_eq, mat_inv, mat_mul, mat_scale, transpose
+from fullfield.linalg import (change_basis4, identity, mat_eq, mat_inv, mat_mul, mat_scale,
+                              transpose)
 
 Space = tuple[str, str, str]
 
@@ -350,93 +355,64 @@ class ChiralData:
 
     # -- the fusing tensor in dual bases -----------------------------------------
 
-    def f_prime_block(self, key6) -> list | None:
-        """F on the primed labels expressed in the dual bases on all slots.
+    def fusing_delta(self, name: str, dual) -> list[CheckRecord]:
+        """The delta contraction of F against primed F in dual bases, exactly.
 
-        key6 names the unprimed labels (a1, a5, a4, a2, a3, a7); the returned
-        block is indexed like the F block of the primed tuple.
+        ``dual(space)`` gives the dual-basis coefficient matrix of a space:
+        ``dual_basis`` for the chiral identity (``verify_prop_fusing``), the
+        stored right blocks for associativity of the sector-sum algebra
+        (``ffa.verify_associativity_structure``).  ``name`` is the records'
+        identity.
         """
-        b1, b5, b4, b2, b3, b6 = key6
-        d = self.fusion.dual
-        pkey = (d[b1], d[b5], d[b4], d[b2], d[b3], d[b6])
-        raw = self.f_block(pkey)
-        if raw is None:
-            return None
-        d1 = self.dual_basis((b1, b5, b4))
-        d2 = self.dual_basis((b2, b3, b5))
-        g3 = self.pairing_matrix((b6, b3, b4))
-        g4 = self.pairing_matrix((b1, b2, b6))
-        n1, n2 = len(raw), len(raw[0])
-        n3, n4 = len(raw[0][0]), len(raw[0][0][0])
-        zero = self.field.zero()
-        out = [[[[zero for _ in range(n4)] for _ in range(n3)]
-                for _ in range(n2)] for _ in range(n1)]
-        for p in range(n1):
-            for q in range(n2):
-                for nn in range(n3):
-                    for ll in range(n4):
-                        acc = zero
-                        for ph in range(n1):
-                            if not d1[ph][p]:
-                                continue
-                            for qh in range(n2):
-                                if not d2[qh][q]:
-                                    continue
-                                for nh in range(n3):
-                                    for lh in range(n4):
-                                        acc = acc + (d1[ph][p] * d2[qh][q]
-                                                     * g3[nn][nh] * g4[ll][lh]
-                                                     * raw[ph][qh][nh][lh])
-                        out[p][q][nn][ll] = acc
-        return out
-
-    def verify_prop_fusing(self) -> list[CheckRecord]:
-        """The delta-contraction of F against F-in-dual-bases, exactly."""
         out: list[CheckRecord] = []
         labels = self.fusion.labels
         n = self.fusion.n
         zero, one = self.field.zero(), self.field.one()
-        for a1 in labels:
-            for a2 in labels:
-                for a3 in labels:
-                    for a4 in labels:
-                        mids = [a5 for a5 in labels if n(a1, a5, a4) and n(a2, a3, a5)]
-                        if not mids:
+        for a1, a2, a3, a4 in product(labels, repeat=4):
+            mids = [a5 for a5 in labels if n(a1, a5, a4) and n(a2, a3, a5)]
+            if not mids:
+                continue
+            sixes = [a6 for a6 in labels if n(a6, a3, a4) and n(a1, a2, a6)]
+            fp = {(a5, a7): self._dual_primed_block((a1, a5, a4, a2, a3, a7), dual)
+                  for a7 in sixes for a5 in mids}
+            fb = {(a5, a6): self.f_block((a1, a5, a4, a2, a3, a6))
+                  for a6 in sixes for a5 in mids}
+            bad = []
+            for a6, a7 in product(sixes, repeat=2):
+                for m, kk, nn, ll in product(range(n(a6, a3, a4)), range(n(a1, a2, a6)),
+                                             range(n(a7, a3, a4)), range(n(a1, a2, a7))):
+                    acc = zero
+                    for a5 in mids:
+                        blk, pblk = fb[(a5, a6)], fp[(a5, a7)]
+                        if blk is None or pblk is None:
                             continue
-                        sixes = [a6 for a6 in labels if n(a6, a3, a4) and n(a1, a2, a6)]
-                        fp_cache = {}
-                        bad = []
-                        for a6 in sixes:
-                            for a7 in sixes:
-                                for m in range(n(a6, a3, a4)):
-                                    for kk in range(n(a1, a2, a6)):
-                                        for nn in range(n(a7, a3, a4)):
-                                            for ll in range(n(a1, a2, a7)):
-                                                acc = zero
-                                                for a5 in mids:
-                                                    fb = self.f_block((a1, a5, a4, a2, a3, a6))
-                                                    if a5 not in fp_cache:
-                                                        fp_cache[a5] = {}
-                                                    if a7 not in fp_cache[a5]:
-                                                        fp_cache[a5][a7] = self.f_prime_block(
-                                                            (a1, a5, a4, a2, a3, a7))
-                                                    fpb = fp_cache[a5][a7]
-                                                    if fb is None or fpb is None:
-                                                        continue
-                                                    for p in range(n(a1, a5, a4)):
-                                                        for q in range(n(a2, a3, a5)):
-                                                            acc = acc + (fb[p][q][m][kk]
-                                                                         * fpb[p][q][nn][ll])
-                                                want = one if (a6 == a7 and m == nn and kk == ll) else zero
-                                                if acc != want:
-                                                    bad.append((a6, m, kk, a7, nn, ll))
-                        if bad:
-                            out.extend(CheckRecord("fusing-delta", (a1, a2, a3, a4) + idx,
-                                                   "fail", message="contraction mismatch")
-                                       for idx in bad)
-                        else:
-                            out.append(CheckRecord("fusing-delta", (a1, a2, a3, a4), "pass"))
+                        for p in range(n(a1, a5, a4)):
+                            for q in range(n(a2, a3, a5)):
+                                acc = acc + blk[p][q][m][kk] * pblk[p][q][nn][ll]
+                    want = one if (a6 == a7 and m == nn and kk == ll) else zero
+                    if acc != want:
+                        bad.append((a6, m, kk, a7, nn, ll))
+            if bad:
+                out.extend(CheckRecord(name, (a1, a2, a3, a4) + idx, "fail",
+                                       message="contraction mismatch") for idx in bad)
+            else:
+                out.append(CheckRecord(name, (a1, a2, a3, a4), "pass"))
         return out
+
+    def _dual_primed_block(self, key6, dual) -> list | None:
+        """F on the primed labels of ``key6`` with all four slots moved to
+        dual bases; indexed like the F block of the primed tuple."""
+        b1, b5, b4, b2, b3, b6 = key6
+        raw = self.f_block(tuple(self.fusion.dual[b] for b in key6))
+        if raw is None:
+            return None
+        return change_basis4(raw, dual((b1, b5, b4)), dual((b2, b3, b5)),
+                             self.pairing_matrix((b6, b3, b4)),
+                             self.pairing_matrix((b1, b2, b6)), self.field.zero())
+
+    def verify_prop_fusing(self) -> list[CheckRecord]:
+        """The delta-contraction of F against F-in-dual-bases, exactly."""
+        return self.fusing_delta("fusing-delta", self.dual_basis)
 
     # -- modified form and S3 invariance ---------------------------------------
 
@@ -524,7 +500,7 @@ class ChiralData:
                                if path_t == "exact" else form_t)
                     form_c = (_embed_matrix(form, self.NUMERIC_PRECISION)
                               if path == "exact" else form)
-                    lhs = _cmat_mul(_cmat_transpose(smat_c), _cmat_mul(form_tc, smat_pc))
+                    lhs = mat_mul(transpose(smat_c), mat_mul(form_tc, smat_pc))
                     res = _cmat_rel_residual(lhs, form_c)
                     ok = res <= self.NUMERIC_RTOL
                     out.append(CheckRecord(f"{name}-form-invariance", space,
@@ -554,19 +530,6 @@ def _principal_sqrt_c(w: complex) -> complex:
 
 def _embed_matrix(mat, precision):
     return [[complex(v.embed(precision)) for v in row] for row in mat]
-
-
-def _cmat_mul(a, b):
-    if not a or not b:
-        return []
-    return [[sum(a[i][kk] * b[kk][j] for kk in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _cmat_transpose(a):
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def _cmat_rel_residual(a, b) -> float:

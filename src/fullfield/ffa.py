@@ -7,23 +7,29 @@ dual-basis coefficient matrix on the primed side.  The checks here verify the
 finitely-decidable axioms at the structure-constant level:
 
 * associativity: the double contraction of the fusing tensor against its
-  dual-basis transport collapses to the Kronecker pattern,
+  dual-basis transport collapses to the Kronecker pattern; this is
+  ``ChiralData.fusing_delta`` with the dual blocks read from the structure,
 * skew symmetry: pushing the canonical element through sigma12 x sigma12
   (with the weight-shift phases, which cancel exactly) reproduces the
   canonical element of the swapped block,
 * single-valuedness: integral left/right weight difference per sector,
 * invariance of the bilinear form with the vacuum-channel weights.
+
+``transport_bundle`` moves F with ``linalg.change_basis4``, the same 4-slot
+change of basis the associativity check applies to the primed F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 
 from fullfield.bundles import Bundle, BundleError
 from fullfield.chiral import CheckRecord, ChiralData
 from fullfield.cyclotomic import CycScalar
-from fullfield.linalg import identity, mat_eq, mat_inv, mat_mul, mat_scale, transpose
+from fullfield.linalg import (change_basis4, identity, mat_eq, mat_inv, mat_mul, mat_scale,
+                              transpose)
 
 Space = tuple[str, str, str]
 
@@ -66,86 +72,9 @@ def construct(chiral: ChiralData) -> FFAStructure:
 
 
 def verify_associativity_structure(ffa: FFAStructure) -> list[CheckRecord]:
-    """Kronecker collapse of fusing x dual-transported fusing, exactly."""
-    out: list[CheckRecord] = []
-    chiral = ffa.chiral
-    fusion = ffa.fusion
-    labels = fusion.labels
-    n = fusion.n
-    zero, one = ffa.field.zero(), ffa.field.one()
-    for a1 in labels:
-        for a2 in labels:
-            for a3 in labels:
-                for a4 in labels:
-                    mids = [a5 for a5 in labels if n(a1, a5, a4) and n(a2, a3, a5)]
-                    if not mids:
-                        continue
-                    sixes = [a6 for a6 in labels if n(a6, a3, a4) and n(a1, a2, a6)]
-                    bad = []
-                    fp_cache: dict = {}
-                    for a6 in sixes:
-                        for a7 in sixes:
-                            for m in range(n(a6, a3, a4)):
-                                for kk in range(n(a1, a2, a6)):
-                                    for nn in range(n(a7, a3, a4)):
-                                        for ll in range(n(a1, a2, a7)):
-                                            acc = zero
-                                            for a5 in mids:
-                                                fb = chiral.f_block((a1, a5, a4, a2, a3, a6))
-                                                fpb = fp_cache.get((a5, a7))
-                                                if fpb is None:
-                                                    fpb = _dual_transported_block(
-                                                        ffa, (a1, a5, a4, a2, a3, a7))
-                                                    fp_cache[(a5, a7)] = fpb
-                                                if fb is None or fpb is None:
-                                                    continue
-                                                for p in range(n(a1, a5, a4)):
-                                                    for q in range(n(a2, a3, a5)):
-                                                        acc = acc + fb[p][q][m][kk] * fpb[p][q][nn][ll]
-                                            want = one if (a6 == a7 and m == nn and kk == ll) else zero
-                                            if acc != want:
-                                                bad.append((a6, m, kk, a7, nn, ll))
-                    if bad:
-                        out.extend(CheckRecord("ffa-associativity", (a1, a2, a3, a4) + idx,
-                                               "fail", message="contraction mismatch")
-                                   for idx in bad)
-                    else:
-                        out.append(CheckRecord("ffa-associativity", (a1, a2, a3, a4), "pass"))
-    return out
-
-
-def _dual_transported_block(ffa: FFAStructure, key6) -> list | None:
-    """The primed fusing block moved to the dual bases via the stored blocks."""
-    chiral = ffa.chiral
-    b1, b5, b4, b2, b3, b6 = key6
-    d = ffa.fusion.dual
-    raw = chiral.f_block((d[b1], d[b5], d[b4], d[b2], d[b3], d[b6]))
-    if raw is None:
-        return None
-    d1 = ffa.blocks[(b1, b5, b4)]
-    d2 = ffa.blocks[(b2, b3, b5)]
-    g3 = chiral.pairing_matrix((b6, b3, b4))
-    g4 = chiral.pairing_matrix((b1, b2, b6))
-    n1, n2, n3, n4 = len(raw), len(raw[0]), len(raw[0][0]), len(raw[0][0][0])
-    zero = ffa.field.zero()
-    out = [[[[zero] * n4 for _ in range(n3)] for _ in range(n2)] for _ in range(n1)]
-    for p in range(n1):
-        for q in range(n2):
-            for nn in range(n3):
-                for ll in range(n4):
-                    acc = zero
-                    for ph in range(n1):
-                        if not d1[ph][p]:
-                            continue
-                        for qh in range(n2):
-                            if not d2[qh][q]:
-                                continue
-                            for nh in range(n3):
-                                for lh in range(n4):
-                                    acc = acc + (d1[ph][p] * d2[qh][q] * g3[nn][nh]
-                                                 * g4[ll][lh] * raw[ph][qh][nh][lh])
-                    out[p][q][nn][ll] = acc
-    return out
+    """Kronecker collapse of fusing x dual-transported fusing, exactly: the
+    fusing-delta contraction with the dual blocks read from ``ffa.blocks``."""
+    return ffa.chiral.fusing_delta("ffa-associativity", ffa.blocks.__getitem__)
 
 
 def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
@@ -183,11 +112,6 @@ def verify_single_valuedness(ffa: FFAStructure) -> list[CheckRecord]:
                                "pass" if ok else "fail",
                                message=f"weight difference {diff}"))
     return out
-
-
-def bilinear_form_weights(ffa: FFAStructure) -> dict[tuple[str, str], CycScalar]:
-    """Sector weights of the invariant form; sectors pair only with duals."""
-    return dict(ffa.form_weights)
 
 
 def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
@@ -272,32 +196,20 @@ def transport_bundle(bundle: Bundle, changes: dict[Space, list[list[CycScalar]]]
         if space in bundle.canonical:
             raise ValueError(f"cannot change basis on the canonical space {space}")
 
-    n = fusion.n
+    chiral = ChiralData(bundle)
     new_f: dict = {}
-    seen_keys = {key for key, _ in bundle.f}
-    for key6 in seen_keys:
+    for key6 in {key for key, _ in bundle.f}:
+        blk = chiral.f_block(key6)
+        if blk is None:
+            continue
         b1, b5, b4, b2, b3, b6 = key6
-        dims = (n(b1, b5, b4), n(b2, b3, b5), n(b6, b3, b4), n(b1, b2, b6))
-        blk = [[[[bundle.f_entry(key6, (i, j, l, kk)) for kk in range(dims[3])]
-                 for l in range(dims[2])] for j in range(dims[1])] for i in range(dims[0])]
-        b1m = bmat((b1, b5, b4), dims[0])
-        b2m = bmat((b2, b3, b5), dims[1])
-        b3i = bmat_inv((b6, b3, b4), dims[2])
-        b4i = bmat_inv((b1, b2, b6), dims[3])
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for l in range(dims[2]):
-                    for kk in range(dims[3]):
-                        acc = zero
-                        for ih in range(dims[0]):
-                            for jh in range(dims[1]):
-                                for lh in range(dims[2]):
-                                    for kh in range(dims[3]):
-                                        acc = acc + (b1m[ih][i] * b2m[jh][j]
-                                                     * b3i[l][lh] * b4i[kk][kh]
-                                                     * blk[ih][jh][lh][kh])
-                        if acc:
-                            new_f[(key6, (i, j, l, kk))] = acc
+        spaces = ((b1, b5, b4), (b2, b3, b5), (b6, b3, b4), (b1, b2, b6))
+        dims = [fusion.n(*space) for space in spaces]
+        moved = change_basis4(blk, bmat(spaces[0], dims[0]), bmat(spaces[1], dims[1]),
+                              bmat_inv(spaces[2], dims[2]), bmat_inv(spaces[3], dims[3]), zero)
+        for i, j, l, kk in product(*map(range, dims)):
+            if moved[i][j][l][kk]:
+                new_f[(key6, (i, j, l, kk))] = moved[i][j][l][kk]
 
     def transport_sigma(sig, space_map):
         out = {}

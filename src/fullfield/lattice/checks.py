@@ -18,8 +18,9 @@ import numpy as np
 
 from fullfield.bundles import Bundle
 from fullfield.chiral import CheckRecord, ChiralData
-from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, StateKey
-from fullfield.lattice.oracle import CanonicalGauge, emit_bundle, field_for
+from fullfield.lattice.model import (FockVector, LatticeModel, LatticeSpec, StateKey, vec_add,
+                                     vec_scale)
+from fullfield.lattice.oracle import CanonicalGauge, emit_bundle, residue_extraction
 
 
 def paper_log(z: complex) -> complex:
@@ -95,6 +96,28 @@ class SectorBasis:
                 out[idx] = complex(c)
         return out
 
+    def virasoro_matrix(self, n: int) -> np.ndarray:
+        """Dense L(n) on this basis, truncated at the basis cutoff."""
+        mat = np.zeros((len(self), len(self)), dtype=complex)
+        for i, key in enumerate(self.keys):
+            out = self.model.virasoro(n, {key: Fraction(1)}, self.T)
+            for k2, c in out.items():
+                oi = self.index.get(k2)
+                if oi is not None:
+                    mat[oi, i] = complex(c)
+        return mat
+
+
+def tensor_matrix(bl: SectorBasis, br: SectorBasis, state) -> np.ndarray:
+    """Dense matrix of a state {(left-key, right-key): coeff} on two bases."""
+    mat = np.zeros((len(bl), len(br)), dtype=complex)
+    for (lk, rk), c in state.items():
+        il = bl.index.get(lk)
+        ir = br.index.get(rk)
+        if il is not None and ir is not None:
+            mat[il, ir] += complex(c)
+    return mat
+
 
 class DiagonalFFA:
     """Numeric evaluator of the diagonal two-variable vertex map."""
@@ -117,8 +140,7 @@ class DiagonalFFA:
                 dmat = self.chiral.dual_basis(space)
                 self.dual_scale[(i, j)] = complex(dmat[0][0].embed(precision))
         self._bases: dict = {}
-        self._l_second: dict = {}
-        self._l_first: dict = {}
+        self._comp: dict = {}
 
     # -- bases and operator matrices ---------------------------------------
 
@@ -128,53 +150,31 @@ class DiagonalFFA:
             self._bases[key] = SectorBasis(self.model, j, T)
         return self._bases[key]
 
-    def _comp_matrix_second(self, u_key: StateKey, in_sector: int, T: int):
-        """{weight: sparse rows} for Y(u_key, z) acting on the in-sector basis."""
-        ck = (u_key, in_sector % self.model.two_k, T)
-        hit = self._l_second.get(ck)
+    def _comp_matrix(self, key: StateKey, sector: int, T: int, key_first: bool):
+        """Sparse (gamma, out-idx, idx, Fraction) entries and (n_out, n) shape
+        of Y(key, z) on the sector basis if ``key_first``, else of Y(., z) key
+        over first arguments in the sector; gamma is the z-exponent."""
+        ck = (key, sector % self.model.two_k, T, key_first)
+        hit = self._comp.get(ck)
         if hit is not None:
             return hit
         m = self.model
-        bin_ = self.basis(in_sector, T)
-        out_sector = (m.sector(u_key[1]) + in_sector) % m.two_k
-        bout = self.basis(out_sector, T)
-        wtu = m.state_weight(u_key)
-        entries = []  # (weight-exponent-base, out-idx, in-idx, Fraction)
-        for in_idx, in_key in enumerate(bin_.keys):
-            comps = m.components({u_key: Fraction(1)}, {in_key: Fraction(1)}, T)
-            wtv = m.state_weight(in_key)
-            for mm, vec in comps.items():
-                gamma = mm - wtu - wtv
-                for out_key, c in vec.items():
-                    oi = bout.index.get(out_key)
-                    if oi is not None:
-                        entries.append((gamma, oi, in_idx, c))
-        self._l_second[ck] = (entries, len(bout), len(bin_))
-        return self._l_second[ck]
-
-    def _comp_matrix_first(self, w_key: StateKey, arg_sector: int, T: int):
-        """{weight: rows} for Y(., z) w_key over first arguments in arg_sector."""
-        ck = (w_key, arg_sector % self.model.two_k, T)
-        hit = self._l_first.get(ck)
-        if hit is not None:
-            return hit
-        m = self.model
-        barg = self.basis(arg_sector, T)
-        out_sector = (arg_sector + m.sector(w_key[1])) % m.two_k
-        bout = self.basis(out_sector, T)
-        wtw = m.state_weight(w_key)
+        bvar = self.basis(sector, T)
+        bout = self.basis(sector + m.sector(key[1]), T)
+        wt_key = m.state_weight(key)
         entries = []
-        for a_idx, a_key in enumerate(barg.keys):
-            comps = m.components({a_key: Fraction(1)}, {w_key: Fraction(1)}, T)
-            wta = m.state_weight(a_key)
+        for idx, var_key in enumerate(bvar.keys):
+            u, v = (key, var_key) if key_first else (var_key, key)
+            comps = m.components({u: Fraction(1)}, {v: Fraction(1)}, T)
+            wt_var = m.state_weight(var_key)
             for mm, vec in comps.items():
-                gamma = mm - wta - wtw
+                gamma = mm - wt_key - wt_var
                 for out_key, c in vec.items():
                     oi = bout.index.get(out_key)
                     if oi is not None:
-                        entries.append((gamma, oi, a_idx, c))
-        self._l_first[ck] = (entries, len(bout), len(barg))
-        return self._l_first[ck]
+                        entries.append((gamma, oi, idx, c))
+        self._comp[ck] = (entries, (len(bout), len(bvar)))
+        return self._comp[ck]
 
     @staticmethod
     def _dense(entries, shape, z, conj):
@@ -188,112 +188,48 @@ class DiagonalFFA:
             mat[oi, ii] += float(c) * p
         return mat
 
-    # -- tensor states --------------------------------------------------------
-
-    def tensor_state(self, left: FockVector, right: FockVector, T: int):
-        """(sector pair, dense matrix) for a factorized state."""
-        sectors = {self.model.sector(k[1]) for k in left}
-        sectors_r = {self.model.sector(k[1]) for k in right}
-        if len(sectors) != 1 or len(sectors_r) != 1:
-            raise ValueError("tensor states must be sector homogeneous")
-        i, ir = sectors.pop(), sectors_r.pop()
-        if (i + ir) % self.model.two_k:
-            raise ValueError("right factor must live on the dual sector")
-        bl = self.basis(i, T)
-        br = self.basis(ir, T)
-        mat = np.outer(bl.vector(left), br.vector(right))
-        return (i, ir), mat
-
     def apply(self, u_pair, u_state, x_pair, x_mat, z: complex, T: int):
         """Y(u; z, zbar) applied to a dense tensor state.
 
         ``u_state`` is a dict {(left-key, right-key): coeff}; the result is
         ((sector pair), dense matrix).
         """
-        if z == 0:
-            raise ValueError("the vertex map is not defined at z = 0")
-        m = self.model
-        iu, iru = u_pair
-        ix, irx = x_pair
-        out_pair = ((iu + ix) % m.two_k, (iru + irx) % m.two_k)
-        n_out_l = len(self.basis(out_pair[0], T))
-        n_out_r = len(self.basis(out_pair[1], T))
-        out = np.zeros((n_out_l, n_out_r), dtype=complex)
-        # right factors carry the dual-basis coefficient on the primed bases
-        scale_l = self.left_scale[(iu, ix)]
-        scale_r = self.dual_scale[(iu, ix)] \
-            * self.left_scale[((-iu) % m.two_k, (-ix) % m.two_k)]
-        for (lk, rk), cu in u_state.items():
-            if not cu:
-                continue
-            e_l, shape_l = self._entries(lk, ix, T)
-            e_r, shape_r = self._entries(rk, irx, T)
-            ml = self._dense(e_l, shape_l, z, conj=False)
-            mr = self._dense(e_r, shape_r, z, conj=True)
-            out += (cu * scale_l * scale_r) * (ml @ x_mat @ mr.T)
-        return out_pair, out
-
-    def _entries(self, u_key: StateKey, in_sector: int, T: int):
-        entries, n_out, n_in = self._comp_matrix_second(u_key, in_sector, T)
-        return entries, (n_out, n_in)
+        return self._apply(u_pair, u_state, x_pair, x_mat, z, T, state_first=True)
 
     def apply_first(self, x_pair, x_mat, w_pair, w_state, z: complex, T: int):
         """Y(x; z, zbar) w for a dense first argument and factorized w."""
-        m = self.model
-        ix, irx = x_pair
-        iw, irw = w_pair
-        out_pair = ((ix + iw) % m.two_k, (irx + irw) % m.two_k)
-        n_out_l = len(self.basis(out_pair[0], T))
-        n_out_r = len(self.basis(out_pair[1], T))
-        out = np.zeros((n_out_l, n_out_r), dtype=complex)
-        scale_l = self.left_scale[(ix, iw)]
-        scale_r = self.dual_scale[(ix, iw)] \
-            * self.left_scale[((-ix) % m.two_k, (-iw) % m.two_k)]
-        for (lw, rw), cw in w_state.items():
-            if not cw:
+        return self._apply(w_pair, w_state, x_pair, x_mat, z, T, state_first=False)
+
+    def _apply(self, s_pair, s_state, x_pair, x_mat, z: complex, T: int, state_first: bool):
+        """The vertex map with one factorized argument ``s_state`` and one
+        dense argument ``x_mat``; ``state_first`` says which is the first."""
+        if z == 0:
+            raise ValueError("the vertex map is not defined at z = 0")
+        two_k = self.model.two_k
+        i1, i2 = (s_pair[0], x_pair[0]) if state_first else (x_pair[0], s_pair[0])
+        out_pair = ((s_pair[0] + x_pair[0]) % two_k, (s_pair[1] + x_pair[1]) % two_k)
+        out = np.zeros((len(self.basis(out_pair[0], T)), len(self.basis(out_pair[1], T))),
+                       dtype=complex)
+        # right factors carry the dual-basis coefficient on the primed bases
+        scale_l = self.left_scale[(i1, i2)]
+        scale_r = self.dual_scale[(i1, i2)] * self.left_scale[((-i1) % two_k, (-i2) % two_k)]
+        for (lk, rk), c in s_state.items():
+            if not c:
                 continue
-            e_l, shape_l = self._first_entries(lw, ix, T)
-            e_r, shape_r = self._first_entries(rw, irx, T)
-            a = self._dense(e_l, shape_l, z, conj=False)
-            b = self._dense(e_r, shape_r, z, conj=True)
-            out += (cw * scale_l * scale_r) * (a @ x_mat @ b.T)
+            e_l, shape_l = self._comp_matrix(lk, x_pair[0], T, state_first)
+            e_r, shape_r = self._comp_matrix(rk, x_pair[1], T, state_first)
+            ml = self._dense(e_l, shape_l, z, conj=False)
+            mr = self._dense(e_r, shape_r, z, conj=True)
+            out += (c * scale_l * scale_r) * (ml @ x_mat @ mr.T)
         return out_pair, out
 
-    def _first_entries(self, w_key: StateKey, arg_sector: int, T: int):
-        entries, n_out, n_arg = self._comp_matrix_first(w_key, arg_sector, T)
-        return entries, (n_out, n_arg)
-
-    def full_vertex_apply(self, u_pair, u_state, v_pair, v_state, z: complex, T: int):
-        """Y(u; z, zbar)v for factorized u and v; see ``apply``."""
-        (vp, vmat) = self.tensor_state_from_dict(v_pair, v_state, T)
-        return self.apply(u_pair, u_state, vp, vmat, z, T)
-
     def tensor_state_from_dict(self, pair, state, T: int):
-        bl = self.basis(pair[0], T)
-        br = self.basis(pair[1], T)
-        mat = np.zeros((len(bl), len(br)), dtype=complex)
-        for (lk, rk), c in state.items():
-            il = bl.index.get(lk)
-            ir = br.index.get(rk)
-            if il is not None and ir is not None:
-                mat[il, ir] += complex(c)
-        return pair, mat
-
-    def virasoro_matrix(self, n: int, sector: int, T: int) -> np.ndarray:
-        b = self.basis(sector, T)
-        mat = np.zeros((len(b), len(b)), dtype=complex)
-        for i, key in enumerate(b.keys):
-            out = self.model.virasoro(n, {key: Fraction(1)}, T)
-            for k2, c in out.items():
-                oi = b.index.get(k2)
-                if oi is not None:
-                    mat[oi, i] = complex(c)
-        return mat
+        return pair, tensor_matrix(self.basis(pair[0], T), self.basis(pair[1], T), state)
 
     def exp_d_left_right(self, pair, mat, zl: complex, zr: complex, T: int) -> np.ndarray:
         """exp(zl * L^L(-1) + zr * L^R(-1)) on a dense tensor state."""
-        ll = self.virasoro_matrix(-1, pair[0], T)
-        lr = self.virasoro_matrix(-1, pair[1], T)
+        ll = self.basis(pair[0], T).virasoro_matrix(-1)
+        lr = self.basis(pair[1], T).virasoro_matrix(-1)
         out = mat.copy()
         term = mat.copy()
         ell = 0
@@ -350,25 +286,14 @@ def seeded_states(model: LatticeModel, seed: int, count: int,
             nmode = rng.choice((1, 1, 2))
             cl = Fraction(rng.randrange(-2, 3), rng.choice((1, 2)))
             if cl:
-                left = _vec_add(left, _vec_scale(model.alpha(-nmode, left), cl))
+                left = vec_add(left, vec_scale(model.alpha(-nmode, left), cl))
         for _ in range(rng.randrange(2)):
             cr = Fraction(rng.randrange(-1, 2), 2)
             if cr:
-                right = _vec_add(right, _vec_scale(model.alpha(-1, right), cr))
+                right = vec_add(right, vec_scale(model.alpha(-1, right), cr))
         out.append(((j, jr), {(lk, rk): cl * cr for lk, cl in left.items()
                               for rk, cr in right.items()}))
     return out
-
-
-def _vec_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _vec_scale(a, s):
-    return {k: s * v for k, v in a.items() if s * v}
 
 
 def sample_points(seed: int, count: int):
@@ -621,12 +546,12 @@ def check_virasoro(spec: LatticeSpec, T: int | None = None) -> list[CheckRecord]
                 cap = w + abs(mmode) + abs(nmode) + 1
                 x1 = model.virasoro(mmode, model.virasoro(nmode, vec, cap), cap)
                 x2 = model.virasoro(nmode, model.virasoro(mmode, vec, cap), cap)
-                comm = _vec_add(x1, _vec_scale(x2, Fraction(-1)))
-                want = _vec_scale(model.virasoro(mmode + nmode, vec, cap),
-                                  Fraction(mmode - nmode))
+                comm = vec_add(x1, vec_scale(x2, Fraction(-1)))
+                want = vec_scale(model.virasoro(mmode + nmode, vec, cap),
+                                 Fraction(mmode - nmode))
                 if mmode + nmode == 0:
                     c = Fraction(mmode ** 3 - mmode, 12)
-                    want = _vec_add(want, _vec_scale(vec, c))
+                    want = vec_add(want, vec_scale(vec, c))
                 if comm != want:
                     ok = False
             out.append(CheckRecord("virasoro-bracket", (mmode, nmode),
@@ -634,12 +559,12 @@ def check_virasoro(spec: LatticeSpec, T: int | None = None) -> list[CheckRecord]
                                    message="central charge 1"))
     # the left and right copies commute by the tensor-factor construction;
     # verified on a dense tensor state
-    ffa = DiagonalFFA(spec)
     pair = (1 % two_k, (-1) % two_k)
     state = {((tuple(), model.min_rep(pair[0])), ((1,), model.min_rep(pair[1]))): 1.0}
-    _, mat = ffa.tensor_state_from_dict(pair, state, T)
-    ll = ffa.virasoro_matrix(0, pair[0], T)
-    lr = ffa.virasoro_matrix(0, pair[1], T)
+    bl, br = SectorBasis(model, pair[0], T), SectorBasis(model, pair[1], T)
+    mat = tensor_matrix(bl, br, state)
+    ll = bl.virasoro_matrix(0)
+    lr = br.virasoro_matrix(0)
     lhs = ll @ mat @ lr.T
     rhs = (ll @ (mat @ lr.T))
     out.append(CheckRecord("left-right-commute", (0, 0),
@@ -700,7 +625,6 @@ def check_residue_lemma(spec: LatticeSpec, T: int | None = None,
     two_k = model.two_k
     for a in range(two_k):
         ap = (-a) % two_k
-        h = model.sector_weight(a)
         q = model.min_rep(a)
         gauge_scalar = gauge.gauge(ap, a)
         cases = []
@@ -712,21 +636,8 @@ def check_residue_lemma(spec: LatticeSpec, T: int | None = None,
         cases.append(("orthogonal", model.alpha(-1, wp0), model.alpha(-2, w0)))
         cases.append(("heisenberg-norm", model.alpha(-1, wp0), model.alpha(-1, w0)))
         for name, wp, w in cases:
-            wt = model.exp_virasoro(1, Fraction(-1), w, T)
-            wtp = model.exp_virasoro(1, Fraction(-1), wp, T)
             expect = model.pair(wp, w)
-            pieces: dict = {}
-            for key, c in wtp.items():
-                pieces.setdefault(model.state_weight(key), {})[key] = c
-            total = Fraction(0)
-            for u1, p1 in pieces.items():
-                exc = u1 - h
-                sign = (-1) ** int(exc)
-                vec0 = model.components(p1, wt, T).get(Fraction(0))
-                if vec0:
-                    c0 = vec0.get(((), 0))
-                    if c0:
-                        total += sign * c0
+            total = residue_extraction(model, a, wp, w, T)
             got = field.rational(total) * gauge_scalar
             ok = got == field.rational(expect)
             out.append(CheckRecord("residue-extraction", (a, name),
@@ -815,7 +726,6 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
     xpair, xmat = ffa.apply(upair, ustate,
                             *ffa.tensor_state_from_dict(wpair, wstate, T), complex(r), T)
     il, ir = np.unravel_index(int(np.abs(xmat).argmax()), xmat.shape)
-    fscale = 1.0
 
     # outer: <w', YL(z) YR(z) X>; rows of the insertion matrices at (il, ir)
     g_out: dict = {}
@@ -824,7 +734,7 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
     for e1, row1 in rows_l.items():
         tmp = row1 @ xmat
         for e2, row2 in rows_r.items():
-            g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + fscale * complex(tmp @ row2)
+            g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + complex(tmp @ row2)
 
     # inner: <w', Y(u; r, r) [YL(z) YR(z) w]>
     g_in: dict = {}
@@ -835,7 +745,7 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
             for e2, c2 in cols_r.items():
                 mat = np.outer(c1, c2)
                 _, ymat = ffa.apply(upair, ustate, wpair, mat, complex(r), T)
-                g_in[e1 + e2] = g_in.get(e1 + e2, 0j) + float(cw) * fscale * complex(ymat[il, ir])
+                g_in[e1 + e2] = g_in.get(e1 + e2, 0j) + float(cw) * complex(ymat[il, ir])
 
     # middle: <w', Y(YL(x) YR(x) u; r, r) w>, x = z - r
     g_mid: dict = {}
@@ -846,13 +756,13 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
             for e2, c2 in cols_r.items():
                 mat = np.outer(c1, c2)
                 _, ymat = ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)
-                g_mid[e1 + e2] = g_mid.get(e1 + e2, 0j) + float(cu) * fscale * complex(ymat[il, ir])
+                g_mid[e1 + e2] = g_mid.get(e1 + e2, 0j) + float(cu) * complex(ymat[il, ir])
     return g_out, g_in, g_mid
 
 
 def _laurent_rows(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, out_idx: int, T: int):
     """{integer exponent: dense row over the in-sector basis} at one output."""
-    entries, n_out, n_in = ffa._comp_matrix_second(u_key, in_sector, T)
+    entries, (_n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T, key_first=True)
     rows: dict = {}
     for gamma, oi, ii, c in entries:
         if oi != out_idx:

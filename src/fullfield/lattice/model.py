@@ -142,14 +142,6 @@ class LatticeModel:
                     _acc(out, k2, c2 * quarter * mult)
         return {k2: v for k2, v in out.items() if v}
 
-    def virasoro_power(self, n: int, times: int, vec: FockVector,
-                       cap: Fraction | int | None = None) -> FockVector:
-        for _ in range(times):
-            vec = self.virasoro(n, vec, cap)
-            if not vec:
-                break
-        return vec
-
     def exp_virasoro(self, n: int, scale: Fraction, vec: FockVector,
                      cap: Fraction | int) -> FockVector:
         """exp(scale * L(n)) for n = +-1, truncated at weight cap."""
@@ -188,25 +180,6 @@ class LatticeModel:
             term = cf * c2 * (sign * self.heis_norm(parts) * self.pair_norm(-qf))
             total = term if total is None else total + term
         return Fraction(0) if total is None else total
-
-    def pair_rev(self, functional: FockVector, vec: FockVector):
-        """Pairing with the lattice normalization keyed to the first argument."""
-        total = None
-        for (parts, qf), cf in functional.items():
-            c2 = vec.get((parts, -qf))
-            if c2 is None:
-                continue
-            sign = -1 if len(parts) % 2 else 1
-            term = cf * c2 * (sign * self.heis_norm(parts) * self.pair_norm(qf))
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
-
-    def dual_functional(self, key: StateKey) -> tuple[StateKey, Fraction]:
-        """Functional key and scale s with <s * key', key> = 1."""
-        parts, q = key
-        sign = -1 if len(parts) % 2 else 1
-        scale = Fraction(1, sign * self.heis_norm(parts) * self.pair_norm(q))
-        return (parts, -q), scale
 
     # -- graded components of intertwining operators ----------------------------
 

@@ -24,7 +24,7 @@ from math import comb
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField, CycScalar
 from fullfield.fusion import FusionData
-from fullfield.lattice.model import LatticeModel, LatticeSpec
+from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec
 
 MIN_MATCHES = 3
 
@@ -143,40 +143,15 @@ class CanonicalGauge:
         across three independent state pairs.
         """
         m, field, T = self.model, self.field, self.T + 2
-        h = m.sector_weight(a)
         q = m.min_rep(a)
         ratios = []
-        for dress in range(4):
-            w = m.charged(q)
-            wp = m.charged(-q)
-            if dress == 1:
-                w = m.alpha(-1, w)
-                wp = m.alpha(-1, wp)
-            elif dress == 2:
-                w = m.alpha(-2, w)
-                wp = m.alpha(-2, wp)
-            elif dress == 3:
-                w = m.alpha(-1, m.alpha(-1, w))
-                wp = m.alpha(-1, m.alpha(-1, wp))
-            wt = m.exp_virasoro(1, Fraction(-1), w, T)
-            wtp = m.exp_virasoro(1, Fraction(-1), wp, T)
+        for dress in ((), (1,), (2,), (1, 1)):
+            w, wp = m.charged(q), m.charged(-q)
+            for mode in dress:
+                w, wp = m.alpha(-mode, w), m.alpha(-mode, wp)
             expect = m.pair(wp, w)
-            if not expect:
-                continue
-            pieces: dict[Fraction, dict] = {}
-            for key, c in wtp.items():
-                pieces.setdefault(m.state_weight(key), {})[key] = c
-            total = Fraction(0)
-            for u1, p1 in pieces.items():
-                exc = u1 - h
-                assert exc == int(exc)
-                sign = (-1) ** int(exc)
-                vec0 = m.components(p1, wt, T).get(Fraction(0))
-                if vec0:
-                    c0 = vec0.get(((), 0))
-                    if c0:
-                        total += sign * c0
-            ratios.append(Fraction(total, expect))
+            if expect:
+                ratios.append(Fraction(residue_extraction(m, a, wp, w, T), expect))
         if len(ratios) < MIN_MATCHES:
             raise OracleError(f"residue normalization for sector {a} lacks data")
         if any(r != ratios[0] for r in ratios):
@@ -184,6 +159,33 @@ class CanonicalGauge:
         if ratios[0] == 0:
             raise OracleError(f"vanishing residue normalization for sector {a}")
         return field.rational(ratios[0])
+
+
+def residue_extraction(model: LatticeModel, a: int, wp: FockVector, w: FockVector,
+                       T: int) -> Fraction:
+    """The z^-1 extraction of the dressed (a', a) vacuum-channel insertion.
+
+    ``w`` lies in sector ``a`` and ``wp`` in its dual.  Both are dressed by
+    exp(-L(1)); each homogeneous piece of the dressed ``wp`` contributes the
+    vacuum coefficient of its weight-0 component on the dressed ``w``, signed
+    by (-1)^(weight - h_a).  Exact.
+    """
+    h = model.sector_weight(a)
+    wt = model.exp_virasoro(1, Fraction(-1), w, T)
+    wtp = model.exp_virasoro(1, Fraction(-1), wp, T)
+    pieces: dict[Fraction, dict] = {}
+    for key, c in wtp.items():
+        pieces.setdefault(model.state_weight(key), {})[key] = c
+    total = Fraction(0)
+    for u1, p1 in pieces.items():
+        exc = u1 - h
+        assert exc == int(exc)
+        vec0 = model.components(p1, wt, T).get(Fraction(0))
+        if vec0:
+            c0 = vec0.get(((), 0))
+            if c0:
+                total += (-1) ** int(exc) * c0
+    return total
 
 
 # -- raw fusing ratio via the four-point pattern fit -------------------------

@@ -6,6 +6,8 @@ as a zero test; CycScalar and Fraction both qualify.
 
 from __future__ import annotations
 
+from itertools import product
+
 
 def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -27,10 +29,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    return [r[0] for r in mat_mul(a, [[x] for x in v])]
 
 
 def transpose(a):
@@ -74,3 +72,28 @@ def mat_eq(a, b) -> bool:
 
 def mat_scale(a, s):
     return [[s * v for v in row] for row in a]
+
+
+def change_basis4(blk, m1, m2, m3, m4, zero):
+    """A 4-slot block in new bases: the one basis-change kernel.
+
+    out[p][q][r][s] = sum M1[ph][p] * M2[qh][q] * M3[r][rh] * M4[s][sh]
+    * blk[ph][qh][rh][sh]: the first two slots take columns of their
+    matrices, the last two take rows.
+    """
+    n1, n2, n3, n4 = len(blk), len(blk[0]), len(blk[0][0]), len(blk[0][0][0])
+    out = [[[[zero] * n4 for _ in range(n3)] for _ in range(n2)] for _ in range(n1)]
+    for p, q, r, s in product(range(n1), range(n2), range(n3), range(n4)):
+        acc = zero
+        for ph in range(n1):
+            if not m1[ph][p]:
+                continue
+            for qh in range(n2):
+                if not m2[qh][q]:
+                    continue
+                for rh in range(n3):
+                    for sh in range(n4):
+                        acc = acc + (m1[ph][p] * m2[qh][q] * m3[r][rh] * m4[s][sh]
+                                     * blk[ph][qh][rh][sh])
+        out[p][q][r][s] = acc
+    return out

@@ -69,65 +69,74 @@ def _records_from_violations(violations: list[Violation]) -> list[CheckRecord]:
     return out
 
 
-# suite name -> (identity header, prerequisites, runner)
+class SuiteInputs:
+    """What the suite runners of one ``run_suites`` call read.
+
+    The FFA structure is built on first use and shared by every FFA suite;
+    a ``construct`` error is kept and raised again for each of them.
+    """
+
+    def __init__(self, chiral: ChiralData):
+        self.chiral = chiral
+        self._ffa: ffa_mod.FFAStructure | BundleError | None = None
+
+    def ffa(self) -> ffa_mod.FFAStructure:
+        if self._ffa is None:
+            try:
+                self._ffa = ffa_mod.construct(self.chiral)
+            except BundleError as exc:
+                self._ffa = exc
+        if isinstance(self._ffa, BundleError):
+            raise self._ffa
+        return self._ffa
+
+
 def _suite_validate(chiral: ChiralData):
     return _records_from_violations(
         chiral.fusion.validate(field_order=chiral.field.order))
-
-
-def _suite_pentagon(chiral: ChiralData):
-    return chiral.verify_pentagon()
-
-
-def _suite_pairing(chiral: ChiralData):
-    return chiral.verify_pairing_properties()
-
-
-def _suite_nondegeneracy(chiral: ChiralData):
-    return chiral.verify_nondegeneracy()
-
-
-def _suite_dual(chiral: ChiralData):
-    return chiral.verify_dual_basis()
-
-
-def _suite_fusing(chiral: ChiralData):
-    return chiral.verify_prop_fusing()
 
 
 def _suite_s3(chiral: ChiralData):
     return chiral.verify_s3_relations() + chiral.verify_s3_invariance()
 
 
-def _with_ffa(runner):
-    def run(chiral: ChiralData):
-        structure = ffa_mod.construct(chiral)
-        return runner(structure)
+def _on_chiral(check):
+    def run(inputs: SuiteInputs):
+        return check(inputs.chiral)
     return run
 
 
+def _on_ffa(check):
+    def run(inputs: SuiteInputs):
+        return check(inputs.ffa())
+    return run
+
+
+# suite name -> (identity header, prerequisites, runner)
 SUITES: dict[str, tuple[str, tuple[str, ...], object]] = {
-    "validate": ("fusion-ring invariants", (), _suite_validate),
-    "pentagon": ("reassociation consistency of the fusing tensor", (), _suite_pentagon),
+    "validate": ("fusion-ring invariants", (), _on_chiral(_suite_validate)),
+    "pentagon": ("reassociation consistency of the fusing tensor", (),
+                 _on_chiral(ChiralData.verify_pentagon)),
     "pairing": ("intertwiner-space pairing symmetry and canonical values",
-                ("validate",), _suite_pairing),
+                ("validate",), _on_chiral(ChiralData.verify_pairing_properties)),
     "nondegeneracy": ("pairing nondegeneracy and the left-inverse normalization",
-                      ("validate",), _suite_nondegeneracy),
-    "dual": ("dual-basis duality and canonical duals", ("nondegeneracy",), _suite_dual),
+                      ("validate",), _on_chiral(ChiralData.verify_nondegeneracy)),
+    "dual": ("dual-basis duality and canonical duals", ("nondegeneracy",),
+             _on_chiral(ChiralData.verify_dual_basis)),
     "fusing": ("fusing-tensor delta contraction against dual bases",
-               ("nondegeneracy",), _suite_fusing),
+               ("nondegeneracy",), _on_chiral(ChiralData.verify_prop_fusing)),
     "s3": ("S3-action relations and sqrt-weighted form invariance",
-           ("nondegeneracy",), _suite_s3),
+           ("nondegeneracy",), _on_chiral(_suite_s3)),
     "ffa-assoc": ("structure-level associativity of the sector-sum algebra",
-                  ("nondegeneracy",), _with_ffa(ffa_mod.verify_associativity_structure)),
+                  ("nondegeneracy",), _on_ffa(ffa_mod.verify_associativity_structure)),
     "skew": ("structure-level skew symmetry with cancelling phases",
-             ("nondegeneracy",), _with_ffa(ffa_mod.verify_skew_symmetry_structure)),
+             ("nondegeneracy",), _on_ffa(ffa_mod.verify_skew_symmetry_structure)),
     "single-valued": ("integral left/right weight difference per sector",
-                      ("nondegeneracy",), _with_ffa(ffa_mod.verify_single_valuedness)),
+                      ("nondegeneracy",), _on_ffa(ffa_mod.verify_single_valuedness)),
     "invariance": ("invariance of the sector bilinear form",
-                   ("nondegeneracy",), _with_ffa(ffa_mod.verify_invariance_structure)),
+                   ("nondegeneracy",), _on_ffa(ffa_mod.verify_invariance_structure)),
     "unit": ("unit sector acts by canonical blocks",
-             ("nondegeneracy",), _with_ffa(ffa_mod.verify_unit_blocks)),
+             ("nondegeneracy",), _on_ffa(ffa_mod.verify_unit_blocks)),
 }
 
 DEFAULT_SUITES = ("validate", "pentagon", "pairing", "nondegeneracy", "dual",
@@ -161,13 +170,13 @@ def resolve_suites(names) -> list[str]:
 
 def run_suites(bundle: Bundle, names=None) -> list[Report]:
     order = resolve_suites(names if names else DEFAULT_SUITES)
-    chiral = ChiralData(bundle)
+    inputs = SuiteInputs(ChiralData(bundle))
     reports = []
     for name in order:
         identity, _deps, runner = SUITES[name]
         rep = Report(suite=name, identity=identity)
         try:
-            rep.records = runner(chiral)
+            rep.records = runner(inputs)
         except BundleError as exc:
             rep.error = str(exc)
         reports.append(rep)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import shutil
@@ -6,6 +7,10 @@ import pytest
 
 from fullfield.cli import main
 from fullfield.fixtures import fixture_bytes
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the benchmark's references for the exact layer, recorded from the same CLI
+EXACT_REFS = json.loads((ROOT / "perfbench" / "refs" / "exact_verify.json").read_text())
 
 
 @pytest.fixture()
@@ -66,6 +71,16 @@ class TestVerify:
         main(["verify", str(fixture_dir / "trivial.json"), "--format", "json"])
         obj = json.loads(capsys.readouterr().out)
         assert all(rep["identity"] for rep in obj["reports"])
+
+
+@pytest.mark.parametrize("op", EXACT_REFS["ops"], ids=lambda op: op["name"])
+def test_report_bytes_pinned(op, monkeypatch, capsys):
+    # the reports name their bundle by the relative path in argv
+    monkeypatch.chdir(ROOT)
+    code = main(op["argv"])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == op["exit"]
+    assert hashlib.sha256(out).hexdigest() == op["sha256"]
 
 
 class TestInspection:

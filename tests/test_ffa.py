@@ -7,6 +7,8 @@ from fullfield import ffa as ffa_mod
 from fullfield.bundles import BundleError
 from fullfield.chiral import ChiralData, fails
 from fullfield.fixtures import load_fixture
+from fullfield.linalg import change_basis4, transpose
+from fullfield.suites import run_suites
 from tests.conftest import get_chiral
 
 
@@ -61,6 +63,54 @@ class TestAssociativityStructure:
         assert fails(ffa_mod.verify_associativity_structure(structure))
 
 
+def test_run_suites_constructs_once(monkeypatch):
+    calls = []
+    real = ffa_mod.construct
+
+    def counting(chiral):
+        calls.append(chiral)
+        return real(chiral)
+
+    monkeypatch.setattr(ffa_mod, "construct", counting)
+    reports = run_suites(load_fixture("mut_pairing"))
+    errors = {r.suite: r.error for r in reports
+              if r.suite in ("ffa-assoc", "skew", "single-valued", "invariance", "unit")}
+    want = ("construct: missing dual bases: pairing('sigma', 'eps', 'sigma'): "
+            "singular pairing matrix")
+    assert errors == dict.fromkeys(("ffa-assoc", "skew", "single-valued", "invariance",
+                                    "unit"), want)
+    assert len(calls) == 1
+
+
+class TestChangeBasis4:
+    # every shipped fixture has multiplicity 1, where a transposed slot
+    # cannot show; this block has multiplicity 2 on all four slots
+    MATS = ([[1, 2], [0, 1]], [[1, 0], [3, 1]], [[1, 1], [0, 2]], [[3, 1], [2, 1]])
+
+    @staticmethod
+    def block():
+        rng = random.Random(4)
+        return [[[[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(2)]
+                  for _ in range(2)] for _ in range(2)] for _ in range(2)]
+
+    @staticmethod
+    def naive(blk, m1, m2, m3, m4):
+        r2 = range(2)
+        return [[[[sum(m1[ph][p] * m2[qh][q] * m3[r][rh] * m4[s][sh] * blk[ph][qh][rh][sh]
+                       for ph in r2 for qh in r2 for rh in r2 for sh in r2)
+                   for s in r2] for r in r2] for q in r2] for p in r2]
+
+    def test_matches_nested_sum(self):
+        mats = [[[Fraction(v) for v in row] for row in m] for m in self.MATS]
+        blk = self.block()
+        want = self.naive(blk, *mats)
+        assert change_basis4(blk, *mats, Fraction(0)) == want
+        for slot in range(4):
+            flipped = list(mats)
+            flipped[slot] = transpose(flipped[slot])
+            assert change_basis4(blk, *flipped, Fraction(0)) != want, slot
+
+
 class TestSkewStructure:
     def test_all_fixtures(self, fixture_name):
         structure = ffa_mod.construct(get_chiral(fixture_name))
@@ -102,17 +152,17 @@ class TestSingleValuedness:
 class TestFormWeights:
     def test_trivial(self, trivial):
         structure = ffa_mod.construct(trivial)
-        assert ffa_mod.bilinear_form_weights(structure) == {("e", "e"): trivial.field.one()}
+        assert structure.form_weights == {("e", "e"): trivial.field.one()}
 
     def test_z2_reads_canonical_weight(self, z2):
         structure = ffa_mod.construct(z2)
-        weights = ffa_mod.bilinear_form_weights(structure)
+        weights = structure.form_weights
         assert weights[("0", "0")] == z2.field.one()
         assert weights[("1", "1")] == z2.f_a("1")
 
     def test_ising_three_weights(self, ising):
         structure = ffa_mod.construct(ising)
-        weights = ffa_mod.bilinear_form_weights(structure)
+        weights = structure.form_weights
         assert len(weights) == 3
         for (a, _), w in weights.items():
             assert w == ising.f_a(a)

@@ -19,6 +19,7 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.lattice.model import vec_add, vec_scale
+from tests.conftest import get_bundle
 
 M1 = LatticeModel(1)
 M2 = LatticeModel(2)
@@ -217,6 +218,17 @@ class TestExactChecks:
         wp = model.alpha(-1, model.charged(-1))
         w = model.alpha(-2, model.charged(1))
         assert model.pair(wp, w) == 0
+
+
+@pytest.mark.parametrize("entry", ["apply", "apply_first"])
+def test_vertex_map_rejects_zero(entry):
+    ffa = DiagonalFFA(LatticeSpec(1, 4), bundle=get_bundle("z2k1"))
+    pair = (1, 1)
+    state = {(((), 1), ((), -1)): Fraction(1)}
+    _, mat = ffa.tensor_state_from_dict(pair, state, 4)
+    args = (pair, state, pair, mat) if entry == "apply" else (pair, mat, pair, state)
+    with pytest.raises(ValueError, match="not defined at z = 0"):
+        getattr(ffa, entry)(*args, 0j, 4)
 
 
 class TestSingleValuedSeries:
