@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from fullfield.bundles import Bundle
 from fullfield.chiral import CheckRecord, ChiralData
-from fullfield.lattice.model import (FockVector, LatticeModel, LatticeSpec, StateKey, vec_add,
-                                     vec_scale)
+from fullfield.lattice.model import (FockVector, LatticeModel, LatticeSpec, StateKey, _partitions,
+                                     vec_add, vec_scale)
 from fullfield.lattice.oracle import CanonicalGauge, emit_bundle, residue_extraction
 
 
@@ -76,7 +77,6 @@ class SectorBasis:
         while Fraction(q * q, 4 * model.k) <= T:
             points.append(q)
             q -= step
-        from fullfield.lattice.model import _partitions
         for q in sorted(points):
             budget = int(T - Fraction(q * q, 4 * model.k))
             for parts in _partitions(budget):
@@ -151,9 +151,16 @@ class DiagonalFFA:
         return self._bases[key]
 
     def _comp_matrix(self, key: StateKey, sector: int, T: int, key_first: bool):
-        """Sparse (gamma, out-idx, idx, Fraction) entries and (n_out, n) shape
-        of Y(key, z) on the sector basis if ``key_first``, else of Y(., z) key
-        over first arguments in the sector; gamma is the z-exponent."""
+        """Compiled entries and (n_out, n) shape of Y(key, z) on the sector
+        basis if ``key_first``, else of Y(., z) key over first arguments in
+        the sector.
+
+        The compiled form is ``(gammas, gidx, oi, ii, coef)``: the sorted
+        distinct z-exponents (Fractions), then one array slot per entry for
+        the index of its exponent in ``gammas``, its output index, its input
+        index and its coefficient as a float.  Each (oi, ii) pair occurs at
+        most once, since an output key has a single weight.
+        """
         ck = (key, sector % self.model.two_k, T, key_first)
         hit = self._comp.get(ck)
         if hit is not None:
@@ -162,7 +169,7 @@ class DiagonalFFA:
         bvar = self.basis(sector, T)
         bout = self.basis(sector + m.sector(key[1]), T)
         wt_key = m.state_weight(key)
-        entries = []
+        exps, ois, iis, coefs = [], [], [], []
         for idx, var_key in enumerate(bvar.keys):
             u, v = (key, var_key) if key_first else (var_key, key)
             comps = m.components({u: Fraction(1)}, {v: Fraction(1)}, T)
@@ -172,20 +179,24 @@ class DiagonalFFA:
                 for out_key, c in vec.items():
                     oi = bout.index.get(out_key)
                     if oi is not None:
-                        entries.append((gamma, oi, idx, c))
-        self._comp[ck] = (entries, (len(bout), len(bvar)))
+                        exps.append(gamma)
+                        ois.append(oi)
+                        iis.append(idx)
+                        coefs.append(float(c))
+        gammas = sorted(set(exps))
+        pos = {g: i for i, g in enumerate(gammas)}
+        compiled = (gammas, np.array([pos[g] for g in exps], dtype=np.intp),
+                    np.array(ois, dtype=np.intp), np.array(iis, dtype=np.intp),
+                    np.array(coefs, dtype=float))
+        self._comp[ck] = (compiled, (len(bout), len(bvar)))
         return self._comp[ck]
 
     @staticmethod
-    def _dense(entries, shape, z, conj):
+    def _dense(compiled, shape, z, conj):
+        gammas, gidx, oi, ii, coef = compiled
+        pw = np.array([zpow(z, g, conj) for g in gammas], dtype=complex)
         mat = np.zeros(shape, dtype=complex)
-        powers: dict = {}
-        for gamma, oi, ii, c in entries:
-            p = powers.get(gamma)
-            if p is None:
-                p = zpow(z, gamma, conj)
-                powers[gamma] = p
-            mat[oi, ii] += float(c) * p
+        mat[oi, ii] += coef * pw[gidx]
         return mat
 
     def apply(self, u_pair, u_state, x_pair, x_mat, z: complex, T: int):
@@ -216,10 +227,8 @@ class DiagonalFFA:
         for (lk, rk), c in s_state.items():
             if not c:
                 continue
-            e_l, shape_l = self._comp_matrix(lk, x_pair[0], T, state_first)
-            e_r, shape_r = self._comp_matrix(rk, x_pair[1], T, state_first)
-            ml = self._dense(e_l, shape_l, z, conj=False)
-            mr = self._dense(e_r, shape_r, z, conj=True)
+            ml = self._dense(*self._comp_matrix(lk, x_pair[0], T, state_first), z, conj=False)
+            mr = self._dense(*self._comp_matrix(rk, x_pair[1], T, state_first), z, conj=True)
             out += (c * scale_l * scale_r) * (ml @ x_mat @ mr.T)
         return out_pair, out
 
@@ -271,7 +280,6 @@ def _rel_err(a: np.ndarray, b: np.ndarray, mask=None) -> float:
 def seeded_states(model: LatticeModel, seed: int, count: int,
                   sector: int | None = None):
     """Deterministic low-weight dressed sector-pair states."""
-    import random
     rng = random.Random(seed)
     two_k = model.two_k
     out = []
@@ -298,7 +306,6 @@ def seeded_states(model: LatticeModel, seed: int, count: int,
 
 def sample_points(seed: int, count: int):
     """(z1, z2) pairs inside |z1| > |z2| > |z1 - z2| > 0."""
-    import random
     rng = random.Random(seed)
     pts = []
     base = (1.0 + 0j, 0.8 + 0j)
@@ -392,7 +399,6 @@ def check_skew_symmetry(spec: LatticeSpec, samples: int = 5, T: int | None = Non
     ffa = ffa or DiagonalFFA(spec)
     model = ffa.model
     out: list[CheckRecord] = []
-    import random
     rng = random.Random(seed)
     states = seeded_states(model, seed, samples + 1)
     for idx in range(samples):
@@ -762,17 +768,18 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
 
 def _laurent_rows(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, out_idx: int, T: int):
     """{integer exponent: dense row over the in-sector basis} at one output."""
-    entries, (_n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T, key_first=True)
+    (gammas, gidx, oi, ii, coef), (_n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T,
+                                                                     key_first=True)
+    at = oi == out_idx
     rows: dict = {}
-    for gamma, oi, ii, c in entries:
-        if oi != out_idx:
-            continue
+    for g, i, c in zip(gidx[at], ii[at], coef[at]):
+        gamma = gammas[g]
         assert gamma.denominator == 1
         row = rows.get(int(gamma))
         if row is None:
             row = np.zeros(n_in, dtype=complex)
             rows[int(gamma)] = row
-        row[ii] += float(c)
+        row[i] += c
     return rows
 
 

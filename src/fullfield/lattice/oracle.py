@@ -19,7 +19,7 @@ only when it is stable across at least ``MIN_MATCHES`` independent entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField, CycScalar
@@ -223,6 +223,14 @@ def raw_f_ratio(model: LatticeModel, b1: int, b2: int, b3: int, T: int) -> Fract
 
 
 def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction | None:
+    """Fitted product/iterate normalization ratio at lattice points q1, q2, q3.
+
+    Only the oscillator-free output ((), q1+q2+q3) is read, so each side
+    expands its inner operator in full up to T and the outer one only up to
+    the ceiling of that output's weight: every other output of charge
+    q1+q2+q3 lies a whole number of levels above it.  None when a weight
+    does not fit below T - 2.
+    """
     two_k = model.two_k
     wu = Fraction(q1 * q1, 2 * two_k)
     wv = Fraction(q2 * q2, 2 * two_k)
@@ -231,31 +239,27 @@ def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction |
     c2 = Fraction(q2 * q3, two_k)
     c3 = Fraction(q1 * q2, two_k)
     out_key = ((), q1 + q2 + q3)
+    m_out = model.state_weight(out_key)
     u, v, w = model.charged(q1), model.charged(q2), model.charged(q3)
-    if max(wu, wv, ww, model.state_weight(out_key)) > T - 2:
+    if max(wu, wv, ww, m_out) > T - 2:
         return None
+    t_out = ceil(m_out)
 
     prod: dict[tuple[Fraction, Fraction], Fraction] = {}
-    inner = model.components(v, w, T)
-    for m2, vec2 in inner.items():
-        outer = model.components(u, vec2, T)
-        for m1, vec1 in outer.items():
-            coeff = vec1.get(out_key)
-            if coeff:
-                prod[(m1 - wu - m2, m2 - wv - ww)] = coeff
+    for m2, vec2 in model.components(v, w, T).items():
+        coeff = model.components(u, vec2, t_out).get(m_out, {}).get(out_key)
+        if coeff:
+            prod[(m_out - wu - m2, m2 - wv - ww)] = coeff
     cp = _fit_pattern(prod, base=(c1 + c3, c2), gamma=c3, alternating=True)
     if cp is None:
         raise OracleError(
             f"product grid does not match the prefactor pattern at q=({q1},{q2},{q3})")
 
     iterate: dict[tuple[Fraction, Fraction], Fraction] = {}
-    inner_i = model.components(u, v, T)
-    for m, vecm in inner_i.items():
-        outer = model.components(vecm, w, T)
-        for mp, vec1 in outer.items():
-            coeff = vec1.get(out_key)
-            if coeff:
-                iterate[(m - wu - wv, mp - m - ww)] = coeff
+    for m, vecm in model.components(u, v, T).items():
+        coeff = model.components(vecm, w, t_out).get(m_out, {}).get(out_key)
+        if coeff:
+            iterate[(m - wu - wv, m_out - m - ww)] = coeff
     ci = _fit_pattern(iterate, base=(c3, c1 + c2), gamma=c1, alternating=False)
     if ci is None:
         raise OracleError(

@@ -9,8 +9,10 @@ from fullfield.cli import main
 from fullfield.fixtures import fixture_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the benchmark's references for the exact layer, recorded from the same CLI
+# the benchmark's references for the exact layer and one lattice seed,
+# recorded from the same CLI
 EXACT_REFS = json.loads((ROOT / "perfbench" / "refs" / "exact_verify.json").read_text())
+LATTICE_REF = json.loads((ROOT / "perfbench" / "refs" / "lattice_k1" / "seed_5.json").read_text())
 
 
 @pytest.fixture()
@@ -111,6 +113,13 @@ class TestLattice:
         assert code == 0
         assert out.exists()
         assert main(["verify", str(out), "--suite", "pentagon,dual"]) == 0
+
+    def test_report_pinned(self, capsys):
+        argv = ["lattice", "--k", "1", "--truncate", "6", "--format", "json", "--seed", "5"]
+        assert argv == LATTICE_REF["argv"]
+        assert main(argv) == LATTICE_REF["exit"]
+        # residuals are strings in the report, so this compares them exactly
+        assert json.loads(capsys.readouterr().out) == LATTICE_REF["report"]
 
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2

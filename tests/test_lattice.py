@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fullfield.bundles import bundle_to_obj, canonical_bytes
 from fullfield.chiral import ChiralData, fails
 from fullfield.cyclotomic import CycField
 from fullfield.lattice import (
@@ -18,6 +20,8 @@ from fullfield.lattice import (
     emit_bundle,
     raw_f_ratio,
 )
+from fullfield.fixtures import fixture_bytes
+from fullfield.lattice.checks import SectorBasis, zpow
 from fullfield.lattice.model import vec_add, vec_scale
 from tests.conftest import get_bundle
 
@@ -189,6 +193,11 @@ class TestOracle:
         with pytest.raises(OracleError):
             raw_f_ratio(LatticeModel(2), 1, 1, 1, T=2)
 
+    @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+    def test_emitted_bundle_bytes_are_shipped_fixture(self, k, name):
+        bundle = emit_bundle(LatticeSpec(k, 8), seed=1)
+        assert canonical_bytes(bundle_to_obj(bundle)) == fixture_bytes(name)
+
     def test_emitted_bundles_pass_every_suite(self):
         from fullfield.suites import run_suites
 
@@ -229,6 +238,41 @@ def test_vertex_map_rejects_zero(entry):
     args = (pair, state, pair, mat) if entry == "apply" else (pair, mat, pair, state)
     with pytest.raises(ValueError, match="not defined at z = 0"):
         getattr(ffa, entry)(*args, 0j, 4)
+
+
+def _dense_reference(model, key, sector, T, key_first, z, conj):
+    """Y(key, z) on a sector basis, entry by entry from the exact components."""
+    bvar = SectorBasis(model, sector, T)
+    bout = SectorBasis(model, sector + model.sector(key[1]), T)
+    mat = np.zeros((len(bout), len(bvar)), dtype=complex)
+    for idx, var_key in enumerate(bvar.keys):
+        u, v = (key, var_key) if key_first else (var_key, key)
+        comps = model.components({u: Fraction(1)}, {v: Fraction(1)}, T)
+        for mm, vec in comps.items():
+            gamma = mm - model.state_weight(key) - model.state_weight(var_key)
+            for out_key, c in vec.items():
+                oi = bout.index.get(out_key)
+                if oi is not None:
+                    mat[oi, idx] += float(c) * zpow(z, gamma, conj)
+    return mat
+
+
+@pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+def test_dense_matches_entrywise_reference(k, name):
+    T = 6
+    ffa = DiagonalFFA(LatticeSpec(k, T), bundle=get_bundle(name))
+    model = ffa.model
+    keys = [((), model.min_rep(j)) for j in range(model.two_k)]
+    keys += [((2, 1), model.min_rep(1) - model.two_k), ((1,), 0)]
+    # z on both sides of the arg = 0 cut of the paper's logarithm
+    for z in (0.7 + 0.2j, 0.7 - 0.2j):
+        for conj in (False, True):
+            for key in keys:
+                for sector in range(model.two_k):
+                    for key_first in (True, False):
+                        got = ffa._dense(*ffa._comp_matrix(key, sector, T, key_first), z, conj)
+                        want = _dense_reference(model, key, sector, T, key_first, z, conj)
+                        assert np.array_equal(got, want), (z, conj, key, sector, key_first)
 
 
 class TestSingleValuedSeries:
