@@ -15,6 +15,8 @@ from math import gcd
 
 import mpmath
 
+from fullfield.linalg import solve
+
 
 class FieldOrderError(ValueError):
     """Raised for invalid field orders or cross-field arithmetic."""
@@ -333,13 +335,12 @@ class CycScalar:
         for j in range(d):
             col = self * self.field.zeta(j)
             cols.append([col.coeffs.get(e, Fraction(0)) for e in range(d)])
-        # Solve sum_j x_j * cols[j] = e_0 by Gaussian elimination.
-        aug = [[cols[j][e] for j in range(d)] + [Fraction(1 if e == 0 else 0)]
-               for e in range(d)]
-        x = _solve_fraction_system(aug, d)
+        # Solve sum_j x_j * cols[j] = e_0.
+        x = solve([[cols[j][e] for j in range(d)] for e in range(d)],
+                  [[Fraction(1 if e == 0 else 0)] for e in range(d)], Fraction(1))
         if x is None:  # pragma: no cover - nonzero elements are invertible
             raise ZeroDivisionError("singular multiplication matrix")
-        return CycScalar(self.field, {j: x[j] for j in range(d) if x[j]})
+        return CycScalar(self.field, {j: x[j][0] for j in range(d) if x[j][0]})
 
     def __truediv__(self, other) -> "CycScalar":
         o = self._coerce(other)
@@ -413,23 +414,6 @@ class CycScalar:
         for e, c in sorted(self.coeffs.items()):
             terms.append(f"{c}*z{e}" if e else f"{c}")
         return f"Cyc[{self.field.order}]({' + '.join(terms)})"
-
-
-def _solve_fraction_system(aug: list[list[Fraction]], n: int) -> list[Fraction] | None:
-    """Solve an n x n system given as augmented rows; None if singular."""
-    rows = [list(r) for r in aug]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return [rows[e][n] for e in range(n)]
 
 
 def scalar_from_literal(field: CycField, literal) -> CycScalar:

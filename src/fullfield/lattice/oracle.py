@@ -24,7 +24,7 @@ from math import ceil, comb
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField, CycScalar
 from fullfield.fusion import FusionData
-from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec
+from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, _acc
 
 MIN_MATCHES = 3
 
@@ -55,15 +55,6 @@ def _series_ratio(field: CycField, num: dict, den: dict) -> CycScalar:
         elif ratio != r:
             raise OracleError(f"unstable ratio at {key}: {r} vs {ratio}")
     return ratio
-
-
-def _acc_scalar(d: dict, key, val) -> None:
-    cur = d.get(key)
-    tot = val if cur is None else cur + val
-    if tot:
-        d[key] = tot
-    elif cur is not None:
-        del d[key]
 
 
 class CanonicalGauge:
@@ -122,15 +113,14 @@ class CanonicalGauge:
                 ell = 0
                 while term:
                     for key, c in term.items():
-                        _acc_scalar(num, (tag, gamma + ell, key),
-                                    (c * sign / fact) * field.one())
+                        _acc(num, (tag, gamma + ell, key), (c * sign / fact) * field.one())
                     ell += 1
                     fact *= ell
                     term = m.virasoro(-1, term, T)
             comps2 = m.components(w1, w2, T)
             for mm, vec in comps2.items():
                 for key, c in vec.items():
-                    _acc_scalar(den, (tag, mm - wt1 - wt2, key), c * field.one())
+                    _acc(den, (tag, mm - wt1 - wt2, key), c * field.one())
         cap = Fraction(T) - m.sector_weight(i) - 3
         num = {k: v for k, v in num.items() if k[1] <= cap}
         den = {k: v for k, v in den.items() if k[1] <= cap}
@@ -229,7 +219,8 @@ def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction |
     expands its inner operator in full up to T and the outer one only up to
     the ceiling of that output's weight: every other output of charge
     q1+q2+q3 lies a whole number of levels above it.  None when a weight
-    does not fit below T - 2.
+    does not fit below T - 2, or when an intermediate state ((), q1+q2) or
+    ((), q2+q3) lies above T, where its side's grid would be empty.
     """
     two_k = model.two_k
     wu = Fraction(q1 * q1, 2 * two_k)
@@ -242,6 +233,8 @@ def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction |
     m_out = model.state_weight(out_key)
     u, v, w = model.charged(q1), model.charged(q2), model.charged(q3)
     if max(wu, wv, ww, m_out) > T - 2:
+        return None
+    if max(model.state_weight(((), q1 + q2)), model.state_weight(((), q2 + q3))) > T:
         return None
     t_out = ceil(m_out)
 

@@ -37,13 +37,13 @@ def transpose(a):
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def mat_inv(a, one, zero):
-    """Inverse by Gauss-Jordan elimination; None if singular."""
+def solve(a, b, one):
+    """X with a X = b by Gauss-Jordan elimination; None if a is singular.
+
+    ``b`` has as many rows as ``a``; this is the one elimination kernel.
+    """
     n = len(a)
-    if n == 0:
-        return []
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -56,6 +56,11 @@ def mat_inv(a, one, zero):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def mat_inv(a, one, zero):
+    """Inverse by Gauss-Jordan elimination; None if singular."""
+    return solve(a, identity(len(a), one, zero), one)
 
 
 def mat_eq(a, b) -> bool:

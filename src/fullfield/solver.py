@@ -1,5 +1,20 @@
 """Constraint solvers for multiplicity-free bundles.
 
+Both solvers hand polynomial equations over the bundle's cyclotomic field
+to one search, ``_search``.  An equation is a term list [(coeff, vars)]
+meaning sum coeff * prod(vars) = 0; a variable repeated in ``vars`` is a
+power.  Every unknown is nonzero.  The search substitutes what is known and
+repeats until nothing changes:
+
+* a two-term equation in two or more variables loses its common factor;
+* an equation in one variable of degree <= 2 fixes it, or branches over
+  both roots when they differ (square roots taken in the field);
+* a two-term equation with one side a bare variable x substitutes
+  x := c * monomial.
+
+Whatever is still free is then guessed from a short list of units, first
+unknown first.
+
 ``solve_sigma`` determines the S3-action scalars from a given fusing tensor:
 the unknowns are one sigma12 scalar and one sigma23 scalar per nonzero space,
 subject to
@@ -10,18 +25,19 @@ subject to
 * the left-inverse normalization identity tying sigma123 contractions of the
   fusing tensor to the canonical vacuum-channel weight.
 
+It also pins to 1 the sigma12 scalar of a space fixed by sigma12 and the
+sigma23 scalar of a space fixed by sigma23 or by priming, which the
+relations above do not force (see ``solve_sigma``).  It returns the
+first solution, guessing 1, -1 and, when 4 | N, i and -i.
+
 ``solve_pentagon`` solves the reassociation consistency system for the fusing
 tensor itself on small multiplicity-free fusion rings, with the unit-slot
-entries pinned to delta patterns, by propagation plus quadratic branching
-over square roots in the field.
-
-Both solvers work by exact elimination over monomial equations
-prod_i x_i^{e_i} = c with c in the bundle's cyclotomic field.
+entries pinned to delta patterns and one entry per free space gauge-fixed
+to 1, guessing 1 and -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from fullfield.cyclotomic import CycField, CycScalar
@@ -34,100 +50,141 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class Monomial:
-    """prod var^exp = const, over field units."""
-
-    exps: dict
-    const: CycScalar
-
-    def reduce(self, assignment: dict) -> "Monomial":
-        exps = {}
-        const = self.const
-        for var, e in self.exps.items():
-            val = assignment.get(var)
-            if val is None:
-                exps[var] = e
-            else:
-                const = const * val ** (-e)
-        return Monomial(exps, const)
+# -- the search -----------------------------------------------------------------
 
 
-def _propagate(constraints: list[Monomial], assignment: dict, field: CycField):
-    """Assign single-variable constraints until stable; False on contradiction."""
-    one = field.one()
-    pending = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        nxt = []
-        for con in pending:
-            red = con.reduce(assignment)
-            if not red.exps:
-                if red.const != one:
-                    return None
-                continue
-            if len(red.exps) == 1:
-                (var, e), = red.exps.items()
-                if e == 1:
-                    assignment[var] = red.const
-                elif e == -1:
-                    assignment[var] = red.const.inverse()
-                elif e % 2 == 0:
-                    nxt.append(red)
+def _expand_mono(coeff, vars, state):
+    """Expand a scalar-times-monomial through the current state.
+
+    Returns (coeff, sorted tuple of unresolved variables).  ``state`` maps
+    solved variables to scalars and substituted variables to (coeff, vars)
+    monomial expressions.
+    """
+    out_vars: list = []
+    stack = list(vars)
+    guard = 0
+    while stack:
+        guard += 1
+        if guard > 10_000:
+            raise SolverError("substitution expansion did not terminate")
+        v = stack.pop()
+        got = state.get(v)
+        if got is None:
+            out_vars.append(v)
+        elif isinstance(got, CycScalar):
+            coeff = coeff * got
+        else:
+            c2, vs2 = got
+            coeff = coeff * c2
+            stack.extend(vs2)
+    return coeff, tuple(sorted(out_vars))
+
+
+def _normalize_terms(eq, state):
+    """Term list of ``eq`` expanded through ``state``, like monomials merged."""
+    merged: dict[tuple, CycScalar] = {}
+    for coeff, vars in eq:
+        coeff, vars = _expand_mono(coeff, vars, state)
+        cur = merged.get(vars)
+        tot = coeff if cur is None else cur + coeff
+        if tot:
+            merged[vars] = tot
+        elif cur is not None:
+            del merged[vars]
+    return [(c, v) for v, c in merged.items()]
+
+
+def _single_var_solve(terms, field):
+    """Nonzero roots of sum c_t x^d_t = 0 in one variable.
+
+    None if the equation is vacuous or of degree above 2.
+    """
+    deg_coeff: dict[int, CycScalar] = {}
+    for coeff, vars in terms:
+        deg_coeff[len(vars)] = deg_coeff.get(len(vars), field.zero()) + coeff
+    degs = sorted(dg for dg, cf in deg_coeff.items() if cf)
+    if not degs or degs[-1] > 2:
+        return None
+    if len(degs) == 1:
+        return []  # c * x^d = 0
+    if degs in ([0, 1], [1, 2]):
+        return [(-deg_coeff[degs[0]]) / deg_coeff[degs[1]]]
+    if degs == [0, 2]:
+        root = field.sqrt((-deg_coeff[0]) / deg_coeff[2])
+        return [] if root is None else [root, -root]
+    a, b, c = deg_coeff[2], deg_coeff[1], deg_coeff[0]
+    root = field.sqrt(b * b - 4 * a * c)
+    if root is None:
+        return []
+    return list({((-b) + root) / (2 * a), ((-b) - root) / (2 * a)})
+
+
+def _search(equations, state: dict, unknowns: list, field: CycField, guesses: list,
+            limit: int) -> list[dict]:
+    """Up to ``limit`` solutions {unknown: value} of the term-list equations.
+
+    ``state`` holds the pinned values.  Propagation with common-factor
+    cancellation and monomial substitution, branching over the roots of
+    one-variable equations and then over ``guesses`` for the first free
+    unknown; solutions come in search order, each checked against every
+    equation.
+    """
+    solutions: list[dict] = []
+
+    def dfs(state: dict, depth: int) -> None:
+        if len(solutions) >= limit or depth > 80:
+            return
+        progress = True
+        while progress:
+            progress = False
+            for eq in equations:
+                terms = _normalize_terms(eq, state)
+                varset = {v for _, vs in terms for v in vs}
+                if len(terms) == 2 and len(varset) > 1:
+                    # cancel the common factor (unknowns are nonzero)
+                    (c1, v1), (c2, v2) = terms
+                    l1, l2 = list(v1), list(v2)
+                    for v in v1:
+                        if v in l2:
+                            l1.remove(v)
+                            l2.remove(v)
+                    terms = [(c1, tuple(l1)), (c2, tuple(l2))]
+                    varset = set(l1) | set(l2)
+                if not terms:
                     continue
-                else:
-                    # odd power n: x = c^(1/n) needs an n-th root; try c itself
-                    nxt.append(red)
-                    continue
-                changed = True
-                continue
-            nxt.append(red)
-        pending = nxt
-    return pending
+                if not varset:
+                    return  # nonzero constant = 0
+                if len(varset) == 1:
+                    roots = _single_var_solve(terms, field)
+                    if roots is None:
+                        continue
+                    (var,) = varset
+                    if len(roots) == 1:
+                        state[var] = roots[0]
+                        progress = True
+                        continue
+                    for root in roots:
+                        dfs({**state, var: root}, depth + 1)
+                    return
+                if len(terms) == 2:
+                    # substitution x := expr when one side is a bare variable
+                    (cb, bare), (co, other) = terms
+                    if len(bare) != 1:
+                        (co, other), (cb, bare) = terms
+                    if len(bare) == 1:
+                        state[bare[0]] = ((-co) / cb, other)
+                        progress = True
+        free = [k for k in unknowns if k not in state]
+        if free:
+            for cand in guesses:
+                dfs({**state, free[0]: cand}, depth + 1)
+            return
+        values = {k: _expand_mono(field.one(), (k,), state)[0] for k in unknowns}
+        if not any(_normalize_terms(eq, {**state, **values}) for eq in equations):
+            solutions.append(values)
 
-
-def _solve_monomials(constraints: list[Monomial], variables: list, field: CycField,
-                     assignment: dict, depth: int = 0) -> dict | None:
-    if depth > 24:
-        return None
-    work = dict(assignment)
-    pending = _propagate(constraints, work, field)
-    if pending is None:
-        return None
-    unassigned = [v for v in variables if v not in work]
-    if not unassigned:
-        for con in constraints:
-            red = con.reduce(work)
-            if red.exps or red.const != field.one():
-                return None
-        return work
-    # branch: prefer a quadratic x^2 = c if available, else guess units
-    quad = next((c for c in pending if len(c.exps) == 1
-                 and abs(next(iter(c.exps.values()))) == 2), None)
-    if quad is not None:
-        (var, e), = quad.exps.items()
-        target = quad.const if e > 0 else quad.const.inverse()
-        root = field.sqrt(target)
-        if root is None:
-            return None
-        for cand in (root, -root):
-            got = _solve_monomials(constraints, variables, field,
-                                   {**work, var: cand}, depth + 1)
-            if got is not None:
-                return got
-        return None
-    var = unassigned[0]
-    guesses = [field.one(), field.rational(-1)]
-    if field.order % 4 == 0:
-        i_unit = field.root_of_unity(1, 2)
-        guesses += [i_unit, -i_unit]
-    for cand in guesses:
-        got = _solve_monomials(constraints, variables, field,
-                               {**work, var: cand}, depth + 1)
-        if got is not None:
-            return got
-    return None
+    dfs(dict(state), 0)
+    return solutions
 
 
 # -- sigma solver ---------------------------------------------------------------
@@ -159,33 +216,37 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
     uvar = {s: ("u", s) for s in spaces}
     vvar = {s: ("v", s) for s in spaces}
     one = field.one()
-    cons: list[Monomial] = []
-    assignment: dict = {}
+    state: dict = {}
 
     for a in fusion.labels:
         ap = d[a]
-        assignment[uvar[(e, a, a)]] = one
-        assignment[uvar[(a, e, a)]] = one
-        assignment[uvar[(a, ap, e)]] = one
-        assignment[vvar[(a, e, a)]] = one
-        assignment[vvar[(a, ap, e)]] = one
-        assignment[vvar[(e, a, a)]] = one
-
+        state[uvar[(e, a, a)]] = one
+        state[uvar[(a, e, a)]] = one
+        state[uvar[(a, ap, e)]] = one
+        state[vvar[(a, e, a)]] = one
+        state[vvar[(a, ap, e)]] = one
+        state[vvar[(e, a, a)]] = one
+    # Explicit pins.  On a space fixed by sigma12 involutivity says only
+    # u^2 = 1, on one fixed by sigma23 only v^2 = 1, and on a self-primed
+    # space pairing symmetry says nothing; these scalars have always been 1
+    # here.  Without the pins the search also finds S3 actions for ising
+    # pentagon solutions 2 and 3 and for the lattice k = 3 tensor (whose
+    # bundle then fails five suites).  Whether the pins are right is open.
     for s in spaces:
-        cons.append(Monomial({uvar[s]: 1, uvar[s12_space(s)]: 1}, one))
-        cons.append(Monomial({vvar[s]: 1, vvar[s23_space(s)]: 1}, one))
+        if s12_space(s) == s:
+            state[uvar[s]] = one
+        if s23_space(s) == s or fusion.primed(s) == s:
+            state[vvar[s]] = one
+
+    equations = []
+    for s in spaces:
+        equations.append([(one, (uvar[s], uvar[s12_space(s)])), (-one, ())])
+        equations.append([(one, (vvar[s], vvar[s23_space(s)])), (-one, ())])
         # braid relation through both generator words
         t1 = s12_space(s)
-        lhs = {uvar[s]: 1, vvar[t1]: 1, uvar[s23_space(t1)]: 1}
         t2 = s23_space(s)
-        rhs = {vvar[s]: 1, uvar[t2]: 1, vvar[s12_space(t2)]: 1}
-        exps: dict = {}
-        for var, ee in lhs.items():
-            exps[var] = exps.get(var, 0) + ee
-        for var, ee in rhs.items():
-            exps[var] = exps.get(var, 0) - ee
-        exps = {var: ee for var, ee in exps.items() if ee}
-        cons.append(Monomial(exps, one))
+        equations.append([(one, (uvar[s], vvar[t1], uvar[s23_space(t1)])),
+                          (-one, (vvar[s], uvar[t2], vvar[s12_space(t2)]))])
 
     for s in spaces:
         a1, a2, a3 = s
@@ -196,8 +257,7 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
         f_b_val = _f_scalar(f, fb_key, field)
         if not f_a_val or not f_b_val:
             raise SolverError(f"vanishing pairing-contraction entry at {s}")
-        cons.append(Monomial({vvar[fusion.primed(s)]: 1, vvar[s]: -1},
-                             f_b_val / f_a_val))
+        equations.append([(f_a_val, (vvar[fusion.primed(s)],)), (-f_b_val, (vvar[s],))])
         # left-inverse normalization: v[s] * u[s23_space(s)] = F_x / (F1 * F2)
         x, y, z = s
         f1 = _f_scalar(f, (x, e, x, y, d[y], z), field)
@@ -205,12 +265,17 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
         fx = _f_scalar(f, (x, e, x, d[x], x, e), field)
         if not f1 or not f2 or not fx:
             raise SolverError(f"vanishing normalization entry at {s}")
-        cons.append(Monomial({vvar[s]: 1, uvar[s23_space(s)]: 1}, fx / (f1 * f2)))
+        equations.append([(f1 * f2, (vvar[s], uvar[s23_space(s)])), (-fx, ())])
 
-    variables = list(uvar.values()) + list(vvar.values())
-    solution = _solve_monomials(cons, variables, field, assignment)
-    if solution is None:
+    guesses = [one, -one]
+    if field.order % 4 == 0:
+        i_unit = field.root_of_unity(1, 2)
+        guesses += [i_unit, -i_unit]
+    unknowns = list(uvar.values()) + list(vvar.values())
+    found = _search(equations, state, unknowns, field, guesses, limit=1)
+    if not found:
         raise SolverError("no S3 action consistent with the fusing tensor over this field")
+    solution = found[0]
     sigma12 = {s: [[solution[uvar[s]]]] for s in spaces}
     sigma23 = {s: [[solution[vvar[s]]]] for s in spaces}
     return sigma12, sigma23
@@ -297,9 +362,9 @@ def solve_pentagon(fusion: FusionData, field_order: int, limit: int = 40):
 
     The unit-slot entries are pinned to their delta patterns; one entry per
     non-canonical space is normalized to 1 (basis rescaling freedom); the
-    rest is determined by propagation with square-root branching in the
-    field.  Returns a list of assignments {key6: CycScalar} (gauge
-    representatives); empty if the system has no solution over Q(zeta_N).
+    rest comes from ``_search``, guessing 1 and -1.  Returns a list of
+    assignments {key6: CycScalar} (gauge representatives); empty if the
+    system has no solution over Q(zeta_N).
     """
     for _, n in fusion.rules.items():
         if n > 1:
@@ -318,26 +383,24 @@ def solve_pentagon(fusion: FusionData, field_order: int, limit: int = 40):
             assignment[key] = pin
     assignment.update(_gauge_fix(fusion, unknowns, field))
 
-    equations = _pentagon_equations(fusion, keys)
-    solutions: list[dict] = []
-    _pentagon_dfs(fusion, field, equations, assignment, unknowns, solutions, limit)
-    # normalize and deduplicate
+    equations = _pentagon_equations(fusion, keys, field)
+    solutions = _search(equations, assignment, unknowns, field,
+                        [field.one(), field.rational(-1)], limit)
+    seen: set = set()
     uniq = []
-    seen = set()
     for sol in solutions:
-        sig = tuple(sorted((k, tuple(sorted((e2, c.numerator, c.denominator)
-                                            for e2, c in v.coeffs.items())))
-                           for k, v in sol.items()))
+        sig = frozenset(sol.items())
         if sig not in seen:
             seen.add(sig)
             uniq.append(sol)
     return uniq
 
 
-def _pentagon_equations(fusion: FusionData, keys):
-    """Pentagon instances as (lhs-triples, rhs-pairs) of key6 tuples."""
+def _pentagon_equations(fusion: FusionData, keys, field: CycField):
+    """Pentagon instances as term lists: +1 per lhs triple, -1 per rhs pair."""
     labels = fusion.labels
     n = fusion.n
+    one, minus_one = field.one(), field.rational(-1)
     eqs = []
     keyset = set(keys)
     for a1, a2, a3, a4, dd in product(labels, repeat=5):
@@ -347,244 +410,17 @@ def _pentagon_equations(fusion: FusionData, keys):
                   if n(v, a4, dd) and n(s, a3, v) and n(a1, a2, s)]
         for (b, c) in lefts:
             for (v, s) in rights:
-                lhs = []
+                terms = []
                 for u in labels:
                     k1 = (a2, c, b, a3, a4, u)
                     k2 = (a1, b, dd, u, a4, v)
                     k3 = (a1, u, v, a2, a3, s)
                     if k1 in keyset and k2 in keyset and k3 in keyset:
-                        lhs.append((k1, k2, k3))
-                rhs = []
+                        terms.append((one, (k1, k2, k3)))
                 k4 = (a1, b, dd, a2, c, s)
                 k5 = (s, c, dd, a3, a4, v)
                 if k4 in keyset and k5 in keyset:
-                    rhs.append((k4, k5))
-                if lhs or rhs:
-                    eqs.append((lhs, rhs))
+                    terms.append((minus_one, (k4, k5)))
+                if terms:
+                    eqs.append(terms)
     return eqs
-
-
-def _normalize_terms(eq, state, field):
-    """Substituted term list [(coeff, sorted-vars)] for lhs - rhs = 0.
-
-    ``state`` maps solved variables to scalars and substituted variables to
-    (coeff, vars) monomial expressions.
-    """
-    lhs, rhs = eq
-    terms = []
-    for sgn, side in ((1, lhs), (-1, rhs)):
-        for term in side:
-            coeff = field.one() if sgn == 1 else field.rational(-1)
-            varlist: list = []
-            stack = list(term)
-            while stack:
-                k = stack.pop()
-                got = state.get(k)
-                if got is None:
-                    varlist.append(k)
-                elif isinstance(got, CycScalar):
-                    coeff = coeff * got
-                else:
-                    sub_coeff, sub_vars = got
-                    coeff = coeff * sub_coeff
-                    stack.extend(sub_vars)
-            if coeff:
-                terms.append((coeff, tuple(sorted(varlist))))
-    # merge identical monomials
-    merged: dict[tuple, CycScalar] = {}
-    for coeff, vars in terms:
-        cur = merged.get(vars)
-        tot = coeff if cur is None else cur + coeff
-        if tot:
-            merged[vars] = tot
-        elif cur is not None:
-            del merged[vars]
-    return [(c, v) for v, c in merged.items()]
-
-
-def _single_var_solve(terms, field):
-    """Solve sum c_t x^d_t = 0 in one variable; list of roots or None."""
-    deg_coeff: dict[int, CycScalar] = {}
-    for coeff, vars in terms:
-        deg_coeff[len(vars)] = deg_coeff.get(len(vars), field.zero()) + coeff
-    degs = sorted(dg for dg, cf in deg_coeff.items() if cf)
-    zero = field.zero()
-    if degs == [0]:
-        return []  # contradiction
-    if not degs:
-        return None  # vacuous
-    if degs == [1]:
-        return [zero]
-    if degs == [2]:
-        return [zero]
-    if degs == [0, 1]:
-        return [(-deg_coeff[0]) / deg_coeff[1]]
-    if degs == [0, 2]:
-        target = (-deg_coeff[0]) / deg_coeff[2]
-        root = field.sqrt(target)
-        return [] if root is None else [root, -root]
-    if degs == [1, 2]:
-        return [zero, (-deg_coeff[1]) / deg_coeff[2]]
-    if degs == [0, 1, 2]:
-        a, b, c = deg_coeff[2], deg_coeff[1], deg_coeff[0]
-        disc = b * b - 4 * a * c
-        root = field.sqrt(disc)
-        if root is None:
-            return []
-        return list({((-b) + root) / (2 * a), ((-b) - root) / (2 * a)})
-    return None  # degree too high for this solver
-
-
-def _expand_mono(coeff, vars, state):
-    """Expand a scalar-times-monomial through the current state.
-
-    Returns (coeff, tuple of unresolved variables); substitution targets are
-    always stored fully expanded, so one pass suffices per variable.
-    """
-    out_vars: list = []
-    stack = list(vars)
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 10_000:
-            raise SolverError("substitution expansion did not terminate")
-        v = stack.pop()
-        got = state.get(v)
-        if got is None:
-            out_vars.append(v)
-        elif isinstance(got, CycScalar):
-            coeff = coeff * got
-        else:
-            c2, vs2 = got
-            coeff = coeff * c2
-            stack.extend(vs2)
-    return coeff, tuple(sorted(out_vars))
-
-
-def _resolve_state(state, unknowns, field):
-    """Fully evaluate substituted variables; None if anything is unresolved."""
-    out = {}
-    for k in unknowns:
-        got = state.get(k)
-        if got is None:
-            return None
-        if isinstance(got, CycScalar):
-            out[k] = got
-            continue
-        coeff, vars = _expand_mono(got[0], got[1], state)
-        if vars:
-            return None
-        out[k] = coeff
-    return out
-
-
-def _pentagon_dfs(fusion, field, equations, state, unknowns, solutions, limit,
-                  depth=0):
-    """Propagation with nonzero-cancellation and monomial substitution.
-
-    Solutions with vanishing admissible entries are not searched: the
-    downstream pairing machinery needs invertible contractions anyway.
-    """
-    if len(solutions) >= limit or depth > 80:
-        return
-    state = dict(state)
-    progress = True
-    while progress:
-        progress = False
-        for eq in equations:
-            terms = _normalize_terms(eq, state, field)
-            if not terms:
-                continue
-            varset = {v for _, vs in terms for v in vs}
-            if not varset:
-                return  # nonzero constant = 0
-            if len(varset) == 1:
-                (var,) = varset
-                roots = _single_var_solve(terms, field)
-                if roots is None:
-                    continue
-                roots = [r for r in roots if r]  # nonzero solutions only
-                if not roots:
-                    return
-                if len(roots) == 1:
-                    state[var] = roots[0]
-                    progress = True
-                    continue
-                for cand in roots:
-                    _pentagon_dfs(fusion, field, equations, {**state, var: cand},
-                                  unknowns, solutions, limit, depth + 1)
-                return
-            if len(terms) == 2:
-                # cancel the common factor (entries are assumed nonzero)
-                (c1, v1), (c2, v2) = terms
-                common: list = []
-                l1, l2 = list(v1), list(v2)
-                for v in list(l1):
-                    if v in l2:
-                        l1.remove(v)
-                        l2.remove(v)
-                        common.append(v)
-                if not common:
-                    # substitution x := expr when one side is a bare variable
-                    bare, other, cb, co = None, None, None, None
-                    if len(l1) == 1:
-                        bare, other, cb, co = l1[0], l2, c1, c2
-                    elif len(l2) == 1:
-                        bare, other, cb, co = l2[0], l1, c2, c1
-                    if bare is not None and bare not in other:
-                        coeff, vars = _expand_mono((-co) / cb, tuple(other), state)
-                        if bare not in vars:
-                            state[bare] = (coeff, vars)
-                            progress = True
-                    continue
-                red = [(c1, tuple(sorted(l1))), (c2, tuple(sorted(l2)))]
-                redvars = {v for _, vs in red for v in vs}
-                if len(redvars) == 0:
-                    if c1 + c2:
-                        return
-                    continue
-                if len(redvars) == 1:
-                    (var,) = redvars
-                    roots = _single_var_solve(red, field)
-                    if roots is None:
-                        continue
-                    roots = [r for r in roots if r]
-                    if not roots:
-                        return
-                    if len(roots) == 1:
-                        state[var] = roots[0]
-                        progress = True
-                        continue
-                    for cand in roots:
-                        _pentagon_dfs(fusion, field, equations, {**state, var: cand},
-                                      unknowns, solutions, limit, depth + 1)
-                    return
-                if len(l1) == 1 and l1[0] not in l2:
-                    coeff, vars = _expand_mono((-c2) / c1, tuple(l2), state)
-                    if l1[0] not in vars:
-                        state[l1[0]] = (coeff, vars)
-                        progress = True
-                elif len(l2) == 1 and l2[0] not in l1:
-                    coeff, vars = _expand_mono((-c1) / c2, tuple(l1), state)
-                    if l2[0] not in vars:
-                        state[l2[0]] = (coeff, vars)
-                        progress = True
-    resolved = _resolve_state(state, unknowns, field)
-    if resolved is not None:
-        if any(not v for v in resolved.values()):
-            return
-        for eq in equations:
-            terms = _normalize_terms(eq, {**state, **resolved}, field)
-            if terms:
-                return
-        solutions.append(resolved)
-        return
-    # residual freedom: guess simple units for an untouched variable
-    remaining = [k for k in unknowns if k not in state]
-    if not remaining:
-        return
-    var = remaining[0]
-    guesses = [field.one(), field.rational(-1)]
-    for cand in guesses:
-        _pentagon_dfs(fusion, field, equations, {**state, var: cand},
-                      unknowns, solutions, limit, depth + 1)

@@ -23,6 +23,7 @@ from fullfield.lattice import (
 from fullfield.fixtures import fixture_bytes
 from fullfield.lattice.checks import SectorBasis, zpow
 from fullfield.lattice.model import vec_add, vec_scale
+from fullfield.solver import SolverError
 from tests.conftest import get_bundle
 
 M1 = LatticeModel(1)
@@ -201,11 +202,17 @@ class TestOracle:
     def test_emitted_bundles_pass_every_suite(self):
         from fullfield.suites import run_suites
 
-        for k in (1, 2):
+        for k in (1, 2, 4):
             bundle = emit_bundle(LatticeSpec(k, 8))
             reports = run_suites(bundle)
             assert all(r.verdict == "pass" for r in reports), [
-                (r.suite, r.verdict) for r in reports]
+                (k, r.suite, r.verdict) for r in reports]
+
+    def test_k3_has_no_s3_action(self):
+        # the k = 3 tensor passes the pentagon suite, but its sigma
+        # constraints contradict each other (ROADMAP item 4); fail loudly
+        with pytest.raises(SolverError, match="no S3 action"):
+            emit_bundle(LatticeSpec(3, 8))
 
 
 class TestExactChecks:

@@ -1,8 +1,12 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fullfield.bundles import bundle_to_obj, canonical_bytes
 from fullfield.cyclotomic import CycField
+from fullfield.fixtures import fixture_bytes
 from fullfield.fusion import FusionData
 from fullfield.lattice import LatticeSpec, emit_bundle, lattice_fusion
 from fullfield.solver import (
@@ -12,6 +16,7 @@ from fullfield.solver import (
     solve_pentagon,
     solve_sigma,
 )
+from tests.conftest import get_bundle
 from tests.test_fusion import ising_fusion
 
 
@@ -116,10 +121,26 @@ class TestSigmaSolver:
         with pytest.raises(SolverError):
             solve_sigma(field, fusion, f)
 
-    def test_lattice_bundles_sigma_from_solver(self):
-        # the emitted bundle's action already comes from the solver; rerunning
-        # on its tensor reproduces it
-        bundle = emit_bundle(LatticeSpec(1, 8))
+    @pytest.mark.parametrize("name", ["z2k1", "z4k2", "ising", "fibonacci"])
+    def test_lattice_bundles_sigma_from_solver(self, name):
+        # each shipped action comes from the solver; rerunning it on the
+        # shipped tensor reproduces it
+        bundle = get_bundle(name)
         sigma12, sigma23 = solve_sigma(bundle.field, bundle.fusion, bundle.f)
         assert sigma12 == bundle.sigma12
         assert sigma23 == bundle.sigma23
+
+
+# (pentagon solve order, bundle field order) as in scripts/make_fixtures.py
+SOLVER_FIXTURES = {"ising": (16, 32), "fibonacci": (20, 20)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FIXTURES))
+def test_solver_fixture_bytes(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    mf = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mf)
+    fusion = getattr(mf, f"{name}_fusion")()
+    bundle = mf.solver_bundle(fusion, *SOLVER_FIXTURES[name], name)
+    assert canonical_bytes(bundle_to_obj(bundle)) == fixture_bytes(name)
