@@ -128,18 +128,15 @@ def cmd_lattice(args) -> int:
     ffa = DiagonalFFA(spec, bundle=bundle)
     reports = []
     runners = {
-        "assoc": lambda: check_associativity(spec, samples=args.samples,
-                                             T=args.truncate, tol=args.tol,
-                                             seed=args.seed, ffa=ffa),
-        "skew": lambda: check_skew_symmetry(spec, samples=args.samples,
-                                            T=args.truncate, tol=args.tol,
-                                            seed=args.seed + 1, ffa=ffa),
-        "grading": lambda: check_grading_axioms(spec, T=args.truncate, ffa=ffa),
-        "virasoro": lambda: check_virasoro(spec, T=min(args.truncate, 8)),
-        "residue": lambda: check_residue_lemma(spec, T=args.truncate, ffa=ffa),
-        "jacobi": lambda: check_jacobi_residues(spec, samples=3, T=args.truncate,
-                                                tol=max(args.tol, 1e-5),
-                                                seed=args.seed + 2, ffa=ffa),
+        "assoc": lambda: check_associativity(ffa, samples=args.samples, tol=args.tol,
+                                             seed=args.seed),
+        "skew": lambda: check_skew_symmetry(ffa, samples=args.samples, tol=args.tol,
+                                            seed=args.seed + 1),
+        "grading": lambda: check_grading_axioms(ffa),
+        "virasoro": lambda: check_virasoro(ffa),
+        "residue": lambda: check_residue_lemma(ffa),
+        "jacobi": lambda: check_jacobi_residues(ffa, tol=max(args.tol, 1e-5),
+                                                seed=args.seed + 2),
     }
     headers = {
         "assoc": "product/iterate agreement in the ordered region",

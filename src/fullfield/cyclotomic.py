@@ -156,12 +156,7 @@ class CycField:
             raise ValueError("precision must be >= 1")
         self._check(a)
         with mpmath.workdps(precision + 15):
-            val = mpmath.mpc(0)
-            for e, c in a.coeffs.items():
-                val += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
-                    mpmath.mpf(2 * e) / self.order
-                )
-            return mpmath.mpc(val)
+            return mpmath.mpc(self._embed_conj(a, 1))
 
     def sqrt(self, a: "CycScalar") -> "CycScalar | None":
         """Principal square root of ``a`` if it lies in the field, else None.

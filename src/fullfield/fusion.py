@@ -1,13 +1,16 @@
 """Fusion-ring data: labels, unit, dual involution, weights, multiplicities.
 
 This layer is purely combinatorial; it validates the structural constraints a
-bundle must satisfy before any fusing tensor is loaded.
+bundle must satisfy before any fusing tensor is loaded, and it enumerates the
+pentagon equations (``FusionData.pentagon_instances``), which both the exact
+checker (``ChiralData.verify_pentagon``) and the pentagon solver read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 
@@ -38,9 +41,6 @@ class FusionData:
 
     def n(self, a1: str, a2: str, a3: str) -> int:
         return self.rules.get((a1, a2, a3), 0)
-
-    def index(self, a: str) -> int:
-        return self.labels.index(a)
 
     # -- validation ---------------------------------------------------------
 
@@ -136,3 +136,41 @@ class FusionData:
     def primed(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
         a1, a2, a3 = space
         return (self.dual[a1], self.dual[a2], self.dual[a3])
+
+    def pentagon_instances(self):
+        """Every pentagon equation, one per pair of trees and basis indices.
+
+        Yields ``(cell, index, lhs, rhs)``: ``cell`` is (a1, a2, a3, a4, d),
+        ``index`` is (b, c, i, j, k, v, s, p, r, t), and the equation says
+        that the sum over ``lhs`` of products of three F entries equals the
+        sum over ``rhs`` of products of two.  Each F entry is named
+        ``(key6, mults)``; only entries with nonempty multiplicity ranges
+        occur.  Instances of one cell come consecutively, cells in label
+        order.
+        """
+        labels = self.labels
+        n = self.n
+        for a1, a2, a3, a4, d in product(labels, repeat=5):
+            lefts = [(b, c) for b in labels for c in labels
+                     if n(a1, b, d) and n(a2, c, b) and n(a3, a4, c)]
+            rights = [(v, s) for v in labels for s in labels
+                      if n(v, a4, d) and n(s, a3, v) and n(a1, a2, s)]
+            for b, c in lefts:
+                mids = [u for u in labels if n(u, a4, b) and n(a2, a3, u)]
+                for i, j, k in product(range(n(a1, b, d)), range(n(a2, c, b)),
+                                       range(n(a3, a4, c))):
+                    for v, s in rights:
+                        for p, r, t in product(range(n(v, a4, d)), range(n(s, a3, v)),
+                                               range(n(a1, a2, s))):
+                            lhs = [(((a2, c, b, a3, a4, u), (j, k, mm, nn)),
+                                    ((a1, b, d, u, a4, v), (i, mm, p, q)),
+                                    ((a1, u, v, a2, a3, s), (q, nn, r, t)))
+                                   for u in mids
+                                   for mm, nn, q in product(range(n(u, a4, b)),
+                                                            range(n(a2, a3, u)),
+                                                            range(n(a1, u, v)))]
+                            rhs = [(((a1, b, d, a2, c, s), (i, j, l1, t)),
+                                    ((s, c, d, a3, a4, v), (l1, k, p, r)))
+                                   for l1 in range(n(s, c, d))]
+                            yield ((a1, a2, a3, a4, d), (b, c, i, j, k, v, s, p, r, t),
+                                   lhs, rhs)

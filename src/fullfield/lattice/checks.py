@@ -51,12 +51,6 @@ class BivariateSeries:
         cur = self.terms.get((r, s), 0j)
         self.terms[(r, s)] = cur + c
 
-    def __call__(self, z: complex) -> complex:
-        total = 0j
-        for (r, s), c in self.terms.items():
-            total += c * zpow(z, r) * zpow(z, s, conj=True)
-        return total
-
 
 class SectorBasis:
     """Ordered Fock basis of one sector up to a weight cutoff."""
@@ -120,25 +114,29 @@ def tensor_matrix(bl: SectorBasis, br: SectorBasis, state) -> np.ndarray:
 
 
 class DiagonalFFA:
-    """Numeric evaluator of the diagonal two-variable vertex map."""
+    """Numeric evaluator of the diagonal two-variable vertex map.
 
-    def __init__(self, spec: LatticeSpec, bundle: Bundle | None = None,
-                 precision: int = 20):
+    ``spec.truncation`` is the weight cutoff the checks evaluate at.
+    """
+
+    PRECISION = 20  # decimal digits of the gauge and dual-basis scalars
+
+    def __init__(self, spec: LatticeSpec, bundle: Bundle | None = None):
         self.spec = spec
         self.model = LatticeModel(spec.k)
         self.bundle = bundle if bundle is not None else emit_bundle(spec)
         self.chiral = ChiralData(self.bundle)
-        self.gauge = CanonicalGauge(self.model, self.bundle.field, T=6)
+        self.gauge = CanonicalGauge(self.model, self.bundle.field)
         two_k = self.model.two_k
         labels = self.bundle.fusion.labels
         self.left_scale = {}
         self.dual_scale = {}
         for i in range(two_k):
             for j in range(two_k):
-                self.left_scale[(i, j)] = complex(self.gauge.gauge(i, j).embed(precision))
+                self.left_scale[(i, j)] = complex(self.gauge.gauge(i, j).embed(self.PRECISION))
                 space = (labels[i], labels[j], labels[(i + j) % two_k])
                 dmat = self.chiral.dual_basis(space)
-                self.dual_scale[(i, j)] = complex(dmat[0][0].embed(precision))
+                self.dual_scale[(i, j)] = complex(dmat[0][0].embed(self.PRECISION))
         self._bases: dict = {}
         self._comp: dict = {}
 
@@ -239,26 +237,9 @@ class DiagonalFFA:
         """exp(zl * L^L(-1) + zr * L^R(-1)) on a dense tensor state."""
         ll = self.basis(pair[0], T).virasoro_matrix(-1)
         lr = self.basis(pair[1], T).virasoro_matrix(-1)
-        out = mat.copy()
-        term = mat.copy()
-        ell = 0
-        # the two exponentials commute; expand each until nilpotency cuts off
-        while True:
-            ell += 1
-            term = (zl / ell) * (ll @ term)
-            if not np.any(term):
-                break
-            out += term
-        term = out.copy()
-        acc = out
-        ell = 0
-        while True:
-            ell += 1
-            term = (zr / ell) * (term @ lr.T)
-            if not np.any(term):
-                break
-            acc = acc + term
-        return acc
+        # the two exponentials commute; expand one after the other
+        left = _exp_series(mat, lambda term, ell: (zl / ell) * (ll @ term))
+        return _exp_series(left, lambda term, ell: (zr / ell) * (term @ lr.T))
 
     def weight_mask(self, pair, T: int, cap: Fraction) -> np.ndarray:
         """Boolean mask of tensor entries with total weight <= cap."""
@@ -267,6 +248,20 @@ class DiagonalFFA:
         wl = np.array([float(self.model.state_weight(k)) for k in bl.keys])
         wr = np.array([float(self.model.state_weight(k)) for k in br.keys])
         return (wl[:, None] + wr[None, :]) <= float(cap) + 1e-9
+
+
+def _exp_series(mat: np.ndarray, step) -> np.ndarray:
+    """mat + t1 + t2 + ... with t_l = step(t_{l-1}, l), up to the first zero
+    term; ``step`` applies a nilpotent operator scaled by 1/l."""
+    out = mat.copy()
+    term = mat
+    ell = 0
+    while True:
+        ell += 1
+        term = step(term, ell)
+        if not np.any(term):
+            return out
+        out += term
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray, mask=None) -> float:
@@ -331,9 +326,8 @@ def _restrict_grid(ffa: DiagonalFFA, mat: np.ndarray, pair, t_small: int,
     return mat[np.ix_(rows, cols)]
 
 
-def check_associativity(spec: LatticeSpec, samples: int = 5, T: int | None = None,
-                        tol: float = 1e-6, seed: int = 1,
-                        ffa: DiagonalFFA | None = None) -> list[CheckRecord]:
+def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
+                        seed: int = 1) -> list[CheckRecord]:
     """Product equals iterate inside the ordered region.
 
     Two measures per sample, both reported:
@@ -347,8 +341,7 @@ def check_associativity(spec: LatticeSpec, samples: int = 5, T: int | None = Non
       value_{T+2}| must shrink by a factor >= 4 from T to T+2, which pins
       the expansion parameter |z1 - z2| / |z2| of the iterate.
     """
-    T = T if T is not None else spec.truncation
-    ffa = ffa or DiagonalFFA(spec)
+    T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
     pts = sample_points(seed, samples)
@@ -391,12 +384,10 @@ def check_associativity(spec: LatticeSpec, samples: int = 5, T: int | None = Non
     return out
 
 
-def check_skew_symmetry(spec: LatticeSpec, samples: int = 5, T: int | None = None,
-                        tol: float = 1e-6, seed: int = 2,
-                        ffa: DiagonalFFA | None = None) -> list[CheckRecord]:
+def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
+                        seed: int = 2) -> list[CheckRecord]:
     """Y(u; z)v = exp(z D^L + zbar D^R) Y(v; -z)u on every component."""
-    T = T if T is not None else spec.truncation
-    ffa = ffa or DiagonalFFA(spec)
+    T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
     rng = random.Random(seed)
@@ -419,12 +410,11 @@ def check_skew_symmetry(spec: LatticeSpec, samples: int = 5, T: int | None = Non
     return out
 
 
-def check_grading_axioms(spec: LatticeSpec, T: int | None = None,
-                         ffa: DiagonalFFA | None = None) -> list[CheckRecord]:
+def check_grading_axioms(ffa: DiagonalFFA) -> list[CheckRecord]:
     """Identity/creation, exponent bookkeeping, derivative properties and
     single-valuedness, all exact on the graded components."""
-    T = T if T is not None else spec.truncation
-    model = LatticeModel(spec.k) if ffa is None else ffa.model
+    T = ffa.spec.truncation
+    model = ffa.model
     out: list[CheckRecord] = []
     two_k = model.two_k
 
@@ -488,25 +478,8 @@ def check_grading_axioms(spec: LatticeSpec, T: int | None = None,
 
     # bracket form: [L(-1), Y(u, z)] = Y(L(-1)u, z) on graded pieces
     for j in range(two_k):
-        u = model.alpha(-1, model.lowest(j))
-        v = model.lowest(1 % two_k)
-        lu = model.virasoro(-1, u, None)
-        comps_u = model.components(u, v, T + 1)
-        comps_lv = model.components(u, model.virasoro(-1, v, None), T + 1)
-        comps_lu = model.components(lu, v, T + 1)
-        ok = True
-        for w in set(list(comps_lu) + [mm + 1 for mm in comps_u]):
-            if w > T:
-                continue
-            lhs_vec: dict = {}
-            src = comps_u.get(w - 1, {})
-            for k2, c in model.virasoro(-1, src, T + 1).items():
-                lhs_vec[k2] = lhs_vec.get(k2, Fraction(0)) + c
-            for k2, c in comps_lv.get(w, {}).items():
-                lhs_vec[k2] = lhs_vec.get(k2, Fraction(0)) - c
-            lhs_vec = {k2: c for k2, c in lhs_vec.items() if c}
-            if lhs_vec != comps_lu.get(w, {}):
-                ok = False
+        ok = _commutator_holds(model, -1, model.alpha(-1, model.lowest(j)),
+                               model.lowest(1 % two_k), T)
         out.append(CheckRecord("d-bracket", (j,), "pass" if ok else "fail"))
 
     # monodromy: replacing log z by log z + 2 pi i fixes every retained term
@@ -532,11 +505,12 @@ def check_grading_axioms(spec: LatticeSpec, T: int | None = None,
     return out
 
 
-def check_virasoro(spec: LatticeSpec, T: int | None = None) -> list[CheckRecord]:
+def check_virasoro(ffa: DiagonalFFA) -> list[CheckRecord]:
     """Virasoro brackets with central charge 1 per chirality, commuting
-    left/right copies, and the residue commutator form for small modes."""
-    T = T if T is not None else spec.truncation
-    model = LatticeModel(spec.k)
+    left/right copies, and the residue commutator form for small modes, at
+    truncation at most 8."""
+    T = min(ffa.spec.truncation, 8)
+    model = ffa.model
     out: list[CheckRecord] = []
     two_k = model.two_k
     probe = []
@@ -567,7 +541,7 @@ def check_virasoro(spec: LatticeSpec, T: int | None = None) -> list[CheckRecord]
     # verified on a dense tensor state
     pair = (1 % two_k, (-1) % two_k)
     state = {((tuple(), model.min_rep(pair[0])), ((1,), model.min_rep(pair[1]))): 1.0}
-    bl, br = SectorBasis(model, pair[0], T), SectorBasis(model, pair[1], T)
+    bl, br = ffa.basis(pair[0], T), ffa.basis(pair[1], T)
     mat = tensor_matrix(bl, br, state)
     ll = bl.virasoro_matrix(0)
     lr = br.virasoro_matrix(0)
@@ -576,54 +550,53 @@ def check_virasoro(spec: LatticeSpec, T: int | None = None) -> list[CheckRecord]
     out.append(CheckRecord("left-right-commute", (0, 0),
                            "pass" if np.allclose(lhs, rhs, atol=1e-12) else "fail"))
 
-    # residue form of the conformal-element commutator for m in {-1, 0, 1}:
-    # indexed by the source component weight w0, the graded identity reads
-    # L(m) C[w0] - C_{L(m)v}[w0 - m] = sum_j binom(m+1, j) C_{L(j-1)u}[w0 - m]
+    # residue form of the conformal-element commutator for m in {-1, 0, 1}
     for mmode in (-1, 0, 1):
-        ok = True
-        for j in range(two_k):
-            u = model.alpha(-1, model.lowest(j))
-            v = model.alpha(-1, model.lowest(1 % two_k))
-            cap = T + 2
-            comps_u = model.components(u, v, cap)
-            lmv = model.virasoro(mmode, v, cap)
-            comps_lmv = model.components(u, lmv, cap) if lmv else {}
-            rhs_comps = []
-            for jj in range(0, mmode + 2):
-                lju = model.virasoro(jj - 1, u, cap)
-                rhs_comps.append(
-                    (math.comb(mmode + 1, jj),
-                     model.components(lju, v, cap) if lju else {}))
-            weights = set(comps_u) | set(comps_lmv)
-            for _, cmp_j in rhs_comps:
-                weights |= {w + mmode for w in cmp_j}
-            for w0 in weights:
-                if w0 - mmode > T or w0 > T:
-                    continue
-                lhs_vec: dict = {}
-                for k2, c in model.virasoro(mmode, comps_u.get(w0, {}), cap).items():
-                    lhs_vec[k2] = lhs_vec.get(k2, Fraction(0)) + c
-                for k2, c in comps_lmv.get(w0 - mmode, {}).items():
-                    lhs_vec[k2] = lhs_vec.get(k2, Fraction(0)) - c
-                lhs_vec = {k2: c for k2, c in lhs_vec.items() if c}
-                rhs_vec: dict = {}
-                for coeff, cmp_j in rhs_comps:
-                    for k2, c in cmp_j.get(w0 - mmode, {}).items():
-                        rhs_vec[k2] = rhs_vec.get(k2, Fraction(0)) + coeff * c
-                rhs_vec = {k2: c for k2, c in rhs_vec.items() if c}
-                if lhs_vec != rhs_vec:
-                    ok = False
+        ok = all(_commutator_holds(model, mmode, model.alpha(-1, model.lowest(j)),
+                                   model.alpha(-1, model.lowest(1 % two_k)), T)
+                 for j in range(two_k))
         out.append(CheckRecord("conformal-commutator-residue", (mmode,),
                                "pass" if ok else "fail"))
     return out
 
 
-def check_residue_lemma(spec: LatticeSpec, T: int | None = None,
-                        ffa: DiagonalFFA | None = None) -> list[CheckRecord]:
+def _commutator_holds(model: LatticeModel, m: int, u: FockVector, v: FockVector,
+                      T: int) -> bool:
+    """The graded [L(m), Y(u, z)] bracket, exactly, for m in {-1, 0, 1}.
+
+    Indexed by the source component weight w0 <= T with w0 - m <= T, it reads
+    L(m) C[w0] - C_{L(m)v}[w0 - m] = sum_j binom(m+1, j) C_{L(j-1)u}[w0 - m],
+    where C_x[w] is the weight-w component of Y(u, z) x (of Y(x, z) v on the
+    right).
+    """
+    cap = T + 2
+    comps_u = model.components(u, v, cap)
+    lmv = model.virasoro(m, v, cap)
+    comps_lmv = model.components(u, lmv, cap) if lmv else {}
+    rhs_comps = []
+    for jj in range(m + 2):
+        lju = model.virasoro(jj - 1, u, cap)
+        rhs_comps.append((math.comb(m + 1, jj), model.components(lju, v, cap) if lju else {}))
+    weights = set(comps_u) | set(comps_lmv)
+    for _, cmp_j in rhs_comps:
+        weights |= {w + m for w in cmp_j}
+    for w0 in weights:
+        if w0 - m > T or w0 > T:
+            continue
+        lhs = vec_add(model.virasoro(m, comps_u.get(w0, {}), cap),
+                      vec_scale(comps_lmv.get(w0 - m, {}), -1))
+        rhs: FockVector = {}
+        for coeff, cmp_j in rhs_comps:
+            rhs = vec_add(rhs, vec_scale(cmp_j.get(w0 - m, {}), coeff))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def check_residue_lemma(ffa: DiagonalFFA) -> list[CheckRecord]:
     """The z^-1 extraction of the dressed vacuum-channel insertion equals the
     contragredient pairing, exactly, on states beyond the normalizing set."""
-    T = T if T is not None else spec.truncation
-    ffa = ffa or DiagonalFFA(spec)
+    T = ffa.spec.truncation
     model = ffa.model
     gauge = ffa.gauge
     field = ffa.bundle.field
@@ -652,23 +625,23 @@ def check_residue_lemma(spec: LatticeSpec, T: int | None = None,
     return out
 
 
-def check_jacobi_residues(spec: LatticeSpec, samples: int = 3, T: int | None = None,
-                          tol: float = 1e-5, nodes: int = 256, seed: int = 3,
-                          ffa: DiagonalFFA | None = None) -> list[CheckRecord]:
+def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
+                          seed: int = 3) -> list[CheckRecord]:
     """Contour form of the residue identity for vacuum-sector insertions.
 
     With both formal variables of the insertion substituted by the same z,
     each of the three orderings is a finite Laurent series in z; the
     outer-minus-inner-minus-middle contour integrals of f(z) times them must
-    cancel for f in {1, z, 1/z, 1/(z-r)}.  Quadrature is trapezoidal with at
-    least ``nodes`` nodes and a step-halving stability diagnostic.
+    cancel for f in {1, z, 1/z, 1/(z-r)}, on three contour configurations.
+    Quadrature is trapezoidal with 256 nodes and a step-halving stability
+    diagnostic.
     """
-    T = T if T is not None else spec.truncation
-    ffa = ffa or DiagonalFFA(spec)
+    T = ffa.spec.truncation
+    nodes = 256
     model = ffa.model
     out: list[CheckRecord] = []
     two_k = model.two_k
-    configs = [(0.5, 1.2, 0.2), (0.6, 1.5, 0.25), (0.45, 1.1, 0.15)][:samples]
+    configs = [(0.5, 1.2, 0.2), (0.6, 1.5, 0.25), (0.45, 1.1, 0.15)]
     ul_key = ((1,), 0)
     ur_key = ((1,), 0)
     states = seeded_states(model, seed, 2, sector=1 % two_k)
@@ -742,27 +715,23 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
         for e2, row2 in rows_r.items():
             g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + complex(tmp @ row2)
 
-    # inner: <w', Y(u; r, r) [YL(z) YR(z) w]>
-    g_in: dict = {}
-    for (lw, rw), cw in wstate.items():
-        cols_l = _laurent_columns(ffa, ul_key, lw, T)
-        cols_r = _laurent_columns(ffa, ur_key, rw, T)
-        for e1, c1 in cols_l.items():
-            for e2, c2 in cols_r.items():
-                mat = np.outer(c1, c2)
-                _, ymat = ffa.apply(upair, ustate, wpair, mat, complex(r), T)
-                g_in[e1 + e2] = g_in.get(e1 + e2, 0j) + float(cw) * complex(ymat[il, ir])
+    def inserted(state, evaluate):
+        """Series of <w', evaluate(YL(z) YR(z) x)> summed over x in ``state``."""
+        g: dict = {}
+        for (lk, rk), c in state.items():
+            cols_l = _laurent_columns(ffa, ul_key, lk, T)
+            cols_r = _laurent_columns(ffa, ur_key, rk, T)
+            for e1, c1 in cols_l.items():
+                for e2, c2 in cols_r.items():
+                    ymat = evaluate(np.outer(c1, c2))
+                    g[e1 + e2] = g.get(e1 + e2, 0j) + float(c) * complex(ymat[il, ir])
+        return g
 
+    # inner: <w', Y(u; r, r) [YL(z) YR(z) w]>
+    g_in = inserted(wstate, lambda mat: ffa.apply(upair, ustate, wpair, mat, complex(r), T)[1])
     # middle: <w', Y(YL(x) YR(x) u; r, r) w>, x = z - r
-    g_mid: dict = {}
-    for (lu, ru), cu in ustate.items():
-        cols_l = _laurent_columns(ffa, ul_key, lu, T)
-        cols_r = _laurent_columns(ffa, ur_key, ru, T)
-        for e1, c1 in cols_l.items():
-            for e2, c2 in cols_r.items():
-                mat = np.outer(c1, c2)
-                _, ymat = ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)
-                g_mid[e1 + e2] = g_mid.get(e1 + e2, 0j) + float(cu) * complex(ymat[il, ir])
+    g_mid = inserted(ustate,
+                     lambda mat: ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)[1])
     return g_out, g_in, g_mid
 
 

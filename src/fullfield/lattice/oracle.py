@@ -67,10 +67,11 @@ class CanonicalGauge:
     * all other spaces keep the raw exponential basis.
     """
 
-    def __init__(self, model: LatticeModel, field: CycField, T: int = 6):
+    T = 6  # weight cutoff of the normalizing series
+
+    def __init__(self, model: LatticeModel, field: CycField):
         self.model = model
         self.field = field
-        self.T = T
         self.g: dict[tuple[int, int], CycScalar] = {}
         two_k = model.two_k
         for i in range(two_k):
@@ -310,7 +311,7 @@ def derive_f_entry(spec: LatticeSpec, labels: tuple[int, ...], T: int | None = N
     """
     T = T if T is not None else max(spec.truncation, 8)
     if gauge is None:
-        gauge = CanonicalGauge(LatticeModel(spec.k), field_for(spec.k), T=6)
+        gauge = CanonicalGauge(LatticeModel(spec.k), field_for(spec.k))
     model = gauge.model
     two_k = model.two_k
     b1, b5, b4, b2, b3, b6 = (x % two_k for x in labels)
@@ -352,7 +353,7 @@ def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
     field = field_for(spec.k)
     two_k = model.two_k
     T = max(min(spec.truncation, 10), 8)
-    gauge = CanonicalGauge(model, field, T=6)
+    gauge = CanonicalGauge(model, field)
     labels = sector_labels(spec.k)
     fusion = lattice_fusion(spec.k)
 

@@ -33,7 +33,8 @@ first solution, guessing 1, -1 and, when 4 | N, i and -i.
 ``solve_pentagon`` solves the reassociation consistency system for the fusing
 tensor itself on small multiplicity-free fusion rings, with the unit-slot
 entries pinned to delta patterns and one entry per free space gauge-fixed
-to 1, guessing 1 and -1.
+to 1, guessing 1 and -1.  Its equations are ``FusionData.pentagon_instances``,
+the same enumeration the exact checker ``ChiralData.verify_pentagon`` reads.
 """
 
 from __future__ import annotations
@@ -357,12 +358,13 @@ def _gauge_fix(fusion: FusionData, unknowns: list, field: CycField) -> dict:
     return chosen
 
 
-def solve_pentagon(fusion: FusionData, field_order: int, limit: int = 40):
+def solve_pentagon(fusion: FusionData, field_order: int):
     """Pentagon solutions for a small multiplicity-free fusion ring.
 
     The unit-slot entries are pinned to their delta patterns; one entry per
     non-canonical space is normalized to 1 (basis rescaling freedom); the
-    rest comes from ``_search``, guessing 1 and -1.  Returns a list of
+    rest comes from ``_search``, guessing 1 and -1, for at most 40
+    solutions.  Returns a list of
     assignments {key6: CycScalar} (gauge representatives); empty if the
     system has no solution over Q(zeta_N).
     """
@@ -383,9 +385,9 @@ def solve_pentagon(fusion: FusionData, field_order: int, limit: int = 40):
             assignment[key] = pin
     assignment.update(_gauge_fix(fusion, unknowns, field))
 
-    equations = _pentagon_equations(fusion, keys, field)
+    equations = _pentagon_equations(fusion, field)
     solutions = _search(equations, assignment, unknowns, field,
-                        [field.one(), field.rational(-1)], limit)
+                        [field.one(), field.rational(-1)], limit=40)
     seen: set = set()
     uniq = []
     for sol in solutions:
@@ -396,31 +398,14 @@ def solve_pentagon(fusion: FusionData, field_order: int, limit: int = 40):
     return uniq
 
 
-def _pentagon_equations(fusion: FusionData, keys, field: CycField):
-    """Pentagon instances as term lists: +1 per lhs triple, -1 per rhs pair."""
-    labels = fusion.labels
-    n = fusion.n
+def _pentagon_equations(fusion: FusionData, field: CycField):
+    """``FusionData.pentagon_instances`` as term lists: +1 per lhs triple,
+    -1 per rhs pair; the variables are the label six-tuples."""
     one, minus_one = field.one(), field.rational(-1)
     eqs = []
-    keyset = set(keys)
-    for a1, a2, a3, a4, dd in product(labels, repeat=5):
-        lefts = [(b, c) for b in labels for c in labels
-                 if n(a1, b, dd) and n(a2, c, b) and n(a3, a4, c)]
-        rights = [(v, s) for v in labels for s in labels
-                  if n(v, a4, dd) and n(s, a3, v) and n(a1, a2, s)]
-        for (b, c) in lefts:
-            for (v, s) in rights:
-                terms = []
-                for u in labels:
-                    k1 = (a2, c, b, a3, a4, u)
-                    k2 = (a1, b, dd, u, a4, v)
-                    k3 = (a1, u, v, a2, a3, s)
-                    if k1 in keyset and k2 in keyset and k3 in keyset:
-                        terms.append((one, (k1, k2, k3)))
-                k4 = (a1, b, dd, a2, c, s)
-                k5 = (s, c, dd, a3, a4, v)
-                if k4 in keyset and k5 in keyset:
-                    terms.append((minus_one, (k4, k5)))
-                if terms:
-                    eqs.append(terms)
+    for _cell, _index, lhs, rhs in fusion.pentagon_instances():
+        terms = [(one, tuple(key6 for key6, _ in triple)) for triple in lhs]
+        terms += [(minus_one, tuple(key6 for key6, _ in pair)) for pair in rhs]
+        if terms:
+            eqs.append(terms)
     return eqs

@@ -115,9 +115,8 @@ def test_criterion_5_structure_checks_and_mutations():
 
 def test_criterion_6_lattice_assoc_and_skew(lattice_ffa):
     t0 = time.time()
-    spec = LatticeSpec(1, 8)
-    assoc = check_associativity(spec, samples=5, T=8, tol=1e-6, seed=1, ffa=lattice_ffa)
-    skew = check_skew_symmetry(spec, samples=5, T=8, tol=1e-6, seed=2, ffa=lattice_ffa)
+    assoc = check_associativity(lattice_ffa, samples=5, tol=1e-6, seed=1)
+    skew = check_skew_symmetry(lattice_ffa, samples=5, tol=1e-6, seed=2)
     elapsed = time.time() - t0
     ok = not fails(assoc) and not fails(skew) and elapsed < 60
     ratios = [float(r.message.split("ratio ")[1]) for r in assoc]
@@ -127,10 +126,9 @@ def test_criterion_6_lattice_assoc_and_skew(lattice_ffa):
 
 
 def test_criterion_7_exact_lattice_identities(lattice_ffa):
-    spec = LatticeSpec(1, 8)
-    ok = (not fails(check_grading_axioms(spec, T=8, ffa=lattice_ffa))
-          and not fails(check_virasoro(spec, T=8))
-          and not fails(check_residue_lemma(spec, T=8, ffa=lattice_ffa)))
+    ok = (not fails(check_grading_axioms(lattice_ffa))
+          and not fails(check_virasoro(lattice_ffa))
+          and not fails(check_residue_lemma(lattice_ffa)))
     _line("7 identity/creation, bracket bookkeeping, residue, Virasoro c=1", ok)
 
 
@@ -158,9 +156,7 @@ def test_criterion_8_cross_validation():
 
 
 def test_criterion_9_contour_residue_identity(lattice_ffa):
-    spec = LatticeSpec(1, 8)
-    recs = check_jacobi_residues(spec, samples=3, T=8, tol=1e-5, nodes=256,
-                                 seed=3, ffa=lattice_ffa)
+    recs = check_jacobi_residues(lattice_ffa, tol=1e-5, seed=3)
     ok = not fails(recs)
     drifts = [float(r.message.split("drift ")[1]) for r in recs]
     _line("9 contour residue identity, 3 configurations, 256 nodes",

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fullfield.bundles import BundleError
-from fullfield.chiral import ChiralData, fails
+from fullfield.bundles import Bundle, BundleError
+from fullfield.chiral import CheckRecord, ChiralData, fails
+from fullfield.cyclotomic import CycField
 from fullfield.fixtures import load_fixture
+from fullfield.fusion import FusionData
 from fullfield.linalg import identity, mat_eq, mat_mul, transpose
 from tests.conftest import get_chiral
 
@@ -22,6 +26,86 @@ class TestPentagon:
         assert bad
         # the fail records carry the full label tuple of each instance
         assert all(len(r.index) >= 5 for r in bad)
+
+    def test_multiplicity_two_matches_nested_loops(self):
+        # Rep(A4) has N(3,3;3) = 2, so every multiplicity index is exercised;
+        # a random F fails most instances, each of which must be located
+        chiral = ChiralData(random_f_bundle(rep_a4_fusion(), CycField(4), seed=7))
+        want = [rec for cell in product(chiral.fusion.labels, repeat=5)
+                for rec in nested_pentagon_cell(chiral, *cell)]
+        got = chiral.verify_pentagon()
+        assert got == want
+        # failing instances at multiplicity index 1 exist, and so do passing cells
+        assert any(1 in r.index[7:] for r in fails(got))
+        assert any(r.status == "pass" for r in got)
+
+
+def rep_a4_fusion() -> FusionData:
+    """Rep(A4): three characters 1, w, w2 (w2 = w') and the 3-dimensional 3."""
+    chars = ("1", "w", "w2")
+    rules = {(chars[i], chars[j], chars[(i + j) % 3]): 1 for i in range(3) for j in range(3)}
+    for x in chars:
+        rules[(x, "3", "3")] = rules[("3", x, "3")] = rules[("3", "3", x)] = 1
+    rules[("3", "3", "3")] = 2
+    return FusionData(labels=("1", "w", "w2", "3"), unit="1",
+                      dual={"1": "1", "w": "w2", "w2": "w", "3": "3"},
+                      weights=dict.fromkeys(("1", "w", "w2", "3"), Fraction(0)), rules=rules)
+
+
+def random_f_bundle(fusion: FusionData, field: CycField, seed: int) -> Bundle:
+    """Every admissible F entry drawn at random from small Gaussian integers."""
+    rng = random.Random(seed)
+    n = fusion.n
+    f = {}
+    for b1, b5, b4, b2, b3, b6 in product(fusion.labels, repeat=6):
+        dims = (n(b1, b5, b4), n(b2, b3, b5), n(b6, b3, b4), n(b1, b2, b6))
+        for mults in product(*map(range, dims)):
+            f[((b1, b5, b4, b2, b3, b6), mults)] = field.scalar(
+                {0: rng.randint(-2, 2), 1: rng.randint(-2, 2)})
+    return Bundle(field=field, fusion=fusion, f=f, sigma12={}, sigma23={}, canonical={})
+
+
+def nested_pentagon_cell(chiral: ChiralData, a1, a2, a3, a4, d) -> list[CheckRecord]:
+    """Reference: one pentagon cell written out as nested loops over the
+    trees (b, c), (v, s), the summed label u and every multiplicity index."""
+    labels = chiral.fusion.labels
+    n = chiral.fusion.n
+    f = chiral.f_entry
+    zero = chiral.field.zero()
+    lefts = [(b, c) for b in labels for c in labels
+             if n(a1, b, d) and n(a2, c, b) and n(a3, a4, c)]
+    rights = [(v, s) for v in labels for s in labels
+              if n(v, a4, d) and n(s, a3, v) and n(a1, a2, s)]
+    if not lefts or not rights:
+        return []
+    bad = []
+    for b, c in lefts:
+        for i in range(n(a1, b, d)):
+            for j in range(n(a2, c, b)):
+                for kk in range(n(a3, a4, c)):
+                    for v, s in rights:
+                        for p in range(n(v, a4, d)):
+                            for r in range(n(s, a3, v)):
+                                for t in range(n(a1, a2, s)):
+                                    lhs = zero
+                                    for u in labels:
+                                        for mm in range(n(u, a4, b)):
+                                            for nn in range(n(a2, a3, u)):
+                                                for q in range(n(a1, u, v)):
+                                                    lhs = lhs + (
+                                                        f((a2, c, b, a3, a4, u), (j, kk, mm, nn))
+                                                        * f((a1, b, d, u, a4, v), (i, mm, p, q))
+                                                        * f((a1, u, v, a2, a3, s), (q, nn, r, t)))
+                                    rhs = zero
+                                    for l1 in range(n(s, c, d)):
+                                        rhs = rhs + (f((a1, b, d, a2, c, s), (i, j, l1, t))
+                                                     * f((s, c, d, a3, a4, v), (l1, kk, p, r)))
+                                    if lhs != rhs:
+                                        bad.append((b, c, i, j, kk, v, s, p, r, t))
+    if bad:
+        return [CheckRecord("pentagon", (a1, a2, a3, a4, d) + idx, "fail",
+                            message="reassociation mismatch") for idx in bad]
+    return [CheckRecord("pentagon", (a1, a2, a3, a4, d), "pass")]
 
 
 class TestCanonicalWeight:

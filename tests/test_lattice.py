@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
-from fullfield.lattice.checks import SectorBasis, zpow
+from fullfield.lattice.checks import SectorBasis, _commutator_holds, zpow
 from fullfield.lattice.model import vec_add, vec_scale
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
@@ -183,7 +184,7 @@ class TestOracle:
 
     def test_f_dual_equality(self):
         spec = LatticeSpec(2, 8)
-        gauge = CanonicalGauge(LatticeModel(2), CycField(16), T=6)
+        gauge = CanonicalGauge(LatticeModel(2), CycField(16))
         for a in range(4):
             ap = (-a) % 4
             fa = derive_f_entry(spec, (a, 0, a, ap, a, 0), gauge=gauge)
@@ -215,15 +216,29 @@ class TestOracle:
             emit_bundle(LatticeSpec(3, 8))
 
 
+def z2_ffa(truncation: int) -> DiagonalFFA:
+    return DiagonalFFA(LatticeSpec(1, truncation), bundle=get_bundle("z2k1"))
+
+
 class TestExactChecks:
     def test_grading_axioms(self):
-        assert not fails(check_grading_axioms(LatticeSpec(1, 8)))
+        assert not fails(check_grading_axioms(z2_ffa(8)))
 
     def test_virasoro_suite(self):
-        assert not fails(check_virasoro(LatticeSpec(1, 8), T=6))
+        assert not fails(check_virasoro(z2_ffa(6)))
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_commutator_kernel_can_fail(self, monkeypatch, m):
+        # the d-bracket and conformal-commutator-residue records both come
+        # from this kernel; a wrong binomial weight must break it
+        u = M1.alpha(-1, M1.lowest(1))
+        assert _commutator_holds(M1, m, u, u, 6)
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + 1)
+        assert not _commutator_holds(M1, m, u, u, 6)
 
     def test_residue_lemma_cases(self):
-        recs = check_residue_lemma(LatticeSpec(1, 8))
+        recs = check_residue_lemma(z2_ffa(8))
         assert not fails(recs)
         names = {r.index[1] for r in recs}
         assert {"lowest", "orthogonal", "heisenberg-norm"} <= names
