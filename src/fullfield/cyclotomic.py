@@ -310,13 +310,25 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.order
+        field = self.field
+        n = field.order
+        if len(self.coeffs) == 1 and len(o.coeffs) == 1:
+            # monomial times monomial: one reduction row, in _reduce's order
+            ((e1, c1),) = self.coeffs.items()
+            ((e2, c2),) = o.coeffs.items()
+            c = c1 * c2
+            e = (e1 + e2) % n
+            if not c:
+                return CycScalar(field, {})
+            if e < field.degree:
+                return CycScalar(field, {e: c})
+            return CycScalar(field, {b: c * rc for b, rc in enumerate(field._reduce_pow[e]) if rc})
         raw: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in o.coeffs.items():
                 e = (e1 + e2) % n
                 raw[e] = raw.get(e, Fraction(0)) + c1 * c2
-        return CycScalar(self.field, self.field._reduce(raw))
+        return CycScalar(field, field._reduce(raw))
 
     __rmul__ = __mul__
 

@@ -15,6 +15,17 @@ repeats until nothing changes:
 Whatever is still free is then guessed from a short list of units, first
 unknown first.
 
+Propagation is incremental.  Each search frame caches every equation's
+normalized term list with the variables it watches; a child frame starts
+from a copy of its parent's cache, and an equation is normalized again only
+once a watched variable has been resolved, so the cached list is always the
+one a fresh normalization would give.  A substitution whose variables have
+since been resolved is rewritten in place, on first read, to the scalar or
+monomial it stands for, so chains are followed once.  When a search finds
+nothing it names the first equation, in search order, that reduced to a
+nonzero constant; ``solve_sigma`` puts its kind and space on the
+``SolverError`` as ``conflict``.
+
 ``solve_sigma`` determines the S3-action scalars from a given fusing tensor:
 the unknowns are one sigma12 scalar and one sigma23 scalar per nonzero space,
 subject to
@@ -48,27 +59,30 @@ Space = tuple[str, str, str]
 
 
 class SolverError(RuntimeError):
-    pass
+    """A solver failure; ``conflict`` names the first contradicted equation
+    when the constraint system has no solution, else it is None."""
+
+    def __init__(self, message: str, conflict: dict | None = None):
+        super().__init__(message)
+        self.conflict = conflict
 
 
 # -- the search -----------------------------------------------------------------
 
 
-def _expand_mono(coeff, vars, state):
+def _expand_mono(coeff, vars, state, depth: int = 0):
     """Expand a scalar-times-monomial through the current state.
 
     Returns (coeff, sorted tuple of unresolved variables).  ``state`` maps
     solved variables to scalars and substituted variables to (coeff, vars)
-    monomial expressions.
+    monomial expressions.  A substitution read here whose variables have
+    since been resolved is rewritten in place to its resolved form, a scalar
+    or a monomial over unresolved variables, so later reads skip the chain.
     """
+    if depth > len(state):  # a chain longer than the state revisits an entry
+        raise SolverError("substitution expansion did not terminate")
     out_vars: list = []
-    stack = list(vars)
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 10_000:
-            raise SolverError("substitution expansion did not terminate")
-        v = stack.pop()
+    for v in vars:
         got = state.get(v)
         if got is None:
             out_vars.append(v)
@@ -76,23 +90,38 @@ def _expand_mono(coeff, vars, state):
             coeff = coeff * got
         else:
             c2, vs2 = got
+            if any(w in state for w in vs2):
+                c2, vs2 = _expand_mono(c2, vs2, state, depth + 1)
+                state[v] = (c2, vs2) if vs2 else c2
             coeff = coeff * c2
-            stack.extend(vs2)
+            out_vars.extend(vs2)
     return coeff, tuple(sorted(out_vars))
 
 
 def _normalize_terms(eq, state):
-    """Term list of ``eq`` expanded through ``state``, like monomials merged."""
+    """Term list of ``eq`` expanded through ``state``, like monomials merged.
+
+    Also returns the variables to watch: while none of them enters
+    ``state``, normalizing again gives the same list.  These are the
+    unresolved variables of every expanded term, cancelled ones included,
+    since they fix the merge order.  A list of at most one term has no order
+    to keep and changes only once one of its own variables is resolved, so it
+    watches just those.
+    """
     merged: dict[tuple, CycScalar] = {}
+    seen: set = set()
     for coeff, vars in eq:
         coeff, vars = _expand_mono(coeff, vars, state)
+        seen.update(vars)
         cur = merged.get(vars)
         tot = coeff if cur is None else cur + coeff
         if tot:
             merged[vars] = tot
         elif cur is not None:
             del merged[vars]
-    return [(c, v) for v, c in merged.items()]
+    if len(merged) <= 1:
+        seen = {x for v in merged for x in v}
+    return [(c, v) for v, c in merged.items()], seen
 
 
 def _single_var_solve(terms, field):
@@ -121,25 +150,32 @@ def _single_var_solve(terms, field):
 
 
 def _search(equations, state: dict, unknowns: list, field: CycField, guesses: list,
-            limit: int) -> list[dict]:
+            limit: int) -> tuple[list[dict], int | None]:
     """Up to ``limit`` solutions {unknown: value} of the term-list equations.
 
     ``state`` holds the pinned values.  Propagation with common-factor
     cancellation and monomial substitution, branching over the roots of
     one-variable equations and then over ``guesses`` for the first free
     unknown; solutions come in search order, each checked against every
-    equation.
+    equation.  Also returns the index of the first equation, in search
+    order, that reduced to a nonzero constant (None if none did).  ``cache``
+    holds each equation's ``_normalize_terms`` result in the current frame.
     """
     solutions: list[dict] = []
+    conflict = None
 
-    def dfs(state: dict, depth: int) -> None:
+    def dfs(state: dict, cache: list, depth: int) -> None:
+        nonlocal conflict
         if len(solutions) >= limit or depth > 80:
             return
         progress = True
         while progress:
             progress = False
-            for eq in equations:
-                terms = _normalize_terms(eq, state)
+            for i, eq in enumerate(equations):
+                hit = cache[i]
+                if hit is None or any(v in state for v in hit[1]):
+                    hit = cache[i] = _normalize_terms(eq, state)
+                terms = hit[0]
                 varset = {v for _, vs in terms for v in vs}
                 if len(terms) == 2 and len(varset) > 1:
                     # cancel the common factor (unknowns are nonzero)
@@ -154,6 +190,8 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                 if not terms:
                     continue
                 if not varset:
+                    if conflict is None:
+                        conflict = i
                     return  # nonzero constant = 0
                 if len(varset) == 1:
                     roots = _single_var_solve(terms, field)
@@ -165,7 +203,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                         progress = True
                         continue
                     for root in roots:
-                        dfs({**state, var: root}, depth + 1)
+                        dfs({**state, var: root}, list(cache), depth + 1)
                     return
                 if len(terms) == 2:
                     # substitution x := expr when one side is a bare variable
@@ -178,14 +216,15 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
         free = [k for k in unknowns if k not in state]
         if free:
             for cand in guesses:
-                dfs({**state, free[0]: cand}, depth + 1)
+                dfs({**state, free[0]: cand}, list(cache), depth + 1)
             return
-        values = {k: _expand_mono(field.one(), (k,), state)[0] for k in unknowns}
-        if not any(_normalize_terms(eq, {**state, **values}) for eq in equations):
-            solutions.append(values)
+        # the last sweep changed nothing, so the cache holds every equation
+        # normalized through the final state
+        if not any(terms for terms, _ in cache):
+            solutions.append({k: _expand_mono(field.one(), (k,), state)[0] for k in unknowns})
 
-    dfs(dict(state), 0)
-    return solutions
+    dfs(dict(state), [None] * len(equations), 0)
+    return solutions, conflict
 
 
 # -- sigma solver ---------------------------------------------------------------
@@ -240,14 +279,20 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
             state[vvar[s]] = one
 
     equations = []
+    labels: list[dict] = []  # kind and space of each equation
+
+    def add(kind: str, space: Space, terms: list) -> None:
+        equations.append(terms)
+        labels.append({"kind": kind, "space": space})
+
     for s in spaces:
-        equations.append([(one, (uvar[s], uvar[s12_space(s)])), (-one, ())])
-        equations.append([(one, (vvar[s], vvar[s23_space(s)])), (-one, ())])
+        add("involution-12", s, [(one, (uvar[s], uvar[s12_space(s)])), (-one, ())])
+        add("involution-23", s, [(one, (vvar[s], vvar[s23_space(s)])), (-one, ())])
         # braid relation through both generator words
         t1 = s12_space(s)
         t2 = s23_space(s)
-        equations.append([(one, (uvar[s], vvar[t1], uvar[s23_space(t1)])),
-                          (-one, (vvar[s], uvar[t2], vvar[s12_space(t2)]))])
+        add("braid", s, [(one, (uvar[s], vvar[t1], uvar[s23_space(t1)])),
+                         (-one, (vvar[s], uvar[t2], vvar[s12_space(t2)]))])
 
     for s in spaces:
         a1, a2, a3 = s
@@ -258,7 +303,7 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
         f_b_val = _f_scalar(f, fb_key, field)
         if not f_a_val or not f_b_val:
             raise SolverError(f"vanishing pairing-contraction entry at {s}")
-        equations.append([(f_a_val, (vvar[fusion.primed(s)],)), (-f_b_val, (vvar[s],))])
+        add("pairing", s, [(f_a_val, (vvar[fusion.primed(s)],)), (-f_b_val, (vvar[s],))])
         # left-inverse normalization: v[s] * u[s23_space(s)] = F_x / (F1 * F2)
         x, y, z = s
         f1 = _f_scalar(f, (x, e, x, y, d[y], z), field)
@@ -266,16 +311,17 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
         fx = _f_scalar(f, (x, e, x, d[x], x, e), field)
         if not f1 or not f2 or not fx:
             raise SolverError(f"vanishing normalization entry at {s}")
-        equations.append([(f1 * f2, (vvar[s], uvar[s23_space(s)])), (-fx, ())])
+        add("normalization", s, [(f1 * f2, (vvar[s], uvar[s23_space(s)])), (-fx, ())])
 
     guesses = [one, -one]
     if field.order % 4 == 0:
         i_unit = field.root_of_unity(1, 2)
         guesses += [i_unit, -i_unit]
     unknowns = list(uvar.values()) + list(vvar.values())
-    found = _search(equations, state, unknowns, field, guesses, limit=1)
+    found, conflict = _search(equations, state, unknowns, field, guesses, limit=1)
     if not found:
-        raise SolverError("no S3 action consistent with the fusing tensor over this field")
+        raise SolverError("no S3 action consistent with the fusing tensor over this field",
+                          conflict=None if conflict is None else labels[conflict])
     solution = found[0]
     sigma12 = {s: [[solution[uvar[s]]]] for s in spaces}
     sigma23 = {s: [[solution[vvar[s]]]] for s in spaces}
@@ -386,8 +432,8 @@ def solve_pentagon(fusion: FusionData, field_order: int):
     assignment.update(_gauge_fix(fusion, unknowns, field))
 
     equations = _pentagon_equations(fusion, field)
-    solutions = _search(equations, assignment, unknowns, field,
-                        [field.one(), field.rational(-1)], limit=40)
+    solutions, _ = _search(equations, assignment, unknowns, field,
+                           [field.one(), field.rational(-1)], limit=40)
     seen: set = set()
     uniq = []
     for sol in solutions:

@@ -132,27 +132,35 @@ def test_criterion_7_exact_lattice_identities(lattice_ffa):
     _line("7 identity/creation, bracket bookkeeping, residue, Virasoro c=1", ok)
 
 
-def test_criterion_8_cross_validation():
+def _oracle_among_solutions(k: int, name: str) -> bool:
+    """The shipped oracle F, pins filled in, is among the pentagon solutions."""
     from fullfield.cyclotomic import CycField
     from fullfield.lattice import lattice_fusion
     from fullfield.solver import admissible_tuples, pinned_value, solve_pentagon
 
-    fusion = lattice_fusion(1)
-    solutions = solve_pentagon(fusion, 8)
-    lattice_f = {key: val for (key, _), val in get_bundle("z2k1").f.items()}
+    fusion = lattice_fusion(k)
+    field = CycField(8 * k)
+    lattice_f = {key: val for (key, _), val in get_bundle(name).f.items()}
     agree = False
-    for sol in solutions:
+    for sol in solve_pentagon(fusion, 8 * k):
         full = dict(sol)
         for key in admissible_tuples(fusion):
             if key not in full:
-                pin = pinned_value(fusion, key, CycField(8))
+                pin = pinned_value(fusion, key, field)
                 if pin:
                     full[key] = pin
         if full == lattice_f:
             agree = True
+    return agree
+
+
+def test_criterion_8_cross_validation():
+    agree = _oracle_among_solutions(1, "z2k1")
     suites_ok = all(r.verdict == "pass" for r in run_suites(get_bundle("z2k1")))
     _line("8 four-point oracle agrees with the pentagon solver on Z/2",
           agree and suites_ok)
+    _line("8 four-point oracle agrees with the pentagon solver on Z/4",
+          _oracle_among_solutions(2, "z4k2"))
 
 
 def test_criterion_9_contour_residue_identity(lattice_ffa):

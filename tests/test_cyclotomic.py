@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fullfield.cyclotomic import CycField, FieldOrderError, scalar_from_literal
+from fullfield.cyclotomic import CycField, CycScalar, FieldOrderError, scalar_from_literal
 
 F4 = CycField(4)
 F8 = CycField(8)
@@ -70,6 +71,47 @@ class TestArith:
             <= tol * scale
         assert abs(complex((a + b).embed()) - (complex(a.embed()) + complex(b.embed()))) \
             <= tol * scale
+
+
+def _general_product(a, b):
+    """Coefficients of a * b by the full double loop and ``_reduce``."""
+    n = a.field.order
+    raw = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = (e1 + e2) % n
+            raw[e] = raw.get(e, Fraction(0)) + c1 * c2
+    return a.field._reduce(raw)
+
+
+class TestMonomialProduct:
+    # the one-coefficient fast path in __mul__ must give _reduce's dict,
+    # values and insertion order both (embeddings sum in dict order)
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_monomial_pairs_match_general_product(self, order):
+        field = CycField(order)
+        for e1 in range(order):  # raw exponents at and above phi(N) too
+            a = CycScalar(field, {e1: Fraction(-3, 2)})
+            for e2 in range(order):
+                b = CycScalar(field, {e2: Fraction(5, 7)})
+                got = (a * b).coeffs
+                want = _general_product(a, b)
+                assert got == want and list(got.items()) == list(want.items()), (e1, e2)
+
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_random_mixed_elements_match_general_product(self, order):
+        field = CycField(order)
+        rng = random.Random(order)
+
+        def element(size):
+            return field.scalar({rng.randrange(order): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                 for _ in range(size)})
+
+        for _ in range(40):
+            a, b = element(rng.randint(1, 4)), element(rng.randint(1, 4))
+            got = (a * b).coeffs
+            want = _general_product(a, b)
+            assert got == want and list(got.items()) == list(want.items())
 
 
 class TestRootOfUnity:

@@ -19,6 +19,7 @@ from fullfield.lattice import (
     chiral_io_apply,
     derive_f_entry,
     emit_bundle,
+    lattice_fusion,
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
@@ -26,6 +27,7 @@ from fullfield.lattice.checks import SectorBasis, _commutator_holds, zpow
 from fullfield.lattice.model import vec_add, vec_scale
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
+from tests.test_solver import SIGMA_KINDS
 
 M1 = LatticeModel(1)
 M2 = LatticeModel(2)
@@ -212,8 +214,11 @@ class TestOracle:
     def test_k3_has_no_s3_action(self):
         # the k = 3 tensor passes the pentagon suite, but its sigma
         # constraints contradict each other (ROADMAP item 4); fail loudly
-        with pytest.raises(SolverError, match="no S3 action"):
+        with pytest.raises(SolverError, match="no S3 action") as info:
             emit_bundle(LatticeSpec(3, 8))
+        # the first contradicted equation, in search order, is named
+        assert info.value.conflict["kind"] in SIGMA_KINDS
+        assert info.value.conflict["space"] in lattice_fusion(3).spaces()
 
 
 def z2_ffa(truncation: int) -> DiagonalFFA:
@@ -299,9 +304,8 @@ def test_dense_matches_entrywise_reference(k, name):
 
 class TestSingleValuedSeries:
     def test_paired_exponents_integral(self):
-        ffa = DiagonalFFA(LatticeSpec(1, 6))
         from fullfield.lattice.checks import BivariateSeries
-        model = ffa.model
+        model = LatticeModel(1)
         comps = model.components(model.charged(1), model.charged(1), 6)
         wtot = 2 * model.state_weight(((), 1))
         series = BivariateSeries()

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from fullfield.fusion import FusionData
 from fullfield.lattice import LatticeSpec, emit_bundle, lattice_fusion
 from fullfield.solver import (
     SolverError,
+    _expand_mono,
     admissible_tuples,
     pinned_value,
     solve_pentagon,
@@ -89,6 +92,9 @@ class TestPentagonSolver:
         assert solve_pentagon(ising_fusion(), 4) == []
 
 
+SIGMA_KINDS = ("involution-12", "involution-23", "braid", "pairing", "normalization")
+
+
 class TestSigmaSolver:
     def _f_from_solution(self, fusion, order, sol):
         field = CycField(order)
@@ -118,8 +124,10 @@ class TestSigmaSolver:
         key = ("tau", "1", "tau", "tau", "tau", "1")
         sol[key] = sol[key] * CycField(20).rational(5)
         field, f = self._f_from_solution(fusion, 20, sol)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="no S3 action") as info:
             solve_sigma(field, fusion, f)
+        assert info.value.conflict["kind"] in SIGMA_KINDS
+        assert info.value.conflict["space"] in fusion.spaces()
 
     @pytest.mark.parametrize("name", ["z2k1", "z4k2", "ising", "fibonacci"])
     def test_lattice_bundles_sigma_from_solver(self, name):
@@ -144,3 +152,42 @@ def test_solver_fixture_bytes(name):
     fusion = getattr(mf, f"{name}_fusion")()
     bundle = mf.solver_bundle(fusion, *SOLVER_FIXTURES[name], name)
     assert canonical_bytes(bundle_to_obj(bundle)) == fixture_bytes(name)
+
+
+# (fusion ring, field order) -> solution count and SHA-256 of the ordered
+# solution list, each solution as its ordered (key6, literal) items
+PINNED_SOLUTIONS = {
+    ("ising", 16): (4, "fe4d03e9937f616b1cf62cc0c6f5f37da6e0dc2604888604d1b70eff9f31e956"),
+    ("fibonacci", 20): (2, "456d66a5d46c627ccbfcf61e960bb791ea59c4c45a8f51e74d02c6693a5f6115"),
+    ("ising", 4): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("z2", 8): (2, "2a5e55e23b32f66536ef7bc089a4eb89022c2c4a7a0b19e60f1803b1986492a2"),
+    ("z4", 16): (40, "2aac615c774c17640c096143651490cffa957a112a7ac737811f8a8ca1d7bd1e"),
+}
+RINGS = {"ising": ising_fusion, "fibonacci": fibonacci_fusion,
+         "z2": lambda: lattice_fusion(1), "z4": lambda: lattice_fusion(2)}
+
+
+@pytest.mark.parametrize("ring,order", list(PINNED_SOLUTIONS),
+                         ids=[f"{r}@{n}" for r, n in PINNED_SOLUTIONS])
+def test_solution_lists_pinned(ring, order):
+    solutions = solve_pentagon(RINGS[ring](), order)
+    obj = [[[list(key), val.literal()] for key, val in sol.items()] for sol in solutions]
+    digest = hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+    assert (len(solutions), digest) == PINNED_SOLUTIONS[(ring, order)]
+
+
+class TestExpandMono:
+    def test_cyclic_substitution_raises(self):
+        field = CycField(8)
+        state = {"x": (field.one(), ("y",)), "y": (field.rational(2), ("x",))}
+        with pytest.raises(SolverError, match="did not terminate"):
+            _expand_mono(field.one(), ("x",), state)
+
+    def test_resolved_chain_is_compressed(self):
+        field = CycField(8)
+        state = {"x": (field.rational(2), ("y", "z")), "y": (field.rational(3), ("w",)),
+                 "w": field.zeta(1)}
+        assert _expand_mono(field.one(), ("x", "z"), state) == (field.zeta(1) * 6, ("z", "z"))
+        # x now reads as one monomial over the unresolved z, y as a scalar
+        assert state["x"] == (field.zeta(1) * 6, ("z",))
+        assert state["y"] == field.zeta(1) * 3
