@@ -4,14 +4,16 @@ Every structure constant in a data bundle lives in one cyclotomic field whose
 order N is declared once.  Scalars are stored in the power basis
 ``1, z, ..., z^(phi(N)-1)`` (z a primitive N-th root of unity) with Fraction
 coefficients, reduced modulo the N-th cyclotomic polynomial after every
-operation, so equality is literal comparison of coefficient maps.
+operation, so equality is literal comparison of coefficient maps.  Products
+and inverses of monomials c*z^e take a fast path that builds the same
+coefficient map, in the same insertion order, as the general routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 
@@ -65,6 +67,27 @@ def _euler_phi(n: int) -> int:
     return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
 
 
+def _split_primes(n: int, count: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The first ``count`` primes p = 1 (mod n), each with the powers
+    w^0 .. w^(n-1) mod p of a primitive n-th root of unity w mod p."""
+    factors = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    out = []
+    p = 1
+    while len(out) < count:
+        p += n
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        for x in range(2, p):
+            w = pow(x, (p - 1) // n, p)
+            if all(pow(w, n // q, p) != 1 for q in factors):
+                break
+        pows = [1]
+        for _ in range(n - 1):
+            pows.append(pows[-1] * w % p)
+        out.append((p, tuple(pows)))
+    return out
+
+
 class CycField:
     """The field Q(zeta_N) with precomputed reduction data.
 
@@ -91,6 +114,8 @@ class CycField:
                     shifted[e] += top * self._reduce_pow[self.degree][e]
             rep = shifted
             self._reduce_pow[k] = tuple(rep)
+        self._units = tuple(j for j in range(1, order) if gcd(j, order) == 1)
+        self._split_primes = _split_primes(order, 8)
         self._embed_inverse = None
         self._sqrt_cache: dict = {}
 
@@ -163,6 +188,21 @@ class CycField:
 
         Principal means the embedding has argument in [0, pi), matching the
         convention sqrt(|w|) * exp(i*arg(w)/2) with arg(w) in [0, 2*pi).
+
+        Three stages decide, in order:
+
+        1. a rational ``a = (n/d)^2`` gets ``n/d`` directly, and
+           ``a = -(n/d)^2`` gets ``i*n/d`` when 4 | N; every other rational
+           goes on;
+        2. a residue proof: if a reduction of ``a`` at a split prime
+           p = 1 (mod N) and some primitive N-th root of unity mod p is a
+           quadratic non-residue, ``a`` is no square in the field: None;
+        3. a numeric search over the sign patterns of the conjugate roots
+           at 60 digits, read back into Fractions and checked by squaring.
+
+        The search reads coefficients with denominators up to 10**8 only,
+        so a square whose root has larger coefficient denominators still
+        yields None there.
         """
         self._check(a)
         if not a.coeffs:
@@ -174,7 +214,41 @@ class CycField:
         return got
 
     def _sqrt_uncached(self, a: "CycScalar") -> "CycScalar | None":
-        units = [j for j in range(1, self.order) if gcd(j, self.order) == 1]
+        q = a.as_rational()
+        if q is not None:
+            num, den = isqrt(abs(q.numerator)), isqrt(q.denominator)
+            if num * num == abs(q.numerator) and den * den == q.denominator:
+                if q > 0:
+                    return self.rational(Fraction(num, den))
+                if self.order % 4 == 0:
+                    return self.zeta(self.order // 4) * Fraction(num, den)
+        if self._has_nonresidue(a):
+            return None
+        return self._sqrt_search(a)
+
+    def _has_nonresidue(self, a: "CycScalar") -> bool:
+        """Whether some reduction of ``a`` at a split prime is a non-residue.
+
+        z -> w^j (w a primitive N-th root mod p, j a unit) is a ring map from
+        the p-integral elements onto F_p.  A root of a p-integral ``a`` is
+        p-integral, since Z[z] is the ring of integers, so if ``a`` is a
+        square every nonzero reduction is a quadratic residue.  Primes that
+        divide a denominator of ``a`` are skipped.
+        """
+        n = self.order
+        for p, pows in self._split_primes:
+            if any(c.denominator % p == 0 for c in a.coeffs.values()):
+                continue
+            terms = [(e, c.numerator * pow(c.denominator, -1, p))
+                     for e, c in a.coeffs.items()]
+            for j in self._units:
+                v = sum(c * pows[j * e % n] for e, c in terms) % p
+                if v and pow(v, (p - 1) // 2, p) == p - 1:
+                    return True
+        return False
+
+    def _sqrt_search(self, a: "CycScalar") -> "CycScalar | None":
+        units = self._units
         d = self.degree
         with mpmath.workdps(60):
             conj_a = {j: self._embed_conj(a, j) for j in units}
@@ -336,6 +410,9 @@ class CycScalar:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        if len(self.coeffs) == 1:
+            ((e, c),) = self.coeffs.items()
+            return self.field.zeta(-e) * (1 / c)
         d = self.field.degree
         # Columns: self * zeta^j in the power basis.
         cols = []

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fullfield.chiral import ChiralData
 from fullfield.cyclotomic import CycField, CycScalar, FieldOrderError, scalar_from_literal
+from fullfield.fixtures import MUTATIONS, REGULAR, load_fixture
+from fullfield.linalg import solve
 
 F4 = CycField(4)
 F8 = CycField(8)
@@ -114,6 +117,30 @@ class TestMonomialProduct:
             assert got == want and list(got.items()) == list(want.items())
 
 
+def _general_inverse(a):
+    """Coefficients of 1/a by the Gauss-Jordan solve of a * x = 1."""
+    field = a.field
+    d = field.degree
+    cols = [(a * field.zeta(j)).coeffs for j in range(d)]
+    x = solve([[cols[j].get(e, Fraction(0)) for j in range(d)] for e in range(d)],
+              [[Fraction(1 if e == 0 else 0)] for e in range(d)], Fraction(1))
+    return {j: x[j][0] for j in range(d) if x[j][0]}
+
+
+class TestMonomialInverse:
+    # the one-coefficient fast path in inverse must give the general solve's
+    # dict, values and insertion order both
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_monomials_match_general_inverse(self, order):
+        field = CycField(order)
+        for e in range(order):  # raw exponents at and above phi(N) too
+            for c in (Fraction(1), Fraction(-3, 2), Fraction(5, 7)):
+                a = CycScalar(field, {e: c})
+                got = a.inverse().coeffs
+                want = _general_inverse(a)
+                assert got == want and list(got.items()) == list(want.items()), (e, c)
+
+
 class TestRootOfUnity:
     def test_quarter_turn(self):
         assert F8.root_of_unity(1, 4) == F8.zeta(1)
@@ -171,6 +198,98 @@ class TestSqrt:
         root = F8.sqrt(sq)
         assert root is not None
         assert root * root == sq
+
+
+def _items(x):
+    return None if x is None else list(x.coeffs.items())
+
+
+def _strict_f_a():
+    for name in REGULAR + MUTATIONS:
+        if name == "mut_validate":  # loads only non-strictly
+            continue
+        chiral = ChiralData(load_fixture(name))
+        for a in chiral.fusion.labels:
+            yield name, a, chiral.f_a(a)
+
+
+def _corpus(order):
+    """Seeded elements of Q(zeta_order): squares, random elements, rationals."""
+    field = CycField(order)
+    rng = random.Random(1000 + order)
+
+    def element():
+        return field.scalar({rng.randrange(order): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(rng.randint(1, 3))})
+
+    out = []
+    for _ in range(3):
+        b = element()
+        out += [b * b, b * b * rng.choice((-1, 2, 3, Fraction(-1, 2)))]
+    out += [element() for _ in range(2)]
+    for q in (1, Fraction(9, 25), 2, 3):
+        out += [field.rational(q), field.rational(-q)]
+    return [a for a in out if a]
+
+
+class TestSqrtFastPaths:
+    # the rational path and the residue proof must answer as the numeric
+    # search does, which stays behind them in _sqrt_uncached
+    @staticmethod
+    def _agree(elements):
+        search = {}  # one field per order, so the embedding is inverted once
+        for a in elements:
+            order = a.field.order
+            want = search.setdefault(order, CycField(order))._sqrt_search(a)
+            assert _items(CycField(order).sqrt(a)) == _items(want), a
+
+    def test_fixture_f_a(self):
+        self._agree(dict.fromkeys(fa for _name, _a, fa in _strict_f_a()))
+
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_seeded_corpus(self, order):
+        self._agree(_corpus(order))
+
+    def test_edge_cases(self):
+        assert F8.sqrt(F8.rational(-4)) == F8.zeta(2) * 2
+        f6 = CycField(6)
+        assert f6.sqrt(f6.rational(-4)) is None
+        root = f6.sqrt(f6.rational(-3))
+        assert root is not None and root * root == f6.rational(-3)
+        self._agree([F8.rational(-4), f6.rational(-4), f6.rational(-3)])
+
+    def test_rational_roots_beyond_the_search(self):
+        # the search reads denominators up to 10**8 only; the rational path
+        # has no such limit
+        q = Fraction(1, 10**9 + 7)
+        assert F8._sqrt_search(F8.rational(q * q)) is None
+        assert F8.sqrt(F8.rational(q * q)) == F8.rational(q)
+        assert F8.sqrt(F8.rational(-q * q)) == F8.zeta(2) * q
+
+
+class TestResidueProof:
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_never_rejects_a_square(self, order):
+        field = CycField(order)
+        rng = random.Random(order)
+        # denominators include the split primes, which the proof must skip
+        dens = [1, 2, 3] + [p for p, _pows in field._split_primes[:3]]
+        for _ in range(30):
+            a = field.scalar({rng.randrange(order): Fraction(rng.randint(-9, 9), rng.choice(dens))
+                              for _ in range(rng.randint(1, 4))})
+            assert not field._has_nonresidue(a * a), a
+
+    def test_ising_sigma_never_reaches_the_search(self):
+        chiral = ChiralData(load_fixture("ising"))
+        field = CycField(32)
+        f_sigma = field.scalar(chiral.f_a("sigma").coeffs)
+        assert field._has_nonresidue(f_sigma)
+        assert field.sqrt(f_sigma) is None
+        assert field._embed_inverse is None
+
+    def test_rejects_the_non_square_f_a(self):
+        rejected = {(name, a) for name, a, fa in _strict_f_a() if fa.field._has_nonresidue(fa)}
+        assert ("ising", "sigma") in rejected and ("fibonacci", "tau") in rejected
 
 
 def _rational_square(q: Fraction) -> bool:
