@@ -41,12 +41,7 @@ OUT = SRC / "fullfield" / "fixtures"
 
 
 def canonical_markers(fusion: FusionData) -> dict:
-    out = {}
-    for a in fusion.labels:
-        out[(fusion.unit, a, a)] = 0
-        out[(a, fusion.unit, a)] = 0
-        out[(a, fusion.dual[a], fusion.unit)] = 0
-    return out
+    return {s: 0 for a in fusion.labels for s in fusion.canonical_spaces(a)}
 
 
 def trivial_bundle() -> Bundle:

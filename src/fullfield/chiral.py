@@ -16,7 +16,10 @@ Two kernels are shared with :mod:`fullfield.ffa`: ``linalg.change_basis4``
 is the one 4-slot change of basis, and ``ChiralData.fusing_delta`` is the one
 delta contraction, parametrized by where the dual blocks come from.  The
 pentagon equations come from ``FusionData.pentagon_instances``, which the
-pentagon solver reads too.
+pentagon solver reads too.  The S3 table of ``FusionData`` (the sigma12 and
+sigma23 space maps, the canonical spaces, and the F keys of F_a, of the
+pairing contractions and of the left-inverse normalization) is the one the
+sigma solver encodes as scalar equations.
 
 Reports are lists of CheckRecord; an empty list means the identity holds.
 """
@@ -57,7 +60,6 @@ def fails(records: list[CheckRecord]) -> list[CheckRecord]:
 class ChiralData:
     """A loaded bundle with cached pairing/dual-basis matrices."""
 
-    NUMERIC_PRECISION = 30
     NUMERIC_RTOL = 1e-12
 
     def __init__(self, bundle: Bundle):
@@ -77,15 +79,6 @@ class ChiralData:
 
     def primed(self, space: Space) -> Space:
         return self.fusion.primed(space)
-
-    def sigma12_space(self, space: Space) -> Space:
-        a1, a2, a3 = space
-        return (a2, a1, a3)
-
-    def sigma23_space(self, space: Space) -> Space:
-        a1, a2, a3 = space
-        d = self.fusion.dual
-        return (a1, d[a3], d[a2])
 
     def sigma12(self, space: Space) -> list[list[CycScalar]]:
         try:
@@ -135,12 +128,10 @@ class ChiralData:
 
     def f_a(self, a: str) -> CycScalar:
         """The canonical vacuum-channel fusing entry for label a; nonzero."""
-        e = self.fusion.unit
-        ap = self.fusion.dual[a]
-        for space in ((e, a, a), (a, e, a), (a, ap, e)):
+        for space in self.fusion.canonical_spaces(a):
             if space not in self.bundle.canonical:
                 raise BundleError(f"canonical{space}", "canonical-basis marker missing")
-        val = self.f_entry((a, e, a, ap, a, e), (0, 0, 0, 0))
+        val = self.f_entry(self.fusion.weight_key(a), (0, 0, 0, 0))
         if not val:
             raise BundleError(f"f_a({a})", "canonical fusing entry missing or zero")
         return val
@@ -155,41 +146,27 @@ class ChiralData:
         """
         if space in self._pairing:
             return self._pairing[space]
-        a1, a2, a3 = space
-        dim = self.dim(space)
-        if dim == 0:
+        if self.dim(space) == 0:
             self._pairing[space] = []
             return []
-        d = self.fusion.dual
-        e = self.fusion.unit
-        pr = self.primed(space)
-        ga = self._pairing_via(pr, (d[a1], a3, a2, a1, a2, e), self.sigma23(pr))
-        gb_t = self._pairing_via(space, (a1, d[a3], d[a2], d[a1], d[a2], e), self.sigma23(space))
-        gb = transpose(gb_t)
+        key_a, key_b = self.fusion.pairing_keys(space)
+        ga = self._pairing_via(key_a, self.sigma23(self.primed(space)))
+        gb = transpose(self._pairing_via(key_b, self.sigma23(space)))
         if not mat_eq(ga, gb):
             raise BundleError(f"pairing{space}",
                               "the two fusing expressions for the pairing disagree")
         self._pairing[space] = ga
         return ga
 
-    def _pairing_via(self, sigma_src: Space, key6, s23) -> list[list[CycScalar]]:
-        """Contract sigma23 of the ``sigma_src`` basis against an F block.
+    def _pairing_via(self, key6, s23) -> list[list[CycScalar]]:
+        """Contract a sigma23 matrix against the F slice of ``key6``.
 
         Returns M[j][i] = sum_m s23[m][i] * F[key6; m, j, 0, 0].
         """
-        dim_i = self.dim(sigma_src)
         b1, b5, b4, b2, b3, b6 = key6
-        dim_j = self.fusion.n(b2, b3, b5)
-        out = []
-        for j in range(dim_j):
-            row = []
-            for i in range(dim_i):
-                acc = self.field.zero()
-                for m in range(len(s23)):
-                    acc = acc + s23[m][i] * self.f_entry(key6, (m, j, 0, 0))
-                row.append(acc)
-            out.append(row)
-        return out
+        fslice = [[self.f_entry(key6, (m, j, 0, 0)) for j in range(self.fusion.n(b2, b3, b5))]
+                  for m in range(len(s23))]
+        return mat_mul(transpose(fslice), s23)
 
     def dual_basis(self, space: Space) -> list[list[CycScalar]]:
         """D with sum_m D[m][i] * primed-basis_m dual to basis_i; D = G^-1."""
@@ -228,48 +205,33 @@ class ChiralData:
         return out
 
     def verify_formula1(self) -> list[CheckRecord]:
-        """sum_k F(can) * F(sigma123-contracted) = delta * F_{a2}, exactly."""
+        """The left-inverse identity of ``FusionData.normalization_keys`` on
+        every space, exactly: F1^T (F2 (sigma12 sigma23)) = F_x * I with
+        F1 = F1[0, 0, k, j] and F2 = F2[k, n, 0, 0]."""
         out: list[CheckRecord] = []
-        d = self.fusion.dual
-        e = self.fusion.unit
+        zero = self.field.zero()
         for space in self.spaces():
-            # space = (x, y, z) carrying the summed indices; a2 = x, a3 = y', a1 = z'
-            x, y, z = space
-            dim = self.dim(space)
-            ksp = (z, d[y], x)  # intermediate space (a1', a3; a2)
-            kdim = self.fusion.n(*ksp)
             # sigma123 = sigma12 . sigma23 on ``space``
             s23 = self.sigma23(space)
-            mid = self.sigma23_space(space)
-            s12 = self.sigma12(mid)
-            comp = mat_mul(s12, s23)
-            f2 = self.f_block((z, d[y], x, d[z], x, e))
-            f1 = self.f_block((x, e, x, y, d[y], z))
-            fa = self.f_a(x)
+            s12 = self.sigma12(self.fusion.sigma23_space(space))
+            key1, key2 = self.fusion.normalization_keys(space)
+            f2 = self.f_block(key2)
+            f1 = self.f_block(key1)
+            fa = self.f_a(space[0])
             if f1 is None or f2 is None:
                 out.append(CheckRecord("left-inverse-normalization", space, "fail",
                                        message="missing fusing block"))
                 continue
-            ok = True
-            for i in range(dim):
-                for j in range(dim):
-                    acc = self.field.zero()
-                    for kk in range(kdim):
-                        inner = self.field.zero()
-                        for nn in range(dim):
-                            inner = inner + comp[nn][i] * f2[kk][nn][0][0]
-                        acc = acc + f1[0][0][kk][j] * inner
-                    want = fa if i == j else self.field.zero()
-                    if acc != want:
-                        ok = False
+            f2_slice = [[blk[0][0] for blk in row] for row in f2]
+            lhs = mat_mul(transpose(f1[0][0]), mat_mul(f2_slice, mat_mul(s12, s23)))
+            want = [[fa if i == j else zero for j in range(len(lhs))] for i in range(len(lhs))]
             out.append(CheckRecord("left-inverse-normalization", space,
-                                   "pass" if ok else "fail"))
+                                   "pass" if mat_eq(lhs, want) else "fail"))
         return out
 
     def verify_pairing_properties(self) -> list[CheckRecord]:
         """Symmetry of the pairing and its canonical values."""
         out: list[CheckRecord] = []
-        e = self.fusion.unit
         one = self.field.one()
         for space in self.spaces():
             g = self.pairing_matrix(space)
@@ -277,13 +239,13 @@ class ChiralData:
             ok = mat_eq(gp, transpose(g))
             out.append(CheckRecord("pairing-symmetry", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
-            ap = self.fusion.dual[a]
-            g = self.pairing_matrix((e, a, a))
-            out.append(CheckRecord("pairing-canonical", (e, a, a),
+            module, _, vacuum = self.fusion.canonical_spaces(a)
+            g = self.pairing_matrix(module)
+            out.append(CheckRecord("pairing-canonical", module,
                                    "pass" if g == [[one]] else "fail",
                                    message="<module map, primed module map> = 1"))
-            g2 = self.pairing_matrix((a, ap, e))
-            out.append(CheckRecord("pairing-canonical", (a, ap, e),
+            g2 = self.pairing_matrix(vacuum)
+            out.append(CheckRecord("pairing-canonical", vacuum,
                                    "pass" if g2 == [[self.f_a(a)]] else "fail",
                                    message="vacuum-channel pairing equals the canonical weight"))
         return out
@@ -291,7 +253,6 @@ class ChiralData:
     def verify_dual_basis(self) -> list[CheckRecord]:
         """Duality against the pairing and the canonical dual-basis values."""
         out: list[CheckRecord] = []
-        e = self.fusion.unit
         one, zero = self.field.one(), self.field.zero()
         for space in self.spaces():
             g = self.pairing_matrix(space)
@@ -300,18 +261,15 @@ class ChiralData:
             ok = mat_eq(mat_mul(g, dm), ident)
             out.append(CheckRecord("dual-delta", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
-            ap = self.fusion.dual[a]
             fa = self.f_a(a)
-            checks = [
-                ((e, a, a), [[one]], "dual of the module map"),
-                ((a, e, a), [[one]], "dual of the skewed module map"),
-                ((a, ap, e), [[fa.inverse()]], "dual of the vacuum-channel basis"),
-            ]
-            for space, want, msg in checks:
+            wants = [([[one]], "dual of the module map"),
+                     ([[one]], "dual of the skewed module map"),
+                     ([[fa.inverse()]], "dual of the vacuum-channel basis")]
+            for space, (want, msg) in zip(self.fusion.canonical_spaces(a), wants):
                 dm = self.dual_basis(space)
                 out.append(CheckRecord("dual-canonical", space,
                                        "pass" if mat_eq(dm, want) else "fail", message=msg))
-            fap = self.f_a(ap)
+            fap = self.f_a(self.fusion.dual[a])
             out.append(CheckRecord("canonical-weight-duality", (a,),
                                    "pass" if fa == fap else "fail",
                                    message="F weight equals the dual label's weight"))
@@ -384,7 +342,7 @@ class ChiralData:
         """(exact CycScalar | None, complex) principal square root of F_a."""
         fa = self.f_a(a)
         exact = self.field.sqrt(fa)
-        approx = _principal_sqrt_c(complex(fa.embed(self.NUMERIC_PRECISION)))
+        approx = _principal_sqrt_c(complex(fa))
         return exact, approx
 
     def modified_form(self, space: Space):
@@ -396,7 +354,7 @@ class ChiralData:
             factor = roots[a3][0] * (roots[a1][0] * roots[a2][0]).inverse()
             return mat_scale(g, factor), "exact"
         factor = roots[a3][1] / (roots[a1][1] * roots[a2][1])
-        num = [[factor * complex(v.embed(self.NUMERIC_PRECISION)) for v in row] for row in g]
+        num = [[factor * complex(v) for v in row] for row in g]
         return num, "numeric"
 
     def verify_s3_relations(self) -> list[CheckRecord]:
@@ -404,37 +362,36 @@ class ChiralData:
         canonical normalizations of the S3 action."""
         out: list[CheckRecord] = []
         one, zero = self.field.one(), self.field.zero()
-        e = self.fusion.unit
+        t12, t23 = self.fusion.sigma12_space, self.fusion.sigma23_space
         for space in self.spaces():
             dim = self.dim(space)
             ident = identity(dim, one, zero)
             s12a = self.sigma12(space)
-            s12b = self.sigma12(self.sigma12_space(space))
+            s12b = self.sigma12(t12(space))
             ok = mat_eq(mat_mul(s12b, s12a), ident)
             out.append(CheckRecord("sigma12-involution", space, "pass" if ok else "fail"))
             s23a = self.sigma23(space)
-            s23b = self.sigma23(self.sigma23_space(space))
+            s23b = self.sigma23(t23(space))
             ok = mat_eq(mat_mul(s23b, s23a), ident)
             out.append(CheckRecord("sigma23-involution", space, "pass" if ok else "fail"))
             # braid: s12 s23 s12 = s23 s12 s23 as maps out of ``space``
-            sp = space
-            m1 = mat_mul(self.sigma12(self.sigma23_space(self.sigma12_space(sp))),
-                         mat_mul(self.sigma23(self.sigma12_space(sp)), self.sigma12(sp)))
-            m2 = mat_mul(self.sigma23(self.sigma12_space(self.sigma23_space(sp))),
-                         mat_mul(self.sigma12(self.sigma23_space(sp)), self.sigma23(sp)))
+            m1 = mat_mul(self.sigma12(t23(t12(space))),
+                         mat_mul(self.sigma23(t12(space)), self.sigma12(space)))
+            m2 = mat_mul(self.sigma23(t12(t23(space))),
+                         mat_mul(self.sigma12(t23(space)), self.sigma23(space)))
             out.append(CheckRecord("s3-braid", space, "pass" if mat_eq(m1, m2) else "fail"))
         for a in self.fusion.labels:
-            ap = self.fusion.dual[a]
+            module, skew, vacuum = self.fusion.canonical_spaces(a)
             checks = [
-                ("sigma12-canonical", (e, a, a), self.sigma12((e, a, a)), 0),
-                ("sigma23-canonical", (a, e, a), self.sigma23((a, e, a)), 0),
-                ("sigma12-canonical", (a, ap, e), self.sigma12((a, ap, e)), 0),
-                ("sigma23-canonical", (e, a, a), self.sigma23((e, a, a)), 0),
+                ("sigma12-canonical", module, self.sigma12(module)),
+                ("sigma23-canonical", skew, self.sigma23(skew)),
+                ("sigma12-canonical", vacuum, self.sigma12(vacuum)),
+                ("sigma23-canonical", module, self.sigma23(module)),
             ]
-            for name, space, mat, idx in checks:
+            for name, space, mat in checks:
                 can = self.bundle.canonical.get(space, 0)
                 col = [mat[r][can] for r in range(len(mat))]
-                want = [one if r == idx else zero for r in range(len(mat))]
+                want = [one if r == 0 else zero for r in range(len(mat))]
                 ok = all(x == w for x, w in zip(col, want))
                 out.append(CheckRecord(name, space, "pass" if ok else "fail"))
         return out
@@ -445,8 +402,8 @@ class ChiralData:
         out: list[CheckRecord] = []
         for space in self.spaces():
             form, path = self.modified_form(space)
-            for name, tgt_map in (("sigma12", self.sigma12_space),
-                                  ("sigma23", self.sigma23_space)):
+            for name, tgt_map in (("sigma12", self.fusion.sigma12_space),
+                                  ("sigma23", self.fusion.sigma23_space)):
                 smat = self.sigma12(space) if name == "sigma12" else self.sigma23(space)
                 pr = self.primed(space)
                 smat_p = self.sigma12(pr) if name == "sigma12" else self.sigma23(pr)
@@ -458,12 +415,10 @@ class ChiralData:
                     out.append(CheckRecord(f"{name}-form-invariance", space,
                                            "pass" if ok else "fail", path="exact"))
                 else:
-                    smat_c = _embed_matrix(smat, self.NUMERIC_PRECISION)
-                    smat_pc = _embed_matrix(smat_p, self.NUMERIC_PRECISION)
-                    form_tc = (_embed_matrix(form_t, self.NUMERIC_PRECISION)
-                               if path_t == "exact" else form_t)
-                    form_c = (_embed_matrix(form, self.NUMERIC_PRECISION)
-                              if path == "exact" else form)
+                    smat_c = _embed_matrix(smat)
+                    smat_pc = _embed_matrix(smat_p)
+                    form_tc = _embed_matrix(form_t) if path_t == "exact" else form_t
+                    form_c = _embed_matrix(form) if path == "exact" else form
                     lhs = mat_mul(transpose(smat_c), mat_mul(form_tc, smat_pc))
                     res = _cmat_rel_residual(lhs, form_c)
                     ok = res <= self.NUMERIC_RTOL
@@ -473,8 +428,7 @@ class ChiralData:
             # unmodified pairing picks up exactly F_{a3}/F_{a2} under sigma23
             a1, a2, a3 = space
             g = self.pairing_matrix(space)
-            tgt = self.sigma23_space(space)
-            gt = self.pairing_matrix(tgt)
+            gt = self.pairing_matrix(self.fusion.sigma23_space(space))
             s23 = self.sigma23(space)
             s23p = self.sigma23(self.primed(space))
             lhs = mat_mul(transpose(s23), mat_mul(gt, s23p))
@@ -492,8 +446,8 @@ def _principal_sqrt_c(w: complex) -> complex:
     return s
 
 
-def _embed_matrix(mat, precision):
-    return [[complex(v.embed(precision)) for v in row] for row in mat]
+def _embed_matrix(mat):
+    return [[complex(v) for v in row] for row in mat]
 
 
 def _cmat_rel_residual(a, b) -> float:

@@ -11,14 +11,13 @@ import argparse
 import json
 import sys
 
-from fullfield.bundles import BundleError, load_bundle, save_bundle
+from fullfield.bundles import BundleError, canonical_bytes, load_bundle, save_bundle
 from fullfield.chiral import ChiralData
 from fullfield.cyclotomic import FieldOrderError
 from fullfield.suites import (
     DEFAULT_SUITES,
     Report,
     UnknownSuiteError,
-    report_bytes,
     reports_to_obj,
     reports_to_text,
     run_suites,
@@ -31,9 +30,9 @@ def _emit(reports, args, meta):
     obj = reports_to_obj(reports, meta=meta)
     if getattr(args, "report", None):
         with open(args.report, "wb") as fh:
-            fh.write(report_bytes(obj))
+            fh.write(canonical_bytes(obj))
     if getattr(args, "format", "text") == "json":
-        sys.stdout.write(report_bytes(obj).decode("utf-8"))
+        sys.stdout.write(canonical_bytes(obj).decode("utf-8"))
     else:
         print(reports_to_text(reports, verbose=getattr(args, "verbose", False)))
     return 0 if obj["verdict"] == "pass" else 1
@@ -159,7 +158,7 @@ def cmd_report(args) -> int:
     with open(args.path, "rb") as fh:
         obj = json.loads(fh.read().decode("utf-8"))
     if args.format == "json":
-        sys.stdout.write(report_bytes(obj).decode("utf-8"))
+        sys.stdout.write(canonical_bytes(obj).decode("utf-8"))
     else:
         for rep in obj.get("reports", []):
             print(f"suite {rep['suite']} [{rep['identity']}]: {rep['verdict'].upper()}")

@@ -24,15 +24,6 @@ class FieldOrderError(ValueError):
     """Raised for invalid field orders or cross-field arithmetic."""
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     # Exact division of integer polynomials, den monic-leading or +-1 lead.
     num = list(num)

@@ -94,7 +94,7 @@ def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
         s = chiral.sigma12(space)
         sp = chiral.sigma12(fusion.primed(space))
         d = ffa.blocks[space]
-        d_sw = ffa.blocks[(a2, a1, a3)]
+        d_sw = ffa.blocks[fusion.sigma12_space(space)]
         lhs = mat_scale(mat_mul(s, mat_mul(transpose(d), transpose(sp))),
                         phase_l * phase_r)
         ok = mat_eq(lhs, transpose(d_sw))
@@ -128,12 +128,11 @@ def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
     field = ffa.field
     one, zero = field.one(), field.zero()
     for space in chiral.spaces():
-        a1, a2, a3 = space
+        _, a2, a3 = space
         v = chiral.sigma23(space)
         vp = chiral.sigma23(fusion.primed(space))
         d = ffa.blocks[space]
-        tgt = chiral.sigma23_space(space)
-        g_t = chiral.pairing_matrix(tgt)
+        g_t = chiral.pairing_matrix(fusion.sigma23_space(space))
         factor = chiral.f_a(a2) * chiral.f_a(a3).inverse()
         lhs = mat_scale(mat_mul(transpose(v), mat_mul(g_t, mat_mul(vp, d))), factor)
         ok = mat_eq(lhs, identity(len(d), one, zero))
@@ -144,12 +143,12 @@ def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
 def verify_unit_blocks(ffa: FFAStructure) -> list[CheckRecord]:
     """Blocks with the unit on the left are the canonical unit blocks."""
     out: list[CheckRecord] = []
-    e = ffa.fusion.unit
     one, zero = ffa.field.one(), ffa.field.zero()
     for a in ffa.fusion.labels:
-        d = ffa.blocks[(e, a, a)]
+        module = ffa.fusion.canonical_spaces(a)[0]
+        d = ffa.blocks[module]
         ok = mat_eq(d, identity(len(d), one, zero))
-        out.append(CheckRecord("ffa-unit-block", (e, a, a), "pass" if ok else "fail"))
+        out.append(CheckRecord("ffa-unit-block", module, "pass" if ok else "fail"))
     return out
 
 
@@ -220,9 +219,8 @@ def transport_bundle(bundle: Bundle, changes: dict[Space, list[list[CycScalar]]]
             out[space] = mat_mul(binv, mat_mul(mat, bmat(space, dim)))
         return out
 
-    d = fusion.dual
-    new_s12 = transport_sigma(bundle.sigma12, lambda s: (s[1], s[0], s[2]))
-    new_s23 = transport_sigma(bundle.sigma23, lambda s: (s[0], d[s[2]], d[s[1]]))
+    new_s12 = transport_sigma(bundle.sigma12, fusion.sigma12_space)
+    new_s23 = transport_sigma(bundle.sigma23, fusion.sigma23_space)
     prov = dict(bundle.provenance)
     prov["transported"] = True
     return Bundle(field=field, fusion=fusion, f=new_f, sigma12=new_s12,

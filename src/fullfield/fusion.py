@@ -4,6 +4,13 @@ This layer is purely combinatorial; it validates the structural constraints a
 bundle must satisfy before any fusing tensor is loaded, and it enumerates the
 pentagon equations (``FusionData.pentagon_instances``), which both the exact
 checker (``ChiralData.verify_pentagon``) and the pentagon solver read.
+
+It also holds the S3 table: the spaces the generators sigma12 (skew
+symmetry) and sigma23 (contragredient) map a space to, the canonical spaces
+of a label, and the F keys of the vacuum-channel weight F_a, of the pairing
+contractions and of the left-inverse normalization.  The exact checker
+(``ChiralData``), the sigma solver (``solver.solve_sigma``), the algebra
+checks (``ffa``) and the bundle generators all read these methods.
 """
 
 from __future__ import annotations
@@ -100,10 +107,10 @@ class FusionData:
         for (a1, a2, a3), n in sorted(self.rules.items()):
             if n < 0:
                 out.append(Violation("negative", (a1, a2, a3), "negative multiplicity"))
-            if self.n(a2, a1, a3) != n:
+            if self.n(*self.sigma12_space((a1, a2, a3))) != n:
                 out.append(Violation("commutativity", (a1, a2, a3),
                                      "N(a1,a2;a3) != N(a2,a1;a3)"))
-            if self.n(a1, self.dual[a3], self.dual[a2]) != n:
+            if self.n(*self.sigma23_space((a1, a2, a3))) != n:
                 out.append(Violation("sigma23-symmetry", (a1, a2, a3),
                                      "N(a1,a2;a3) != N(a1,a3';a2')"))
             d1, d2, d3 = self.dual[a1], self.dual[a2], self.dual[a3]
@@ -136,6 +143,46 @@ class FusionData:
     def primed(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
         a1, a2, a3 = space
         return (self.dual[a1], self.dual[a2], self.dual[a3])
+
+    # -- the S3 table -------------------------------------------------------
+
+    def sigma12_space(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
+        """The space sigma12 (skew symmetry) maps ``space`` to."""
+        a1, a2, a3 = space
+        return (a2, a1, a3)
+
+    def sigma23_space(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
+        """The space sigma23 (contragredient) maps ``space`` to."""
+        a1, a2, a3 = space
+        return (a1, self.dual[a3], self.dual[a2])
+
+    def canonical_spaces(self, a: str) -> tuple[tuple[str, str, str], ...]:
+        """The spaces of label ``a`` with a canonical basis, in order: the
+        module map (e, a, a), its skew image (a, e, a) and the vacuum
+        channel (a, a', e)."""
+        e = self.unit
+        return ((e, a, a), (a, e, a), (a, self.dual[a], e))
+
+    def weight_key(self, a: str) -> tuple[str, ...]:
+        """The F key of the canonical vacuum-channel weight F_a."""
+        e = self.unit
+        return (a, e, a, self.dual[a], a, e)
+
+    def pairing_keys(self, space: tuple[str, str, str]) -> tuple[tuple[str, ...], ...]:
+        """The F keys of the two fusing expressions for the pairing of
+        ``space`` with its primed space: the first is contracted with
+        sigma23 of the primed space, the second with sigma23 of ``space``."""
+        a1, a2, a3 = space
+        d, e = self.dual, self.unit
+        return ((d[a1], a3, a2, a1, a2, e), (a1, d[a3], d[a2], d[a1], d[a2], e))
+
+    def normalization_keys(self, space: tuple[str, str, str]) -> tuple[tuple[str, ...], ...]:
+        """The F keys F1, F2 of the left-inverse identity on ``space`` = (x, y, z):
+        sum_{k, n} F1[0, 0, k, j] * F2[k, n, 0, 0] * (sigma12 sigma23)[n][i]
+        = delta_ij F_x, with k running over the intermediate space (z, y', x)."""
+        x, y, z = space
+        d, e = self.dual, self.unit
+        return ((x, e, x, y, d[y], z), (z, d[y], x, d[z], x, e))
 
     def pentagon_instances(self):
         """Every pentagon equation, one per pair of trees and basis indices.

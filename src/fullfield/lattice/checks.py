@@ -119,8 +119,6 @@ class DiagonalFFA:
     ``spec.truncation`` is the weight cutoff the checks evaluate at.
     """
 
-    PRECISION = 20  # decimal digits of the gauge and dual-basis scalars
-
     def __init__(self, spec: LatticeSpec, bundle: Bundle | None = None):
         self.spec = spec
         self.model = LatticeModel(spec.k)
@@ -133,10 +131,10 @@ class DiagonalFFA:
         self.dual_scale = {}
         for i in range(two_k):
             for j in range(two_k):
-                self.left_scale[(i, j)] = complex(self.gauge.gauge(i, j).embed(self.PRECISION))
+                self.left_scale[(i, j)] = complex(self.gauge.gauge(i, j))
                 space = (labels[i], labels[j], labels[(i + j) % two_k])
                 dmat = self.chiral.dual_basis(space)
-                self.dual_scale[(i, j)] = complex(dmat[0][0].embed(self.PRECISION))
+                self.dual_scale[(i, j)] = complex(dmat[0][0])
         self._bases: dict = {}
         self._comp: dict = {}
 
@@ -661,10 +659,10 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
         for fname, f in fns.items():
             vals = {}
             for n_nodes in (nodes, 2 * nodes):
-                i_out = _circle_quad(g_out_c, f, 0.0, r_out, n_nodes, shift=0.0)
-                i_in = _circle_quad(g_in_c, f, 0.0, r_in, n_nodes, shift=0.0)
+                i_out = _circle_quad(g_out_c, f, 0.0, r_out, n_nodes)
+                i_in = _circle_quad(g_in_c, f, 0.0, r_in, n_nodes)
                 rho = min(r - r_in, r_out - r) * 0.5
-                i_mid = _circle_quad(g_mid_c, f, r, rho, n_nodes, shift=r)
+                i_mid = _circle_quad(g_mid_c, f, r, rho, n_nodes)
                 vals[n_nodes] = (i_out, i_in, i_mid)
             i_out, i_in, i_mid = vals[nodes]
             scale = max(abs(i_out), abs(i_in), abs(i_mid), 1e-12)
@@ -759,15 +757,14 @@ def _eval_laurent(coeffs: dict, w: complex) -> complex:
     return total
 
 
-def _circle_quad(coeffs: dict, f, center: float, radius: float, n: int,
-                 shift: float) -> complex:
+def _circle_quad(coeffs: dict, f, center: float, radius: float, n: int) -> complex:
     """(1/2 pi i) times the contour integral of f * G around the circle.
 
-    ``coeffs`` is a Laurent series in (z - shift).
+    ``coeffs`` is a Laurent series in (z - center).
     """
     total = 0j
     for t in range(n):
         theta = 2 * math.pi * t / n
         z = center + radius * cmath.exp(1j * theta)
-        total += f(z) * _eval_laurent(coeffs, z - shift) * (z - center)
+        total += f(z) * _eval_laurent(coeffs, z - center) * (z - center)
     return total / n

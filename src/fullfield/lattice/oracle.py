@@ -19,7 +19,7 @@ only when it is stable across at least ``MIN_MATCHES`` independent entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil
 
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField, CycScalar
@@ -370,11 +370,7 @@ def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
                 key6 = tuple(lab(x) for x in key_int)
                 f[(key6, (0, 0, 0, 0))] = val
 
-    canonical = {}
-    for a in range(two_k):
-        canonical[(lab(0), lab(a), lab(a))] = 0
-        canonical[(lab(a), lab(0), lab(a))] = 0
-        canonical[(lab(a), lab(-a), lab(0))] = 0
+    canonical = {s: 0 for a in fusion.labels for s in fusion.canonical_spaces(a)}
 
     sigma12, sigma23 = solve_sigma(field, fusion, f)
 

@@ -28,7 +28,9 @@ nonzero constant; ``solve_sigma`` puts its kind and space on the
 
 ``solve_sigma`` determines the S3-action scalars from a given fusing tensor:
 the unknowns are one sigma12 scalar and one sigma23 scalar per nonzero space,
-subject to
+subject to the relations of the S3 table of ``FusionData`` (its space maps,
+canonical spaces and F keys), the same table the exact checker
+``ChiralData`` reads:
 
 * canonical pins (module maps, their skew images, vacuum channels),
 * involutivity of both generators and the braid relation,
@@ -244,28 +246,15 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
         if n > 1:
             raise SolverError("sigma solver requires all multiplicities <= 1")
     spaces = fusion.spaces()
-    d = fusion.dual
-    e = fusion.unit
-
-    def s12_space(s: Space) -> Space:
-        return (s[1], s[0], s[2])
-
-    def s23_space(s: Space) -> Space:
-        return (s[0], d[s[2]], d[s[1]])
-
+    s12_space, s23_space = fusion.sigma12_space, fusion.sigma23_space
     uvar = {s: ("u", s) for s in spaces}
     vvar = {s: ("v", s) for s in spaces}
     one = field.one()
     state: dict = {}
 
     for a in fusion.labels:
-        ap = d[a]
-        state[uvar[(e, a, a)]] = one
-        state[uvar[(a, e, a)]] = one
-        state[uvar[(a, ap, e)]] = one
-        state[vvar[(a, e, a)]] = one
-        state[vvar[(a, ap, e)]] = one
-        state[vvar[(e, a, a)]] = one
+        for s in fusion.canonical_spaces(a):
+            state[uvar[s]] = state[vvar[s]] = one
     # Explicit pins.  On a space fixed by sigma12 involutivity says only
     # u^2 = 1, on one fixed by sigma23 only v^2 = 1, and on a self-primed
     # space pairing symmetry says nothing; these scalars have always been 1
@@ -295,20 +284,14 @@ def solve_sigma(field: CycField, fusion: FusionData, f: dict):
                          (-one, (vvar[s], uvar[t2], vvar[s12_space(t2)]))])
 
     for s in spaces:
-        a1, a2, a3 = s
         # pairing symmetry: v[primed s] * F_A = v[s] * F_B
-        fa_key = (d[a1], a3, a2, a1, a2, e)
-        fb_key = (a1, d[a3], d[a2], d[a1], d[a2], e)
-        f_a_val = _f_scalar(f, fa_key, field)
-        f_b_val = _f_scalar(f, fb_key, field)
+        f_a_val, f_b_val = (_f_scalar(f, key, field) for key in fusion.pairing_keys(s))
         if not f_a_val or not f_b_val:
             raise SolverError(f"vanishing pairing-contraction entry at {s}")
         add("pairing", s, [(f_a_val, (vvar[fusion.primed(s)],)), (-f_b_val, (vvar[s],))])
         # left-inverse normalization: v[s] * u[s23_space(s)] = F_x / (F1 * F2)
-        x, y, z = s
-        f1 = _f_scalar(f, (x, e, x, y, d[y], z), field)
-        f2 = _f_scalar(f, (z, d[y], x, d[z], x, e), field)
-        fx = _f_scalar(f, (x, e, x, d[x], x, e), field)
+        f1, f2 = (_f_scalar(f, key, field) for key in fusion.normalization_keys(s))
+        fx = _f_scalar(f, fusion.weight_key(s[0]), field)
         if not f1 or not f2 or not fx:
             raise SolverError(f"vanishing normalization entry at {s}")
         add("normalization", s, [(f1 * f2, (vvar[s], uvar[s23_space(s)])), (-fx, ())])

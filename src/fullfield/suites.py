@@ -2,13 +2,12 @@
 
 Each suite wraps one family of identity checks; ``run_suites`` resolves the
 declared prerequisites, executes in dependency order, and assembles
-deterministic reports (the JSON rendering is byte-stable for a fixed bundle,
-seed and flag set).
+deterministic reports (their JSON rendering, ``bundles.canonical_bytes``,
+is byte-stable for a fixed bundle, seed and flag set).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from fullfield import ffa as ffa_mod
@@ -196,7 +195,3 @@ def reports_to_text(reports: list[Report], verbose: bool = False) -> str:
     body = "\n".join(r.to_text(verbose=verbose) for r in reports)
     verdict = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
     return f"{body}\noverall: {verdict.upper()}"
-
-
-def report_bytes(obj: dict) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")

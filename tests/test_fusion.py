@@ -4,6 +4,7 @@ import pytest
 
 from fullfield.fusion import FusionData
 from fullfield.lattice import LatticeModel, lattice_fusion
+from fullfield.solver import admissible_tuples
 
 
 def z2_fusion() -> FusionData:
@@ -111,3 +112,64 @@ class TestNonzeroSpaces:
         order = {a: i for i, a in enumerate(("1", "eps", "sigma"))}
         keys = [tuple(order[x] for x in s[:3]) for s in spaces]
         assert keys == sorted(keys)
+
+
+def s3_table_ring(name: str) -> FusionData:
+    from tests.conftest import get_bundle
+    from tests.test_chiral import rep_a4_fusion
+    if name == "ising":
+        return ising_fusion()
+    if name == "fibonacci":
+        return get_bundle("fibonacci").fusion
+    if name == "z4":
+        return lattice_fusion(2)
+    return rep_a4_fusion()
+
+
+class TestS3Table:
+    """The S3 table every checker and solver reads: its space maps, canonical
+    spaces and F keys stay inside the fusion ring."""
+
+    @pytest.fixture(params=["ising", "fibonacci", "z4", "rep_a4"])
+    def fusion(self, request) -> FusionData:
+        return s3_table_ring(request.param)
+
+    def test_space_maps_are_involutions(self, fusion):
+        spaces = set(fusion.spaces())
+        for space_map in (fusion.sigma12_space, fusion.sigma23_space):
+            for space in spaces:
+                assert space_map(space) in spaces
+                assert space_map(space_map(space)) == space
+
+    def test_space_maps_generate_s3(self, fusion):
+        # the braid relation holds on labels: s12 s23 s12 = s23 s12 s23
+        s12, s23 = fusion.sigma12_space, fusion.sigma23_space
+        for space in fusion.spaces():
+            assert s12(s23(s12(space))) == s23(s12(s23(space)))
+
+    def test_canonical_spaces_in_order(self, fusion):
+        spaces = set(fusion.spaces())
+        e = fusion.unit
+        for a in fusion.labels:
+            got = fusion.canonical_spaces(a)
+            assert got == ((e, a, a), (a, e, a), (a, fusion.dual[a], e))
+            assert set(got) <= spaces
+
+    def test_f_keys_admissible(self, fusion):
+        admissible = set(admissible_tuples(fusion))
+        for space in fusion.spaces():
+            assert set(fusion.pairing_keys(space)) <= admissible
+            assert set(fusion.normalization_keys(space)) <= admissible
+        for a in fusion.labels:
+            assert fusion.weight_key(a) in admissible
+
+    def test_weight_key_slots_are_canonical(self, fusion):
+        # F_a reassociates the skew module map and the vacuum channel of a'
+        # into the module map and the vacuum channel of a
+        for a in fusion.labels:
+            b1, b5, b4, b2, b3, b6 = fusion.weight_key(a)
+            module, skew, vacuum = fusion.canonical_spaces(a)
+            assert (b1, b5, b4) == skew
+            assert (b2, b3, b5) == fusion.canonical_spaces(fusion.dual[a])[2]
+            assert (b6, b3, b4) == module
+            assert (b1, b2, b6) == vacuum

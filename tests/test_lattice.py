@@ -14,6 +14,7 @@ from fullfield.lattice import (
     LatticeSpec,
     OracleError,
     check_grading_axioms,
+    check_jacobi_residues,
     check_residue_lemma,
     check_virasoro,
     chiral_io_apply,
@@ -23,7 +24,7 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
-from fullfield.lattice.checks import SectorBasis, _commutator_holds, zpow
+from fullfield.lattice.checks import SectorBasis, _commutator_holds, seeded_states, zpow
 from fullfield.lattice.model import vec_add, vec_scale
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
@@ -247,6 +248,22 @@ class TestExactChecks:
         assert not fails(recs)
         names = {r.index[1] for r in recs}
         assert {"lowest", "orthogonal", "heisenberg-norm"} <= names
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_jacobi_inserts_states_above_the_cutoff(self, T):
+        # seeded states dress the minimal state with alpha(-1)/alpha(-2)
+        # modes, so their keys can weigh more than T and lie outside the
+        # sector basis; the inserted columns must still be computed
+        ffa = DiagonalFFA(LatticeSpec(1, T))
+        model = ffa.model
+        states = seeded_states(model, 3, 2, sector=1)
+        weights = [model.state_weight(key) for _, state in states
+                   for pair in state for key in pair]
+        assert max(weights) > T
+        recs = check_jacobi_residues(ffa, seed=3)
+        assert [r.index for r in recs] == [(c, f) for c in range(3)
+                                           for f in ("1", "z", "1/z", "1/(z-r)")]
+        assert all(math.isfinite(r.residual) for r in recs)
 
     def test_residue_orthogonal_pair_is_zero(self):
         # distinct partitions pair to zero, so the extраction vanishes too
