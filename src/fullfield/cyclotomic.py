@@ -281,6 +281,12 @@ class CycField:
                     continue
                 cand = CycScalar(self, coeffs)
                 if cand * cand == a:
+                    # v[1] took its sign from a 60-digit value whose imaginary
+                    # part may be only rounding: fix it on the exact root
+                    val = self._embed_conj(cand, 1)
+                    real = cand.conjugate() == cand
+                    if (mpmath.re(val) if real else mpmath.im(val)) < 0:
+                        return -cand
                     return cand
         return None
 

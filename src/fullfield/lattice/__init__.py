@@ -4,8 +4,9 @@ The model works over the lattice Z*alpha with <alpha, alpha> = 2k.  Sector
 labels are Z/2k; lattice points are stored as integers q meaning q*alpha/(2k).
 The exact engine (:mod:`fullfield.lattice.model`) produces graded components
 of intertwining operators with Fraction coefficients; the oracle
-(:mod:`fullfield.lattice.oracle`) derives fusing-tensor entries, normalizes
-the canonical bases, and emits a self-consistent data bundle; the checks
+(:mod:`fullfield.lattice.oracle`) derives fusing-tensor entries and normalizes
+the canonical bases exactly over Q, and emits a self-consistent data bundle
+(the cyclotomic field enters only there, in ``emit_bundle``); the checks
 (:mod:`fullfield.lattice.checks`) drive the diagonal algebra built on top of
 it, exactly where decidable and numerically at sample points otherwise.
 """
@@ -20,7 +21,6 @@ from fullfield.lattice.oracle import (
     raw_f_ratio,
 )
 from fullfield.lattice.checks import (
-    BivariateSeries,
     DiagonalFFA,
     check_associativity,
     check_grading_axioms,
@@ -31,7 +31,6 @@ from fullfield.lattice.checks import (
 )
 
 __all__ = [
-    "BivariateSeries",
     "CanonicalGauge",
     "DiagonalFFA",
     "FockVector",

@@ -322,17 +322,17 @@ def vec_scale(a: FockVector, s) -> FockVector:
     return {k: s * v for k, v in a.items() if s * v}
 
 
-def chiral_io_apply(spec: LatticeSpec, lam: int, v: FockVector,
-                    target_sector: int, model: LatticeModel | None = None):
-    """Graded components of the charged insertion at lattice point ``lam``.
+def chiral_io_apply(model: LatticeModel, lam: int, v: FockVector, target_sector: int,
+                    T: int):
+    """Graded components, up to weight ``T``, of the charged insertion at
+    lattice point ``lam``.
 
     ``lam`` is an integer point (units of alpha/2k).  A target sector not
     matching the group law is the zero operator: the empty component map.
     """
-    model = model or LatticeModel(spec.k)
     sectors = {model.sector(key[1]) for key in v}
     if len(sectors) != 1:
         raise ValueError("the argument must be sector homogeneous")
     if (model.sector(lam) + sectors.pop() - target_sector) % model.two_k:
         return {}
-    return model.components(model.charged(lam), v, spec.truncation)
+    return model.components(model.charged(lam), v, T)

@@ -13,7 +13,10 @@ Derives, exactly:
   derived fusing tensor.
 
 All comparisons are series-level with exact coefficients; a ratio is accepted
-only when it is stable across at least ``MIN_MATCHES`` independent entries.
+only when it is stable across at least ``MIN_MATCHES`` independent entries
+(``_stable_ratio``).  Everything here is exact over Q: the gauge and the
+fusing-tensor entries are Fractions, and the cyclotomic field enters only in
+``emit_bundle``, which assembles the bundle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import ceil
 
 from fullfield.bundles import Bundle
-from fullfield.cyclotomic import CycField, CycScalar
+from fullfield.cyclotomic import CycField
 from fullfield.fusion import FusionData
 from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, _acc
 
@@ -40,21 +43,14 @@ def _frac_binom(gamma: Fraction, t: int) -> Fraction:
     return out
 
 
-def _series_ratio(field: CycField, num: dict, den: dict) -> CycScalar:
-    if set(num) != set(den):
-        only_n = set(num) - set(den)
-        only_d = set(den) - set(num)
-        raise OracleError(f"series supports differ: extra {only_n or only_d}")
-    if len(den) < MIN_MATCHES:
-        raise OracleError(f"only {len(den)} matrix elements, need {MIN_MATCHES}")
-    ratio = None
-    for key, dval in den.items():
-        r = num[key] / dval
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            raise OracleError(f"unstable ratio at {key}: {r} vs {ratio}")
-    return ratio
+def _stable_ratio(ratios: list[Fraction], what: str) -> Fraction:
+    """The common value of at least ``MIN_MATCHES`` ratios measuring ``what``."""
+    if len(ratios) < MIN_MATCHES:
+        raise OracleError(f"{what}: only {len(ratios)} matches, need {MIN_MATCHES}")
+    for r in ratios:
+        if r != ratios[0]:
+            raise OracleError(f"{what}: unstable ratio {r} vs {ratios[0]}")
+    return ratios[0]
 
 
 class CanonicalGauge:
@@ -69,34 +65,33 @@ class CanonicalGauge:
 
     T = 6  # weight cutoff of the normalizing series
 
-    def __init__(self, model: LatticeModel, field: CycField):
+    def __init__(self, model: LatticeModel):
         self.model = model
-        self.field = field
-        self.g: dict[tuple[int, int], CycScalar] = {}
+        self.g: dict[tuple[int, int], Fraction] = {}
         two_k = model.two_k
         for i in range(two_k):
-            self.g[(0, i)] = field.one()
+            self.g[(0, i)] = Fraction(1)
         for i in range(1, two_k):
             self.g[(i, 0)] = self._skew_of_module_map(i)
         for i in range(1, two_k):
             jp = (-i) % two_k
-            self.g[(i, jp)] = self.residue_normalizer(jp).inverse()
+            self.g[(i, jp)] = 1 / self.residue_normalizer(jp)
         for i in range(two_k):
             for j in range(two_k):
-                self.g.setdefault((i, j), field.one())
-        if self.g[(0, 0)] != field.one():
+                self.g.setdefault((i, j), Fraction(1))
+        if self.g[(0, 0)] != 1:
             raise OracleError("vacuum gauge is not 1")
 
-    def gauge(self, i: int, j: int) -> CycScalar:
+    def gauge(self, i: int, j: int) -> Fraction:
         return self.g[(i % self.model.two_k, j % self.model.two_k)]
 
-    def _skew_of_module_map(self, i: int) -> CycScalar:
+    def _skew_of_module_map(self, i: int) -> Fraction:
         """Scalar with e^{xL(-1)} Y_W(., e^{pi i} x)|swapped = scalar * raw_(i,0).
 
         The (i, 0) space has integer operator exponents, so the half
         monodromy is the plain sign (-1)^exponent.
         """
-        m, field, T = self.model, self.field, self.T
+        m, T = self.model, self.T
         num: dict = {}
         den: dict = {}
         pairs = [(m.lowest(i), m.vacuum()),
@@ -114,26 +109,30 @@ class CanonicalGauge:
                 ell = 0
                 while term:
                     for key, c in term.items():
-                        _acc(num, (tag, gamma + ell, key), (c * sign / fact) * field.one())
+                        _acc(num, (tag, gamma + ell, key), c * sign / fact)
                     ell += 1
                     fact *= ell
                     term = m.virasoro(-1, term, T)
             comps2 = m.components(w1, w2, T)
             for mm, vec in comps2.items():
                 for key, c in vec.items():
-                    _acc(den, (tag, mm - wt1 - wt2, key), c * field.one())
+                    _acc(den, (tag, mm - wt1 - wt2, key), c)
         cap = Fraction(T) - m.sector_weight(i) - 3
         num = {k: v for k, v in num.items() if k[1] <= cap}
         den = {k: v for k, v in den.items() if k[1] <= cap}
-        return _series_ratio(self.field, num, den)
+        what = f"skew image of the module map of sector {i}"
+        if set(num) != set(den):
+            extra = (set(num) - set(den)) or (set(den) - set(num))
+            raise OracleError(f"{what}: series supports differ, extra {extra}")
+        return _stable_ratio([num[key] / den[key] for key in den], what)
 
-    def residue_normalizer(self, a: int) -> CycScalar:
+    def residue_normalizer(self, a: int) -> Fraction:
         """Scalar lam with the raw (a', a) extraction equal to lam * <w', w>.
 
         The canonical vacuum-channel basis is raw/lam; stability is required
         across three independent state pairs.
         """
-        m, field, T = self.model, self.field, self.T + 2
+        m, T = self.model, self.T + 2
         q = m.min_rep(a)
         ratios = []
         for dress in ((), (1,), (2,), (1, 1)):
@@ -143,13 +142,10 @@ class CanonicalGauge:
             expect = m.pair(wp, w)
             if expect:
                 ratios.append(Fraction(residue_extraction(m, a, wp, w, T), expect))
-        if len(ratios) < MIN_MATCHES:
-            raise OracleError(f"residue normalization for sector {a} lacks data")
-        if any(r != ratios[0] for r in ratios):
-            raise OracleError(f"residue normalization unstable for sector {a}: {ratios}")
-        if ratios[0] == 0:
+        lam = _stable_ratio(ratios, f"residue normalization for sector {a}")
+        if lam == 0:
             raise OracleError(f"vanishing residue normalization for sector {a}")
-        return field.rational(ratios[0])
+        return lam
 
 
 def residue_extraction(model: LatticeModel, a: int, wp: FockVector, w: FockVector,
@@ -205,12 +201,7 @@ def raw_f_ratio(model: LatticeModel, b1: int, b2: int, b3: int, T: int) -> Fract
             if got is not None:
                 ratios.append(got)
                 break
-    if len(ratios) < MIN_MATCHES:
-        raise OracleError(
-            f"only {len(ratios)} usable four-point fits for sectors ({b1},{b2},{b3})")
-    if any(r != ratios[0] for r in ratios):
-        raise OracleError(f"fusing ratio unstable across representatives: {ratios}")
-    return ratios[0]
+    return _stable_ratio(ratios, f"fusing ratio for sectors ({b1},{b2},{b3})")
 
 
 def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction | None:
@@ -293,25 +284,17 @@ def _fit_pattern(grid: dict, base: tuple[Fraction, Fraction], gamma: Fraction,
 # -- public oracle API --------------------------------------------------------
 
 
-def field_for(k: int) -> CycField:
-    return CycField(8 * k)
-
-
 def sector_labels(k: int) -> list[str]:
     return [str(j) for j in range(2 * k)]
 
 
-def derive_f_entry(spec: LatticeSpec, labels: tuple[int, ...], T: int | None = None,
-                   gauge: CanonicalGauge | None = None) -> CycScalar:
+def derive_f_entry(gauge: CanonicalGauge, labels: tuple[int, ...], T: int) -> Fraction:
     """Exact fusing-tensor entry for the canonical-gauged Z/2k bundle basis.
 
     ``labels`` is the six-tuple (b1, b5, b4, b2, b3, b6) of sectors; it must
     be channel-consistent for the group law, i.e. b5 = b2+b3, b4 = b1+b5,
-    b6 = b1+b2.
+    b6 = b1+b2.  ``T`` is the weight cutoff of the four-point fits.
     """
-    T = T if T is not None else max(spec.truncation, 8)
-    if gauge is None:
-        gauge = CanonicalGauge(LatticeModel(spec.k), field_for(spec.k))
     model = gauge.model
     two_k = model.two_k
     b1, b5, b4, b2, b3, b6 = (x % two_k for x in labels)
@@ -350,10 +333,10 @@ def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
     from fullfield.solver import solve_sigma
 
     model = LatticeModel(spec.k)
-    field = field_for(spec.k)
+    field = CycField(8 * spec.k)
     two_k = model.two_k
     T = max(min(spec.truncation, 10), 8)
-    gauge = CanonicalGauge(model, field)
+    gauge = CanonicalGauge(model)
     labels = sector_labels(spec.k)
     fusion = lattice_fusion(spec.k)
 
@@ -366,9 +349,8 @@ def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
             for b3 in range(two_k):
                 key_int = (b1, (b2 + b3) % two_k, (b1 + b2 + b3) % two_k,
                            b2, b3, (b1 + b2) % two_k)
-                val = derive_f_entry(spec, key_int, T=T, gauge=gauge)
                 key6 = tuple(lab(x) for x in key_int)
-                f[(key6, (0, 0, 0, 0))] = val
+                f[(key6, (0, 0, 0, 0))] = field.rational(derive_f_entry(gauge, key_int, T))
 
     canonical = {s: 0 for a in fusion.labels for s in fusion.canonical_spaces(a)}
 

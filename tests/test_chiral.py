@@ -114,9 +114,9 @@ class TestCanonicalWeight:
 
     def test_z2_matches_oracle_fixture(self, z2):
         # the lattice four-point oracle produced this very entry
-        from fullfield.lattice import LatticeSpec, derive_f_entry
-        val = derive_f_entry(LatticeSpec(1, 8), (1, 0, 1, 1, 1, 0))
-        assert z2.f_a("1") == val
+        from fullfield.lattice import CanonicalGauge, LatticeModel, derive_f_entry
+        val = derive_f_entry(CanonicalGauge(LatticeModel(1)), (1, 0, 1, 1, 1, 0), 8)
+        assert z2.f_a("1") == z2.field.rational(val)
 
     def test_ising_self_dual_equality(self, ising):
         assert ising.f_a("sigma") == ising.f_a("sigma")

@@ -191,6 +191,29 @@ class TestSqrt:
             arg = cmath.phase(complex(root.embed()))
             assert -1e-12 <= arg < math.pi
 
+    @pytest.mark.parametrize("order", [20, 24])
+    def test_search_gives_positive_root_of_real_square(self, order):
+        # a real r = b + conj(b) has a 60-digit embedding whose imaginary
+        # part is only rounding; the search must still return the positive
+        # root of r^2, not the one at arg pi
+        field = CycField(order)
+        rng = random.Random(order)
+        cases = [field.scalar({0: 3, 1: -3, 3: -3, 5: 3})] if order == 24 else []
+        for _ in range(40):
+            b = field.scalar({rng.randrange(order): Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
+                              for _ in range(rng.randint(1, 3))})
+            cases.append(b + b.conjugate())
+        checked = 0
+        for r in cases:
+            if r.as_rational() is not None:
+                continue  # the rational path answers these before the search
+            checked += 1
+            root = field._sqrt_search(r * r)
+            assert root in (r, -r), r
+            assert complex(root.embed()).real > 0, r
+            assert field.sqrt(r * r) == root
+        assert checked >= 30
+
     @settings(max_examples=20, deadline=None)
     @given(scalars(F8))
     def test_sqrt_roundtrip(self, a):

@@ -6,7 +6,6 @@ import pytest
 
 from fullfield.bundles import bundle_to_obj, canonical_bytes
 from fullfield.chiral import ChiralData, fails
-from fullfield.cyclotomic import CycField
 from fullfield.lattice import (
     CanonicalGauge,
     DiagonalFFA,
@@ -24,7 +23,8 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
-from fullfield.lattice.checks import SectorBasis, _commutator_holds, seeded_states, zpow
+from fullfield.lattice.checks import (SectorBasis, _commutator_holds,
+                                      _paired_exponents_integral, seeded_states, zpow)
 from fullfield.lattice.model import vec_add, vec_scale
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
@@ -177,25 +177,35 @@ class TestComponents:
 
 class TestOracle:
     def test_vacuum_labels_give_one(self):
-        spec = LatticeSpec(1, 8)
-        assert derive_f_entry(spec, (0, 0, 0, 0, 0, 0)) == CycField(8).one()
+        assert derive_f_entry(CanonicalGauge(M1), (0, 0, 0, 0, 0, 0), 8) == 1
 
     def test_channel_consistency_required(self):
-        spec = LatticeSpec(1, 8)
         with pytest.raises(ValueError, match="channel-consistent"):
-            derive_f_entry(spec, (1, 1, 1, 1, 1, 1))
+            derive_f_entry(CanonicalGauge(M1), (1, 1, 1, 1, 1, 1), 8)
 
     def test_f_dual_equality(self):
-        spec = LatticeSpec(2, 8)
-        gauge = CanonicalGauge(LatticeModel(2), CycField(16))
+        gauge = CanonicalGauge(LatticeModel(2))
         for a in range(4):
             ap = (-a) % 4
-            fa = derive_f_entry(spec, (a, 0, a, ap, a, 0), gauge=gauge)
-            fap = derive_f_entry(spec, (ap, 0, ap, a, ap, 0), gauge=gauge)
+            fa = derive_f_entry(gauge, (a, 0, a, ap, a, 0), 8)
+            fap = derive_f_entry(gauge, (ap, 0, ap, a, ap, 0), 8)
             assert fa == fap
 
+    @pytest.mark.parametrize("k, minus", [
+        (1, {(1, 1)}),
+        (2, {(3, 1)}),
+        (3, {(1, 5), (2, 4), (3, 3), (5, 1)}),
+        (4, {(5, 3), (7, 1)}),
+    ])
+    def test_gauge_sign_table(self, k, minus):
+        # the canonical gauge is a rational sign table: -1 on ``minus``
+        g = CanonicalGauge(LatticeModel(k)).g
+        assert all(type(v) is Fraction for v in g.values())
+        assert g == {(i, j): Fraction(-1 if (i, j) in minus else 1)
+                     for i in range(2 * k) for j in range(2 * k)}
+
     def test_unstable_truncation_raises(self):
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match=r"fusing ratio for sectors \(1,1,1\)"):
             raw_f_ratio(LatticeModel(2), 1, 1, 1, T=2)
 
     @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
@@ -319,34 +329,41 @@ def test_dense_matches_entrywise_reference(k, name):
                         assert np.array_equal(got, want), (z, conj, key, sector, key_first)
 
 
-class TestSingleValuedSeries:
-    def test_paired_exponents_integral(self):
-        from fullfield.lattice.checks import BivariateSeries
-        model = LatticeModel(1)
-        comps = model.components(model.charged(1), model.charged(1), 6)
-        wtot = 2 * model.state_weight(((), 1))
-        series = BivariateSeries()
-        for mm in comps:
-            series.add(mm - wtot, mm - wtot, 1.0)
-        with pytest.raises(ValueError):
-            series.add(Fraction(1, 2), Fraction(0), 1.0)
+@pytest.mark.parametrize("k", [1, 2])
+def test_single_valuedness_pairs_the_primed_partner(k):
+    # r - s is integral against the primed sectors; a right factor one
+    # sector off leaves it fractional wherever the left sector is charged
+    model = LatticeModel(k)
+    two_k = 2 * k
+    for j in range(two_k):
+        jr = (-j) % two_k
+        assert _paired_exponents_integral(model, (j, jr), (jr, j), 6)
+        shifted = _paired_exponents_integral(model, (j, jr), ((jr + 1) % two_k, j), 6)
+        assert shifted == (j == 0)
 
 
 class TestChiralIOApply:
     def test_module_map_on_vacuum_point(self):
-        spec = LatticeSpec(1, 6)
-        comps = chiral_io_apply(spec, 0, M1.alpha(-1, M1.charged(1)), 1, model=M1)
+        comps = chiral_io_apply(M1, 0, M1.alpha(-1, M1.charged(1)), 1, 6)
         v = M1.alpha(-1, M1.charged(1))
         assert comps == {M1.vec_weight(v): v}
 
     def test_sector_mismatch_zero(self):
-        spec = LatticeSpec(1, 6)
-        assert chiral_io_apply(spec, 1, M1.charged(1), 1, model=M1) == {}
+        assert chiral_io_apply(M1, 1, M1.charged(1), 1, 6) == {}
 
     def test_charged_application(self):
-        spec = LatticeSpec(1, 4)
-        comps = chiral_io_apply(spec, 1, M1.charged(-1), 0, model=M1)
+        comps = chiral_io_apply(M1, 1, M1.charged(-1), 0, 4)
         assert comps[Fraction(0)] == {((), 0): Fraction(1)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sector_basis_is_prefix_of_larger_cutoff(k):
+    # _restrict_grid slices a matrix on the T + 2 bases down to the T bases
+    model = LatticeModel(k)
+    for j in range(2 * k):
+        for T in range(1, 10):
+            small = SectorBasis(model, j, T).keys
+            assert SectorBasis(model, j, T + 2).keys[:len(small)] == small, (j, T)
 
 
 class TestCommutativityShadow:
@@ -382,7 +399,7 @@ class TestCommutativityShadow:
             vals[T] = (dp, direct, routed)
         (dp, d8, r8), (_, d10, r10) = vals[8], vals[10]
         scale = max(np.abs(d8).max(), np.abs(r8).max())
-        stable = (np.abs(d8 - _restrict_grid(ffa, d10, dp, 8, 10)) <= 1e-12 * scale) \
-            & (np.abs(r8 - _restrict_grid(ffa, r10, dp, 8, 10)) <= 1e-12 * scale)
+        stable = (np.abs(d8 - _restrict_grid(ffa, d10, dp, 8)) <= 1e-12 * scale) \
+            & (np.abs(r8 - _restrict_grid(ffa, r10, dp, 8)) <= 1e-12 * scale)
         assert stable.sum() > 0
         assert float((np.abs(d8 - r8) * stable).max() / scale) <= 2 * tol
