@@ -29,10 +29,9 @@ from fullfield.fusion import FusionData  # noqa: E402
 from fullfield.lattice import LatticeSpec, emit_bundle  # noqa: E402
 from fullfield.solver import (  # noqa: E402
     SolverError,
-    admissible_tuples,
-    pinned_value,
     solve_pentagon,
     solve_sigma,
+    with_pins,
 )
 from fullfield.suites import run_suites  # noqa: E402
 from fullfield.fixtures import MUTATION_TARGETS  # noqa: E402
@@ -65,15 +64,9 @@ def solver_bundle(fusion: FusionData, solve_order: int, field_order: int,
     last_err = None
     for si, sol in enumerate(solutions):
         scale = field_order // solve_order
-        f = {}
-        for key, val in sol.items():
-            f[(key, (0, 0, 0, 0))] = field.scalar(
-                {e * scale: c for e, c in val.coeffs.items()})
-        for key in admissible_tuples(fusion):
-            if (key, (0, 0, 0, 0)) not in f:
-                pin = pinned_value(fusion, key, field)
-                if pin:
-                    f[(key, (0, 0, 0, 0))] = pin
+        lifted = {key: field.scalar({e * scale: c for e, c in val.coeffs.items()})
+                  for key, val in sol.items()}
+        f = {(key, (0, 0, 0, 0)): val for key, val in with_pins(fusion, field, lifted).items()}
         try:
             sigma12, sigma23 = solve_sigma(field, fusion, f)
         except SolverError as exc:

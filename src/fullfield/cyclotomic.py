@@ -316,7 +316,8 @@ def _principal_sqrt(w: mpmath.mpc) -> mpmath.mpc:
 
 
 def _to_fraction(x: mpmath.mpf, max_den: int = 10**8) -> Fraction | None:
-    frac = Fraction(float(x)).limit_denominator(max_den)
+    man, exp = x.man_exp  # |x| = man * 2**exp
+    frac = (Fraction(-man if x < 0 else man) * Fraction(2) ** exp).limit_denominator(max_den)
     with mpmath.workdps(50):
         if abs(x - mpmath.mpf(frac.numerator) / frac.denominator) < mpmath.mpf("1e-30"):
             return frac

@@ -20,7 +20,8 @@ from fullfield.bundles import Bundle
 from fullfield.chiral import CheckRecord, ChiralData
 from fullfield.lattice.model import (FockVector, LatticeModel, LatticeSpec, StateKey, _partitions,
                                      vec_add, vec_scale)
-from fullfield.lattice.oracle import CanonicalGauge, emit_bundle, residue_extraction
+from fullfield.lattice.oracle import (CanonicalGauge, emit_bundle, lattice_fusion,
+                                      residue_extraction)
 
 
 def paper_log(z: complex) -> complex:
@@ -68,14 +69,6 @@ class SectorBasis:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def vector(self, vec: FockVector) -> np.ndarray:
-        out = np.zeros(len(self.keys), dtype=complex)
-        for key, c in vec.items():
-            idx = self.index.get(key)
-            if idx is not None:
-                out[idx] = complex(c)
-        return out
-
     def virasoro_matrix(self, n: int) -> np.ndarray:
         """Dense L(n) on this basis, truncated at the basis cutoff."""
         mat = np.zeros((len(self), len(self)), dtype=complex)
@@ -102,13 +95,19 @@ def tensor_matrix(bl: SectorBasis, br: SectorBasis, state) -> np.ndarray:
 class DiagonalFFA:
     """Numeric evaluator of the diagonal two-variable vertex map.
 
-    ``spec.truncation`` is the weight cutoff the checks evaluate at.
+    ``spec.truncation`` is the weight cutoff the checks evaluate at.  A
+    given ``bundle`` must carry the Z/2k fusion ring of ``spec.k``.
     """
 
     def __init__(self, spec: LatticeSpec, bundle: Bundle | None = None):
         self.spec = spec
         self.model = LatticeModel(spec.k)
         self.bundle = bundle if bundle is not None else emit_bundle(spec)
+        want = lattice_fusion(spec.k)
+        for name in ("labels", "unit", "dual", "weights", "rules"):
+            if getattr(self.bundle.fusion, name) != getattr(want, name):
+                raise ValueError(f"bundle fusion {name!r} does not match the Z/{2 * spec.k} "
+                                 f"lattice ring at k = {spec.k}")
         self.chiral = ChiralData(self.bundle)
         self.gauge = CanonicalGauge(self.model)
         two_k = self.model.two_k
@@ -453,19 +452,9 @@ def check_grading_axioms(ffa: DiagonalFFA) -> list[CheckRecord]:
                                model.lowest(1 % two_k), T)
         out.append(CheckRecord("d-bracket", (j,), "pass" if ok else "fail"))
 
-    # monodromy: replacing log z by log z + 2 pi i fixes every retained term
+    # monodromy: exp(2 pi i (L(0) - Lbar(0))) is trivial on each sector pair
     for j in range(two_k):
-        u = model.lowest(j)
-        v = model.lowest((two_k - j) % two_k)
-        comps = model.components(u, v, T)
-        wtu, wtv = model.vec_weight(u), model.vec_weight(v)
-        ok = True
-        for mm in comps:
-            r = mm - wtu - wtv
-            s = r
-            phase = cmath.exp(2j * math.pi * float(r - s))
-            if abs(phase - 1) > 1e-12:
-                ok = False
+        ok = _weights_differ_by_integers(ffa, j, (two_k - j) % two_k, T)
         out.append(CheckRecord("monodromy-trivial", (j,), "pass" if ok else "fail"))
 
     # vacuum annihilation: D 1 = 0 and both gradings vanish on the vacuum
@@ -474,6 +463,14 @@ def check_grading_axioms(ffa: DiagonalFFA) -> list[CheckRecord]:
           and model.virasoro(1, vac, None) == {})
     out.append(CheckRecord("vacuum-weights", (), "pass" if ok else "fail"))
     return out
+
+
+def _weights_differ_by_integers(ffa: DiagonalFFA, j: int, partner: int, T: int) -> bool:
+    """Whether wt(a) - wt(b) is an integer for every key a of ``ffa.basis(j, T)``
+    and b of ``ffa.basis(partner, T)``."""
+    left, right = ({ffa.model.state_weight(key) for key in ffa.basis(s, T).keys}
+                   for s in (j, partner))
+    return all((a - b).denominator == 1 for a in left for b in right)
 
 
 def _paired_exponents_integral(model: LatticeModel, pair, partner, T: int) -> bool:
@@ -661,23 +658,6 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
     return out
 
 
-def _laurent_columns(ffa: DiagonalFFA, u_key: StateKey, in_key: StateKey, T: int):
-    """{integer exponent: dense output column} of Y(u_key, z) in_key."""
-    m = ffa.model
-    out_sector = m.sector(u_key[1]) + m.sector(in_key[1])
-    bout = ffa.basis(out_sector, T)
-    comps = m.components({u_key: Fraction(1)}, {in_key: Fraction(1)}, T)
-    wtu = m.state_weight(u_key)
-    wtv = m.state_weight(in_key)
-    cols: dict = {}
-    for mm, vec in comps.items():
-        gamma = mm - wtu - wtv
-        assert gamma.denominator == 1, "vacuum-sector insertions have integer powers"
-        col = bout.vector(vec)
-        cols[int(gamma)] = cols.get(int(gamma), np.zeros(len(bout), dtype=complex)) + col
-    return cols
-
-
 def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
                    wpair, wstate, r: float, T: int):
     """Laurent coefficients of the three orderings, as {exponent: value}."""
@@ -691,19 +671,23 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
 
     # outer: <w', YL(z) YR(z) X>; rows of the insertion matrices at (il, ir)
     g_out: dict = {}
-    rows_l = _laurent_rows(ffa, ul_key, xpair[0], il, T)
-    rows_r = _laurent_rows(ffa, ur_key, xpair[1], ir, T)
+    rows_l = _laurent_slice(ffa, ul_key, xpair[0], T, row=il)
+    rows_r = _laurent_slice(ffa, ur_key, xpair[1], T, row=ir)
     for e1, row1 in rows_l.items():
         tmp = row1 @ xmat
         for e2, row2 in rows_r.items():
             g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + complex(tmp @ row2)
 
-    def inserted(state, evaluate):
-        """Series of <w', evaluate(YL(z) YR(z) x)> summed over x in ``state``."""
+    def inserted(pair, state, evaluate):
+        """Series of <w', evaluate(YL(z) YR(z) x)> summed over x in ``state``;
+        like X, it keeps only the keys on the sector bases at T."""
+        bl, br = ffa.basis(pair[0], T), ffa.basis(pair[1], T)
         g: dict = {}
         for (lk, rk), c in state.items():
-            cols_l = _laurent_columns(ffa, ul_key, lk, T)
-            cols_r = _laurent_columns(ffa, ur_key, rk, T)
+            if lk not in bl.index or rk not in br.index:
+                continue
+            cols_l = _laurent_slice(ffa, ul_key, pair[0], T, col=bl.index[lk])
+            cols_r = _laurent_slice(ffa, ur_key, pair[1], T, col=br.index[rk])
             for e1, c1 in cols_l.items():
                 for e2, c2 in cols_r.items():
                     ymat = evaluate(np.outer(c1, c2))
@@ -711,28 +695,31 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
         return g
 
     # inner: <w', Y(u; r, r) [YL(z) YR(z) w]>
-    g_in = inserted(wstate, lambda mat: ffa.apply(upair, ustate, wpair, mat, complex(r), T)[1])
+    g_in = inserted(wpair, wstate,
+                    lambda mat: ffa.apply(upair, ustate, wpair, mat, complex(r), T)[1])
     # middle: <w', Y(YL(x) YR(x) u; r, r) w>, x = z - r
-    g_mid = inserted(ustate,
+    g_mid = inserted(upair, ustate,
                      lambda mat: ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)[1])
     return g_out, g_in, g_mid
 
 
-def _laurent_rows(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, out_idx: int, T: int):
-    """{integer exponent: dense row over the in-sector basis} at one output."""
-    (gammas, gidx, oi, ii, coef), (_n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T,
-                                                                     key_first=True)
-    at = oi == out_idx
-    rows: dict = {}
-    for g, i, c in zip(gidx[at], ii[at], coef[at]):
+def _laurent_slice(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, T: int,
+                   row: int | None = None, col: int | None = None):
+    """{integer exponent: dense vector} of Y(u_key, z) on the in-sector
+    basis: the row at output index ``row`` (over the inputs), or else the
+    column at input index ``col`` (over the outputs)."""
+    (gammas, gidx, oi, ii, coef), (n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T,
+                                                                   key_first=True)
+    at, pos, n = (oi == row, ii, n_in) if col is None else (ii == col, oi, n_out)
+    out: dict = {}
+    for g, i, c in zip(gidx[at], pos[at], coef[at]):
         gamma = gammas[g]
-        assert gamma.denominator == 1
-        row = rows.get(int(gamma))
-        if row is None:
-            row = np.zeros(n_in, dtype=complex)
-            rows[int(gamma)] = row
-        row[i] += c
-    return rows
+        assert gamma.denominator == 1, "vacuum-sector insertions have integer powers"
+        vec = out.get(int(gamma))
+        if vec is None:
+            vec = out[int(gamma)] = np.zeros(n, dtype=complex)
+        vec[i] += c
+    return out
 
 
 def _eval_laurent(coeffs: dict, w: complex) -> complex:

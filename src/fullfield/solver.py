@@ -162,13 +162,15 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
     equation.  Also returns the index of the first equation, in search
     order, that reduced to a nonzero constant (None if none did).  ``cache``
     holds each equation's ``_normalize_terms`` result in the current frame.
+    Every branch resolves one more unknown, so the recursion is at most as
+    deep as ``unknowns`` is long.
     """
     solutions: list[dict] = []
     conflict = None
 
-    def dfs(state: dict, cache: list, depth: int) -> None:
+    def dfs(state: dict, cache: list) -> None:
         nonlocal conflict
-        if len(solutions) >= limit or depth > 80:
+        if len(solutions) >= limit:
             return
         progress = True
         while progress:
@@ -205,7 +207,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                         progress = True
                         continue
                     for root in roots:
-                        dfs({**state, var: root}, list(cache), depth + 1)
+                        dfs({**state, var: root}, list(cache))
                     return
                 if len(terms) == 2:
                     # substitution x := expr when one side is a bare variable
@@ -218,14 +220,14 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
         free = [k for k in unknowns if k not in state]
         if free:
             for cand in guesses:
-                dfs({**state, free[0]: cand}, list(cache), depth + 1)
+                dfs({**state, free[0]: cand}, list(cache))
             return
         # the last sweep changed nothing, so the cache holds every equation
         # normalized through the final state
         if not any(terms for terms, _ in cache):
             solutions.append({k: _expand_mono(field.one(), (k,), state)[0] for k in unknowns})
 
-    dfs(dict(state), [None] * len(equations), 0)
+    dfs(dict(state), [None] * len(equations))
     return solutions, conflict
 
 
@@ -343,6 +345,14 @@ def pinned_value(fusion: FusionData, key6, field: CycField) -> CycScalar | None:
     if b3 == e:
         return one if b6 == b4 else zero
     return None
+
+
+def with_pins(fusion: FusionData, field: CycField, assignment: dict) -> dict:
+    """``assignment`` {key6: value} followed by the nonzero pinned entries
+    it lacks, in ``admissible_tuples`` order."""
+    pins = {key: pin for key in admissible_tuples(fusion)
+            if key not in assignment and (pin := pinned_value(fusion, key, field))}
+    return {**assignment, **pins}
 
 
 def _noncanonical_spaces(fusion: FusionData) -> list[Space]:

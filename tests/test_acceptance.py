@@ -136,22 +136,13 @@ def _oracle_among_solutions(k: int, name: str) -> bool:
     """The shipped oracle F, pins filled in, is among the pentagon solutions."""
     from fullfield.cyclotomic import CycField
     from fullfield.lattice import lattice_fusion
-    from fullfield.solver import admissible_tuples, pinned_value, solve_pentagon
+    from fullfield.solver import solve_pentagon, with_pins
 
     fusion = lattice_fusion(k)
     field = CycField(8 * k)
     lattice_f = {key: val for (key, _), val in get_bundle(name).f.items()}
-    agree = False
-    for sol in solve_pentagon(fusion, 8 * k):
-        full = dict(sol)
-        for key in admissible_tuples(fusion):
-            if key not in full:
-                pin = pinned_value(fusion, key, field)
-                if pin:
-                    full[key] = pin
-        if full == lattice_f:
-            agree = True
-    return agree
+    return any(with_pins(fusion, field, sol) == lattice_f
+               for sol in solve_pentagon(fusion, 8 * k))
 
 
 def test_criterion_8_cross_validation():

@@ -214,6 +214,13 @@ class TestSqrt:
             assert field.sqrt(r * r) == root
         assert checked >= 30
 
+    def test_search_reads_denominators_up_to_the_bound(self):
+        # 99999988/99999989 has a denominator below 10**8, but its nearest
+        # double is closer to 99999989/99999990: the coefficient must be read
+        # from the 60-digit value, not from a float
+        b = Fraction(99999988, 99999989) + F8.zeta(1) / 3
+        assert F8.sqrt(b * b) == b
+
     @settings(max_examples=20, deadline=None)
     @given(scalars(F8))
     def test_sqrt_roundtrip(self, a):

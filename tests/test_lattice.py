@@ -263,7 +263,8 @@ class TestExactChecks:
     def test_jacobi_inserts_states_above_the_cutoff(self, T):
         # seeded states dress the minimal state with alpha(-1)/alpha(-2)
         # modes, so their keys can weigh more than T and lie outside the
-        # sector basis; the inserted columns must still be computed
+        # sector basis; the inner and middle orderings skip those keys, as
+        # X = Y(u; r, r) w does, and every record still gets a residual
         ffa = DiagonalFFA(LatticeSpec(1, T))
         model = ffa.model
         states = seeded_states(model, 3, 2, sector=1)
@@ -281,6 +282,24 @@ class TestExactChecks:
         wp = model.alpha(-1, model.charged(-1))
         w = model.alpha(-2, model.charged(1))
         assert model.pair(wp, w) == 0
+
+
+@pytest.mark.parametrize("k, name", [(1, "ising"), (2, "z2k1"), (1, "z4k2"), (2, "trivial")])
+def test_bundle_of_another_ring_is_rejected(k, name):
+    # ising's first two labels form a Z/2-shaped table; the others used to
+    # fail later with a bare IndexError
+    with pytest.raises(ValueError, match="'labels' does not match"):
+        DiagonalFFA(LatticeSpec(k, 3), bundle=get_bundle(name))
+
+
+def test_bundle_with_other_weights_is_rejected():
+    import dataclasses
+
+    bundle = get_bundle("z2k1")
+    weights = dict(bundle.fusion.weights, **{bundle.fusion.labels[1]: Fraction(3, 4)})
+    fusion = dataclasses.replace(bundle.fusion, weights=weights)
+    with pytest.raises(ValueError, match="'weights' does not match"):
+        DiagonalFFA(LatticeSpec(1, 3), bundle=dataclasses.replace(bundle, fusion=fusion))
 
 
 @pytest.mark.parametrize("entry", ["apply", "apply_first"])
@@ -340,6 +359,24 @@ def test_single_valuedness_pairs_the_primed_partner(k):
         assert _paired_exponents_integral(model, (j, jr), (jr, j), 6)
         shifted = _paired_exponents_integral(model, (j, jr), ((jr + 1) % two_k, j), 6)
         assert shifted == (j == 0)
+
+
+@pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+def test_monodromy_fails_on_a_shifted_partner(k, name, monkeypatch):
+    # pairing each sector with the primed sector's neighbour leaves
+    # fractional weight differences, so every monodromy record must fail
+    from fullfield.lattice import checks
+
+    ffa = DiagonalFFA(LatticeSpec(k, 4), bundle=get_bundle(name))
+
+    def monodromy(ffa):
+        return [r.status for r in check_grading_axioms(ffa) if r.identity == "monodromy-trivial"]
+
+    assert monodromy(ffa) == ["pass"] * (2 * k)
+    paired = checks._weights_differ_by_integers
+    monkeypatch.setattr(checks, "_weights_differ_by_integers",
+                        lambda ffa, j, partner, T: paired(ffa, j, (partner + 1) % (2 * k), T))
+    assert monodromy(ffa) == ["fail"] * (2 * k)
 
 
 class TestChiralIOApply:

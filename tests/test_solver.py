@@ -14,10 +14,9 @@ from fullfield.lattice import LatticeSpec, emit_bundle, lattice_fusion
 from fullfield.solver import (
     SolverError,
     _expand_mono,
-    admissible_tuples,
-    pinned_value,
     solve_pentagon,
     solve_sigma,
+    with_pins,
 )
 from tests.conftest import get_bundle
 from tests.test_fusion import ising_fusion
@@ -41,13 +40,7 @@ class TestPentagonSolver:
         lattice_f = {key: val for (key, _), val in emit_bundle(LatticeSpec(1, 8)).f.items()}
         matches = 0
         for sol in solutions:
-            full = dict(sol)
-            for key in admissible_tuples(fusion):
-                if key not in full:
-                    pin = pinned_value(fusion, key, CycField(8))
-                    if pin:
-                        full[key] = pin
-            if full == lattice_f:
+            if with_pins(fusion, CycField(8), sol) == lattice_f:
                 matches += 1
         assert matches == 1
 
@@ -98,13 +91,8 @@ SIGMA_KINDS = ("involution-12", "involution-23", "braid", "pairing", "normalizat
 class TestSigmaSolver:
     def _f_from_solution(self, fusion, order, sol):
         field = CycField(order)
-        f = {(key, (0, 0, 0, 0)): val for key, val in sol.items()}
-        for key in admissible_tuples(fusion):
-            if (key, (0, 0, 0, 0)) not in f:
-                pin = pinned_value(fusion, key, field)
-                if pin:
-                    f[(key, (0, 0, 0, 0))] = pin
-        return field, f
+        return field, {(key, (0, 0, 0, 0)): val
+                       for key, val in with_pins(fusion, field, sol).items()}
 
     def test_fibonacci_action_solves_and_is_involutive(self):
         fusion = fibonacci_fusion()
