@@ -1,10 +1,10 @@
 """Desk-scale axiom checks for the diagonal algebra on lattice modules.
 
-The exact engine produces graded components with Fraction coefficients; this
-module assembles them into numbers.  Conventions: log z = log|z| + i arg z
-with arg in [0, 2pi); right-moving powers use the conjugate branch
-exp(s * conj(log z)).  The two-variable vertex map pairs each left operator
-with the dual-normalized operator on the primed sector.
+The exact engine produces graded components as integers over a common
+denominator; this module assembles them into numbers.  Conventions:
+log z = log|z| + i arg z with arg in [0, 2pi); right-moving powers use the
+conjugate branch exp(s * conj(log z)).  The two-variable vertex map pairs
+each left operator with the dual-normalized operator on the primed sector.
 """
 
 from __future__ import annotations
@@ -140,33 +140,34 @@ class DiagonalFFA:
         distinct z-exponents (Fractions), then one array slot per entry for
         the index of its exponent in ``gammas``, its output index, its input
         index and its coefficient as a float.  Each (oi, ii) pair occurs at
-        most once, since an output key has a single weight.
+        most once, since an output key has a single weight.  Basis states have
+        coefficient 1, so the integer components n / D are read directly.
         """
         ck = (key, sector % self.model.two_k, T, key_first)
         hit = self._comp.get(ck)
         if hit is not None:
             return hit
         m = self.model
+        four_k = 4 * m.k
         bvar = self.basis(sector, T)
         bout = self.basis(sector + m.sector(key[1]), T)
-        wt_key = m.state_weight(key)
         exps, ois, iis, coefs = [], [], [], []
         for idx, var_key in enumerate(bvar.keys):
-            u, v = (key, var_key) if key_first else (var_key, key)
-            comps = m.components({u: Fraction(1)}, {v: Fraction(1)}, T)
-            wt_var = m.state_weight(var_key)
-            for mm, vec in comps.items():
-                gamma = mm - wt_key - wt_var
-                for out_key, c in vec.items():
+            (mu, qu), (nu, qv) = (key, var_key) if key_first else (var_key, key)
+            den = m._denominator(qu + qv, T)[1]
+            # exponent times 4k at offset 0: 2 qu qv - 4k (|mu| + |nu|)
+            g0 = 2 * qu * qv - four_k * (sum(mu) + sum(nu))
+            for off, vec in m._components_basis(mu, qu, nu, qv, T).items():
+                g = g0 + four_k * off
+                for out_key, n in vec.items():
                     oi = bout.index.get(out_key)
                     if oi is not None:
-                        exps.append(gamma)
+                        exps.append(g)
                         ois.append(oi)
                         iis.append(idx)
-                        coefs.append(float(c))
-        gammas = sorted(set(exps))
-        pos = {g: i for i, g in enumerate(gammas)}
-        compiled = (gammas, np.array([pos[g] for g in exps], dtype=np.intp),
+                        coefs.append(n / den)
+        nums, gidx = np.unique(np.array(exps, dtype=np.intp), return_inverse=True)
+        compiled = ([Fraction(int(g), four_k) for g in nums], gidx,
                     np.array(ois, dtype=np.intp), np.array(iis, dtype=np.intp),
                     np.array(coefs, dtype=float))
         self._comp[ck] = (compiled, (len(bout), len(bvar)))
@@ -320,6 +321,9 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
       the expansion parameter |z1 - z2| / |z2| of the iterate.
     """
     T = ffa.spec.truncation
+    if T < 3:
+        raise ValueError(f"associativity evaluates at truncation T - 2 and needs "
+                         f"truncation >= 3, got {T}")
     model = ffa.model
     out: list[CheckRecord] = []
     pts = sample_points(seed, samples)
@@ -638,14 +642,14 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
             "1/z": lambda z: 1.0 / z,
             "1/(z-r)": lambda z, r=r: 1.0 / (z - r),
         }
+        rho = min(r - r_in, r_out - r) * 0.5
+        grids = {n_nodes: (_circle_nodes(g_out_c, 0.0, r_out, n_nodes),
+                           _circle_nodes(g_in_c, 0.0, r_in, n_nodes),
+                           _circle_nodes(g_mid_c, r, rho, n_nodes))
+                 for n_nodes in (nodes, 2 * nodes)}
         for fname, f in fns.items():
-            vals = {}
-            for n_nodes in (nodes, 2 * nodes):
-                i_out = _circle_quad(g_out_c, f, 0.0, r_out, n_nodes)
-                i_in = _circle_quad(g_in_c, f, 0.0, r_in, n_nodes)
-                rho = min(r - r_in, r_out - r) * 0.5
-                i_mid = _circle_quad(g_mid_c, f, r, rho, n_nodes)
-                vals[n_nodes] = (i_out, i_in, i_mid)
+            vals = {n_nodes: tuple(_circle_quad(grid, f) for grid in contours)
+                    for n_nodes, contours in grids.items()}
             i_out, i_in, i_mid = vals[nodes]
             scale = max(abs(i_out), abs(i_in), abs(i_mid), 1e-12)
             defect = abs(i_out - i_in - i_mid) / scale
@@ -729,14 +733,20 @@ def _eval_laurent(coeffs: dict, w: complex) -> complex:
     return total
 
 
-def _circle_quad(coeffs: dict, f, center: float, radius: float, n: int) -> complex:
-    """(1/2 pi i) times the contour integral of f * G around the circle.
-
-    ``coeffs`` is a Laurent series in (z - center).
-    """
-    total = 0j
+def _circle_nodes(coeffs: dict, center: float, radius: float, n: int) -> list:
+    """(z, G(z), z - center) at the n trapezoid nodes of the circle, where
+    ``coeffs`` is the Laurent series G in (z - center)."""
+    out = []
     for t in range(n):
         theta = 2 * math.pi * t / n
         z = center + radius * cmath.exp(1j * theta)
-        total += f(z) * _eval_laurent(coeffs, z - center) * (z - center)
-    return total / n
+        out.append((z, _eval_laurent(coeffs, z - center), z - center))
+    return out
+
+
+def _circle_quad(grid: list, f) -> complex:
+    """(1/2 pi i) times the contour integral of f * G over ``_circle_nodes``."""
+    total = 0j
+    for z, g, w in grid:
+        total += f(z) * g * w
+    return total / len(grid)

@@ -3,15 +3,19 @@
 States are dictionaries keyed by ``(parts, q)`` where ``parts`` is a
 descending tuple of positive integers (Heisenberg creation modes alpha(-n))
 and ``q`` an integer lattice point meaning q*alpha/(2k).  The weight of a
-basis state is q^2/(4k) + sum(parts).  All state coefficients in this module
-are exact Fractions; phases enter only in the scalar-derivation layer.
+basis state is q^2/(4k) + sum(parts).  State coefficients are exact
+Fractions; phases enter only in the scalar-derivation layer.  The component
+engine keys levels by the integer offset from q^2/(4k), q = qu + qv, and
+holds integer numerators over D = (2k)^B B!, B = floor(T - q^2/(4k)): the
+exponential's coefficients qu^l / ((2k)^l z_lam) have l = l(lam) <= B and
+z_lam | |lam|! | B!, and the dressing recursion multiplies by integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 StateKey = tuple[tuple[int, ...], int]
 FockVector = dict  # StateKey -> coefficient
@@ -50,6 +54,7 @@ class LatticeModel:
         self.k = k
         self.two_k = 2 * k
         self._comp_cache: dict = {}
+        self._tables: dict = {}
 
     # -- sectors and weights -------------------------------------------------
 
@@ -193,15 +198,34 @@ class LatticeModel:
         for (mu, qu), cu in u.items():
             for (nu, qv), cv in v.items():
                 base = self._components_basis(mu, qu, nu, qv, T)
-                c = cu * cv
-                for m, vec in base.items():
-                    tgt = out.setdefault(m, {})
-                    for key, coeff in vec.items():
-                        _acc(tgt, key, c * coeff)
-        return {m: {k: c for k, c in vec.items() if c}
-                for m, vec in out.items() if any(vec.values())}
+                q = qu + qv
+                base_w = Fraction(q * q, 4 * self.k)
+                c = Fraction(cu * cv, self._denominator(q, T)[1])
+                for off, vec in base.items():
+                    tgt = out.setdefault(base_w + off, {})
+                    for key, n in vec.items():
+                        _acc(tgt, key, c * n)
+        return _clean(out)
 
-    def _components_basis(self, mu, qu, nu, qv, T) -> dict[Fraction, FockVector]:
+    def _denominator(self, q: int, T) -> tuple[int, int]:
+        """(B, D) of charge q at cutoff T: the largest weight offset
+        B = floor(T - q^2/(4k)) and the common denominator D = (2k)^B B!."""
+        top = (4 * self.k * T - q * q) // (4 * self.k)
+        return top, self.two_k ** max(top, 0) * factorial(max(top, 0))
+
+    def _partition_table(self, budget: int) -> list:
+        """(lam, |lam|, l(lam), z_lam) for each of ``_partitions(budget)``, where
+        z_lam = prod_p p^m_p m_p! over the multiplicities m_p of lam."""
+        if budget not in self._tables:
+            self._tables[budget] = [
+                (lam, sum(lam), len(lam),
+                 prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam)))
+                for lam in _partitions(budget)]
+        return self._tables[budget]
+
+    def _components_basis(self, mu, qu, nu, qv, T) -> dict[int, dict[StateKey, int]]:
+        """Components of Y(mu, qu; z)(nu, qv) as {weight offset: {key: n}},
+        each coefficient n / D over the ``_denominator(qu + qv, T)``."""
         ck = (mu, qu, nu, qv, T)
         hit = self._comp_cache.get(ck)
         if hit is not None:
@@ -213,28 +237,28 @@ class LatticeModel:
         self._comp_cache[ck] = res
         return res
 
-    def _components_dressed(self, mu, qu, nu, qv, T) -> dict[Fraction, FockVector]:
+    def _components_dressed(self, mu, qu, nu, qv, T) -> dict[int, dict[StateKey, int]]:
         # Y(alpha(-n)u0, z) = sum_{p>0} C(p-1,n-1) z^{p-n} alpha(-p) Y(u0, z)
         #   + (-1)^(n-1) sum_{m>=0} C(m+n-1,n-1) z^{-m-n} Y(u0, z) alpha(m)
         n = mu[0]
         rest = mu[1:]
-        out: dict[Fraction, FockVector] = {}
+        top = self._denominator(qu + qv, T)[0]
+        out: dict[int, dict[StateKey, int]] = {}
         c0 = self._components_basis(rest, qu, nu, qv, T)
-        for w, vec in c0.items():
-            pmax = int(T - w)
-            for p in range(1, pmax + 1):
+        for off, vec in c0.items():
+            for p in range(1, top - off + 1):
                 bc = comb(p - 1, n - 1)
                 if not bc:
                     continue
                 raised = self.alpha(-p, vec)
-                tgt = out.setdefault(w + p, {})
+                tgt = out.setdefault(off + p, {})
                 for key, c in raised.items():
                     _acc(tgt, key, c * bc)
         sign = -1 if (n - 1) % 2 else 1
         # m = 0 term: alpha(0) eigenvalue qv
         if qv:
-            for w, vec in c0.items():
-                tgt = out.setdefault(w, {})
+            for off, vec in c0.items():
+                tgt = out.setdefault(off, {})
                 for key, c in vec.items():
                     _acc(tgt, key, c * sign * qv)
         for m in sorted(set(nu)):
@@ -243,21 +267,26 @@ class LatticeModel:
             reduced = nu[:idx] + nu[idx + 1:]
             coeff = sign * comb(m + n - 1, n - 1) * cnt * m * self.two_k
             cm = self._components_basis(rest, qu, reduced, qv, T)
-            for w, vec in cm.items():
-                tgt = out.setdefault(w, {})
+            for off, vec in cm.items():
+                tgt = out.setdefault(off, {})
                 for key, c in vec.items():
                     _acc(tgt, key, c * coeff)
         return _clean(out)
 
-    def _components_exp(self, qu, nu, qv, T) -> dict[Fraction, FockVector]:
+    def _components_exp(self, qu, nu, qv, T) -> dict[int, dict[StateKey, int]]:
         # Y(e^{qu}, z) on the basis state (nu, qv):
         #  1. annihilation conjugation alpha(-n) -> alpha(-n) - qu z^{-n},
         #  2. creation dressing exp(sum qu/(2k n) z^n alpha(-n)),
         #  3. cocycle sign, lattice shift; z-powers are weight bookkeeping.
         q_out = qu + qv
-        base_w = Fraction(q_out * q_out, 4 * self.k)
+        top = self._denominator(q_out, T)[0]
+        if top < 0:
+            return {}
+        # D qu^l / ((2k)^l z_lam) = level[l] * (B! // z_lam), signed by the cocycle
         sign = self.eps(qu, qv)
-        out: dict[Fraction, FockVector] = {}
+        level = [sign * qu ** ell * self.two_k ** (top - ell) for ell in range(top + 1)]
+        top_fact = factorial(top)
+        out: dict[int, dict[StateKey, int]] = {}
         # expand annihilation-conjugated partition choices
         distinct = sorted(set(nu), reverse=True)
         counts = [nu.count(p) for p in distinct]
@@ -266,30 +295,22 @@ class LatticeModel:
             choices = [prev + [t] for prev in choices for t in range(c + 1)]
         for pick in choices:
             kept: list[int] = []
-            factor = Fraction(1)
+            factor = 1
             for p, c, t in zip(distinct, counts, pick):
                 kept.extend([p] * (c - t))
                 if t:
-                    factor *= comb(c, t) * Fraction(-qu) ** t
+                    factor *= comb(c, t) * (-qu) ** t
             kept_t = tuple(sorted(kept, reverse=True))
-            w0 = base_w + sum(kept_t)
-            if w0 > T:
+            off0 = sum(kept_t)
+            if off0 > top:
                 continue
-            budget = int(T - w0)
-            for lam in _partitions(budget):
-                cfac = factor
-                for p in set(lam):
-                    m = lam.count(p)
-                    num = Fraction(qu, self.two_k * p) ** m
-                    for i in range(1, m + 1):
-                        num /= i
-                    cfac *= num
-                if not cfac:
+            for lam, size, ell, z in self._partition_table(top - off0):
+                num = factor * level[ell] * (top_fact // z)
+                if not num:
                     continue
                 parts = tuple(sorted(kept_t + lam, reverse=True))
-                w = w0 + sum(lam)
-                tgt = out.setdefault(w, {})
-                _acc(tgt, (parts, q_out), cfac * sign)
+                tgt = out.setdefault(off0 + size, {})
+                _acc(tgt, (parts, q_out), num)
         return _clean(out)
 
 

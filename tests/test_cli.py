@@ -121,6 +121,11 @@ class TestLattice:
         # residuals are strings in the report, so this compares them exactly
         assert json.loads(capsys.readouterr().out) == LATTICE_REF["report"]
 
+    @pytest.mark.parametrize("truncate", ["1", "2"])
+    def test_low_truncation_assoc_is_usage_error(self, truncate, capsys):
+        assert main(["lattice", "--k", "1", "--truncate", truncate, "--check", "assoc"]) == 2
+        assert "needs truncation >= 3" in capsys.readouterr().err
+
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fullfield.lattice import (
     LatticeModel,
     LatticeSpec,
     OracleError,
+    check_associativity,
     check_grading_axioms,
     check_jacobi_residues,
     check_residue_lemma,
@@ -174,6 +176,29 @@ class TestComponents:
         comps = M1.components(M1.charged(1), M1.charged(2), 6)
         assert all(key[1] == 3 for vec in comps.values() for key in vec)
 
+    def test_components_digest_pinned(self):
+        # exact values pinned by digest: every component over charged, dressed
+        # and 3/2-weighted states (shifted charges included), k = 1..4, T = 1..9
+        digest = hashlib.sha256()
+        for k in range(1, 5):
+            model = LatticeModel(k)
+            states = []
+            for q in (model.min_rep(1), model.min_rep(-1), model.min_rep(1) - model.two_k):
+                c = model.charged(q)
+                mixed = vec_scale(model.alpha(-2, model.alpha(-1, c)), Fraction(3, 2))
+                states += [c, model.alpha(-1, c), vec_add(c, mixed)]
+            for T in range(1, 10):
+                for i, u in enumerate(states):
+                    for j, v in enumerate(states):
+                        comps = model.components(u, v, T)
+                        for m in sorted(comps):
+                            for key in sorted(comps[m]):
+                                c = comps[m][key]
+                                assert type(m) is Fraction and type(c) is Fraction
+                                digest.update(f"{k} {T} {i} {j} {m} {key} {c}\n".encode())
+        assert digest.hexdigest() == (
+            "6c898da85bbe7f636e944deaa1035cdfc8e4fda6d3ddaaf610c2ce811a91442c")
+
 
 class TestOracle:
     def test_vacuum_labels_give_one(self):
@@ -300,6 +325,14 @@ def test_bundle_with_other_weights_is_rejected():
     fusion = dataclasses.replace(bundle.fusion, weights=weights)
     with pytest.raises(ValueError, match="'weights' does not match"):
         DiagonalFFA(LatticeSpec(1, 3), bundle=dataclasses.replace(bundle, fusion=fusion))
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_associativity_needs_truncation_three(T):
+    # the iterate's convergence ratio reads the outputs at T - 2
+    ffa = DiagonalFFA(LatticeSpec(1, T), bundle=get_bundle("z2k1"))
+    with pytest.raises(ValueError, match=r"T - 2 and needs truncation >= 3, got " + str(T)):
+        check_associativity(ffa)
 
 
 @pytest.mark.parametrize("entry", ["apply", "apply_first"])
