@@ -350,6 +350,9 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
         di = np.abs(its[T] - _restrict_grid(ffa, its[T + 2], out_pair, T))
         stable = (dp <= 1e-12 * scale) & (di <= 1e-12 * scale)
         n_stable = int(stable.sum())
+        # stable entries zero on both sides agree vacuously
+        nonzero = np.maximum(np.abs(prods[T]), np.abs(its[T])) > 1e-12 * scale
+        n_nonzero = int((stable & nonzero).sum())
         defect = float((np.abs(prods[T] - its[T]) * stable).max() / scale)
         # backward truncation increments of the iterate: the residual achieved
         # at truncation T is the last increment |value(T-2) - value(T)|
@@ -361,7 +364,8 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
         out.append(CheckRecord("associativity", (idx, round(z1.real, 3), round(z2.real, 3)),
                                "pass" if ok else "fail", path="numeric",
                                residual=r_t,
-                               message=(f"stable defect {defect:.2e} on {n_stable} entries, "
+                               message=(f"stable defect {defect:.2e} on {n_stable} entries "
+                                        f"({n_nonzero} nonzero), "
                                         f"iterate residual {r_t:.2e}, T to T+2 ratio {ratio:.1f}")))
     return out
 
@@ -613,59 +617,55 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
                           seed: int = 3) -> list[CheckRecord]:
     """Contour form of the residue identity for vacuum-sector insertions.
 
-    With both formal variables of the insertion substituted by the same z,
-    each of the three orderings is a finite Laurent series in z; the
-    outer-minus-inner-minus-middle contour integrals of f(z) times them must
-    cancel for f in {1, z, 1/z, 1/(z-r)}, on three contour configurations.
-    Quadrature is trapezoidal with 256 nodes and a step-halving stability
-    diagnostic.
+    With both formal variables of the insertion set to z, the three
+    orderings are finite Laurent series g, in z (outer, inner) or in
+    x = z - r (middle).  For f in {1, z, 1/z, 1/(z-r)} at the insertion
+    points r = 0.5, 0.6, 0.45, each contour integral of f g is the finite
+    sum of g_e phi_{-1-e}, phi_n being the n-th coefficient of f in that
+    contour's annulus, and outer must equal inner plus middle.  The defect
+    is over the summed |terms| of all three, so it lies in [0, 1]; a record
+    no term reaches is vacuous and fails with residual 1.
+
+    Each ordering keeps its intermediate states on the sector bases at T, so
+    a cut intermediate sum can drop terms the other orderings keep.  On the
+    shipped z2k1 and z4k2 bundles (seeds 0-7) every record holds to rounding
+    from T = 6 on; at T = 5 and 4 the seeds with the heaviest states fail,
+    at T = 3 every seed, with defects from 0.007 to 1.  At T = 1 and 2 almost
+    every record fails, and at T = 1 the f = 1 records are vacuous.
     """
     T = ffa.spec.truncation
-    nodes = 256
     model = ffa.model
     out: list[CheckRecord] = []
-    two_k = model.two_k
-    configs = [(0.5, 1.2, 0.2), (0.6, 1.5, 0.25), (0.45, 1.1, 0.15)]
-    ul_key = ((1,), 0)
-    ur_key = ((1,), 0)
-    states = seeded_states(model, seed, 2, sector=1 % two_k)
-    (upair, ustate) = states[0]
-    (wpair, wstate) = states[1]
-
-    for cfg_i, (r, r_out, r_in) in enumerate(configs):
-        series = _jacobi_series(ffa, ul_key, ur_key, upair, ustate,
-                                wpair, wstate, float(r), T)
-        g_out_c, g_in_c, g_mid_c = series
+    (upair, ustate), (wpair, wstate) = seeded_states(model, seed, 2, sector=1 % model.two_k)
+    for cfg_i, r in enumerate((0.5, 0.6, 0.45)):
+        series = _jacobi_series(ffa, upair, ustate, wpair, wstate, r, T)
+        # n -> phi_n as (outer |z| > r, inner |z| < r, middle |x| < r); a
+        # power of r is taken only where the coefficient exists
         fns = {
-            "1": lambda z: 1.0 + 0j,
-            "z": lambda z: z,
-            "1/z": lambda z: 1.0 / z,
-            "1/(z-r)": lambda z, r=r: 1.0 / (z - r),
+            "1": (lambda n: float(n == 0),) * 3,
+            "z": (lambda n: float(n == 1),) * 2 + (lambda n: {0: r, 1: 1.0}.get(n, 0.0),),
+            "1/z": (lambda n: float(n == -1), lambda n: float(n == -1),
+                    lambda n: (-1) ** n * r ** (-n - 1) if n >= 0 else 0.0),
+            "1/(z-r)": (lambda n: r ** (-n - 1) if n < 0 else 0.0,
+                        lambda n: -r ** (-n - 1) if n >= 0 else 0.0, lambda n: float(n == -1)),
         }
-        rho = min(r - r_in, r_out - r) * 0.5
-        grids = {n_nodes: (_circle_nodes(g_out_c, 0.0, r_out, n_nodes),
-                           _circle_nodes(g_in_c, 0.0, r_in, n_nodes),
-                           _circle_nodes(g_mid_c, r, rho, n_nodes))
-                 for n_nodes in (nodes, 2 * nodes)}
-        for fname, f in fns.items():
-            vals = {n_nodes: tuple(_circle_quad(grid, f) for grid in contours)
-                    for n_nodes, contours in grids.items()}
-            i_out, i_in, i_mid = vals[nodes]
-            scale = max(abs(i_out), abs(i_in), abs(i_mid), 1e-12)
-            defect = abs(i_out - i_in - i_mid) / scale
-            drift = max(abs(a - b) for a, b in zip(vals[nodes], vals[2 * nodes]))
-            ok = defect <= tol and drift < 1e-6
+        for fname, phis in fns.items():
+            terms = [[g_e * phi(-1 - e) for e, g_e in g.items()] for g, phi in zip(series, phis)]
+            i_out, i_in, i_mid = (sum(side, 0j) for side in terms)
+            scale = sum(abs(t) for side in terms for t in side)
+            sides = f"outer {i_out:.2e}, inner {i_in:.2e}, middle {i_mid:.2e}, scale {scale:.2e}"
+            defect = abs(i_out - i_in - i_mid) / scale if scale else 1.0
             out.append(CheckRecord("contour-residue-identity", (cfg_i, fname),
-                                   "pass" if ok else "fail", path="numeric",
-                                   residual=defect,
-                                   message=f"step-halving drift {drift:.1e}"))
+                                   "pass" if scale and defect <= tol else "fail",
+                                   path="numeric", residual=defect,
+                                   message=sides if scale else f"vacuous: {sides}"))
     return out
 
 
-def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
-                   wpair, wstate, r: float, T: int):
-    """Laurent coefficients of the three orderings, as {exponent: value}."""
-    m = ffa.model
+def _jacobi_series(ffa: DiagonalFFA, upair, ustate, wpair, wstate, r: float, T: int):
+    """Laurent coefficients of the three orderings, as {exponent: value}, for
+    the insertion alpha(-1) 1 on both sides."""
+    a_key = ((1,), 0)
 
     # X = Y(u; r, r) w; extract the coefficient functional at the dominant
     # populated output entry (the identity is linear in the functional)
@@ -675,8 +675,8 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
 
     # outer: <w', YL(z) YR(z) X>; rows of the insertion matrices at (il, ir)
     g_out: dict = {}
-    rows_l = _laurent_slice(ffa, ul_key, xpair[0], T, row=il)
-    rows_r = _laurent_slice(ffa, ur_key, xpair[1], T, row=ir)
+    rows_l = _laurent_slice(ffa, a_key, xpair[0], T, row=il)
+    rows_r = _laurent_slice(ffa, a_key, xpair[1], T, row=ir)
     for e1, row1 in rows_l.items():
         tmp = row1 @ xmat
         for e2, row2 in rows_r.items():
@@ -690,8 +690,8 @@ def _jacobi_series(ffa: DiagonalFFA, ul_key, ur_key, upair, ustate,
         for (lk, rk), c in state.items():
             if lk not in bl.index or rk not in br.index:
                 continue
-            cols_l = _laurent_slice(ffa, ul_key, pair[0], T, col=bl.index[lk])
-            cols_r = _laurent_slice(ffa, ur_key, pair[1], T, col=br.index[rk])
+            cols_l = _laurent_slice(ffa, a_key, pair[0], T, col=bl.index[lk])
+            cols_r = _laurent_slice(ffa, a_key, pair[1], T, col=br.index[rk])
             for e1, c1 in cols_l.items():
                 for e2, c2 in cols_r.items():
                     ymat = evaluate(np.outer(c1, c2))
@@ -724,29 +724,3 @@ def _laurent_slice(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, T: int,
             vec = out[int(gamma)] = np.zeros(n, dtype=complex)
         vec[i] += c
     return out
-
-
-def _eval_laurent(coeffs: dict, w: complex) -> complex:
-    total = 0j
-    for e, c in coeffs.items():
-        total += c * w ** e
-    return total
-
-
-def _circle_nodes(coeffs: dict, center: float, radius: float, n: int) -> list:
-    """(z, G(z), z - center) at the n trapezoid nodes of the circle, where
-    ``coeffs`` is the Laurent series G in (z - center)."""
-    out = []
-    for t in range(n):
-        theta = 2 * math.pi * t / n
-        z = center + radius * cmath.exp(1j * theta)
-        out.append((z, _eval_laurent(coeffs, z - center), z - center))
-    return out
-
-
-def _circle_quad(grid: list, f) -> complex:
-    """(1/2 pi i) times the contour integral of f * G over ``_circle_nodes``."""
-    total = 0j
-    for z, g, w in grid:
-        total += f(z) * g * w
-    return total / len(grid)

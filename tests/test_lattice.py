@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
+from fullfield.lattice import checks
 from fullfield.lattice.checks import (SectorBasis, _commutator_holds,
                                       _paired_exponents_integral, seeded_states, zpow)
 from fullfield.lattice.model import vec_add, vec_scale
@@ -300,6 +302,44 @@ class TestExactChecks:
         assert [r.index for r in recs] == [(c, f) for c in range(3)
                                            for f in ("1", "z", "1/z", "1/(z-r)")]
         assert all(math.isfinite(r.residual) for r in recs)
+
+    @pytest.mark.parametrize("k, name, seed", [(1, "z2k1", 2), (2, "z4k2", 1)])
+    def test_jacobi_holds_where_every_side_vanishes(self, k, name, seed):
+        # these seeds have records whose three contour integrals all vanish;
+        # read over a fixed floor, their rounding failed the correct model
+        ffa = DiagonalFFA(LatticeSpec(k, 6), bundle=get_bundle(name))
+        recs = check_jacobi_residues(ffa, seed=seed)
+        assert len(recs) == 12 and not fails(recs)
+        assert max(r.residual for r in recs) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5, 7, 15, 31])
+    def test_jacobi_fails_on_a_negated_middle_ordering(self, seed, monkeypatch):
+        series = checks._jacobi_series
+
+        def negated(*args):
+            g_out, g_in, g_mid = series(*args)
+            return g_out, g_in, {e: -c for e, c in g_mid.items()}
+
+        monkeypatch.setattr(checks, "_jacobi_series", negated)
+        recs = check_jacobi_residues(z2_ffa(6), seed=seed)
+        assert len(recs) == 12 and all(r.status == "fail" for r in recs)
+
+    def test_jacobi_vacuous_record_fails(self, monkeypatch):
+        # at T = 1 the f = 1 sums have no term; such a record proves nothing
+        recs = check_jacobi_residues(z2_ffa(1), seed=3)
+        vacuous = [r for r in recs if r.message.startswith("vacuous")]
+        assert {r.index for r in vacuous} >= {(c, "1") for c in range(3)}
+        assert all(r.status == "fail" and r.residual == 1.0 for r in vacuous)
+        # with no series at all every record is vacuous, whatever the tolerance
+        monkeypatch.setattr(checks, "_jacobi_series", lambda *args: ({}, {}, {}))
+        recs = check_jacobi_residues(z2_ffa(6), tol=1.0, seed=3)
+        assert all(r.status == "fail" and r.residual == 1.0 and "vacuous" in r.message
+                   for r in recs)
+
+    def test_associativity_counts_stable_nonzero_entries(self):
+        for rec in check_associativity(z2_ffa(5), samples=2, seed=5):
+            found = re.search(r"on (\d+) entries \((\d+) nonzero\), .*ratio \S+$", rec.message)
+            assert found and int(found[2]) <= int(found[1])
 
     def test_residue_orthogonal_pair_is_zero(self):
         # distinct partitions pair to zero, so the extраction vanishes too
