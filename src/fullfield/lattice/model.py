@@ -9,6 +9,12 @@ engine keys levels by the integer offset from q^2/(4k), q = qu + qv, and
 holds integer numerators over D = (2k)^B B!, B = floor(T - q^2/(4k)): the
 exponential's coefficients qu^l / ((2k)^l z_lam) have l = l(lam) <= B and
 z_lam | |lam|! | B!, and the dressing recursion multiplies by integers only.
+
+Two readers sit on those numerators.  ``components`` returns every output as
+a Fraction.  ``coefficient`` reads a single output key: it touches only the
+basis pairs whose charges sum to the key's, adds their numerators (as
+integers when the input coefficients are integers) and divides by D once.
+The lattice oracle's four-point fits and residue extraction use it.
 """
 
 from __future__ import annotations
@@ -206,6 +212,24 @@ class LatticeModel:
                     for key, n in vec.items():
                         _acc(tgt, key, c * n)
         return _clean(out)
+
+    def coefficient(self, u: FockVector, v: FockVector, key: StateKey, T: int) -> Fraction:
+        """The coefficient of the output ``key`` in Y(u, z)v, cut at weight T.
+
+        Equal to ``components(u, v, T).get(weight, {}).get(key, 0)`` for the
+        key's weight, but reads one entry of each basis pair whose charges
+        sum to the key's and divides their summed numerators by D once.
+        """
+        parts, q = key
+        off = sum(parts)
+        total = 0
+        for (mu, qu), cu in u.items():
+            for (nu, qv), cv in v.items():
+                if qu + qv == q:
+                    n = self._components_basis(mu, qu, nu, qv, T).get(off, {}).get(key)
+                    if n:
+                        total += cu * cv * n
+        return Fraction(total, self._denominator(q, T)[1])
 
     def _denominator(self, q: int, T) -> tuple[int, int]:
         """(B, D) of charge q at cutoff T: the largest weight offset

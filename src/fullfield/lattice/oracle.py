@@ -36,13 +36,6 @@ class OracleError(RuntimeError):
     """A derived ratio was absent or unstable across matrix elements."""
 
 
-def _frac_binom(gamma: Fraction, t: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(t):
-        out *= (gamma - i) / (i + 1)
-    return out
-
-
 def _stable_ratio(ratios: list[Fraction], what: str) -> Fraction:
     """The common value of at least ``MIN_MATCHES`` ratios measuring ``what``."""
     if len(ratios) < MIN_MATCHES:
@@ -102,7 +95,10 @@ class CanonicalGauge:
             comps = m.components(w2, w1, T)  # module map acts with the V side first
             for mm, vec in comps.items():
                 gamma = mm - wt1 - wt2
-                assert gamma == int(gamma)
+                if gamma != int(gamma):
+                    raise OracleError(
+                        f"skew image of the module map of sector {i}: exponent {gamma} "
+                        f"at weight {mm} is not an integer")
                 sign = Fraction(-1) ** int(gamma)
                 term = vec
                 fact = Fraction(1)
@@ -155,7 +151,8 @@ def residue_extraction(model: LatticeModel, a: int, wp: FockVector, w: FockVecto
     ``w`` lies in sector ``a`` and ``wp`` in its dual.  Both are dressed by
     exp(-L(1)); each homogeneous piece of the dressed ``wp`` contributes the
     vacuum coefficient of its weight-0 component on the dressed ``w``, signed
-    by (-1)^(weight - h_a).  Exact.
+    by (-1)^(weight - h_a).  Exact; a piece whose weight is not an integer
+    level above h_a raises ``OracleError``.
     """
     h = model.sector_weight(a)
     wt = model.exp_virasoro(1, Fraction(-1), w, T)
@@ -166,12 +163,11 @@ def residue_extraction(model: LatticeModel, a: int, wp: FockVector, w: FockVecto
     total = Fraction(0)
     for u1, p1 in pieces.items():
         exc = u1 - h
-        assert exc == int(exc)
-        vec0 = model.components(p1, wt, T).get(Fraction(0))
-        if vec0:
-            c0 = vec0.get(((), 0))
-            if c0:
-                total += (-1) ** int(exc) * c0
+        if exc != int(exc):
+            raise OracleError(
+                f"residue extraction for sector {a}: dual piece of weight {u1} "
+                f"is not an integer level above h = {h}")
+        total += (-1) ** int(exc) * model.coefficient(p1, wt, ((), 0), T)
     return total
 
 
@@ -184,7 +180,8 @@ def raw_f_ratio(model: LatticeModel, b1: int, b2: int, b3: int, T: int) -> Fract
     Lowest-weight four-point functions are pure prefactor monomials
     c * z1^C1 * z2^C2 * (z1-z2)^C3; each side's truncated grid is fitted
     against its binomial expansion pattern and the two normalizations are
-    compared.  Several representative choices must agree.
+    compared (``_fit_f``, on integer component numerators).  Several
+    representative choices must agree.
     """
     ratios = []
     base = (model.min_rep(b1), model.min_rep(b2), model.min_rep(b3))
@@ -208,76 +205,65 @@ def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction |
     """Fitted product/iterate normalization ratio at lattice points q1, q2, q3.
 
     Only the oscillator-free output ((), q1+q2+q3) is read, so each side
-    expands its inner operator in full up to T and the outer one only up to
-    the ceiling of that output's weight: every other output of charge
-    q1+q2+q3 lies a whole number of levels above it.  None when a weight
-    does not fit below T - 2, or when an intermediate state ((), q1+q2) or
-    ((), q2+q3) lies above T, where its side's grid would be empty.
+    expands its inner operator in full up to T, as integer numerators over
+    its denominator D_in, and reads that output from the outer operator with
+    ``LatticeModel.coefficient`` cut at the ceiling of its weight: every
+    other output of charge q1+q2+q3 lies a whole number of levels above it.
+    Each grid is keyed by the inner level offset t.  Write C1 = q1 q3/2k,
+    C2 = q2 q3/2k and C3 = q1 q2/2k for the prefactor exponents.  On the
+    product side the inner state Y(v)w sits t levels above ((), q2+q3), and
+    since (q1+q2+q3)^2 - q1^2 - (q2+q3)^2 = 2 q1 (q2+q3), the exponents are
+    z1^(C1+C3-t) z2^(C2+t): the t-th term of (1 - z2/z1)^C3.  The iterate
+    side is the same with Y(u)v, x^(C3+t) z2^(C1+C2-t) and (1 + x/z2)^C1.
+    Both grids share the outer denominator, so only the fitted leads are
+    divided by their D_in.  None when a weight does not fit below T - 2, or
+    when an intermediate state ((), q1+q2) or ((), q2+q3) lies above T,
+    where its side's grid would be empty.
     """
     two_k = model.two_k
-    wu = Fraction(q1 * q1, 2 * two_k)
-    wv = Fraction(q2 * q2, 2 * two_k)
-    ww = Fraction(q3 * q3, 2 * two_k)
-    c1 = Fraction(q1 * q3, two_k)
-    c2 = Fraction(q2 * q3, two_k)
-    c3 = Fraction(q1 * q2, two_k)
     out_key = ((), q1 + q2 + q3)
     m_out = model.state_weight(out_key)
-    u, v, w = model.charged(q1), model.charged(q2), model.charged(q3)
-    if max(wu, wv, ww, m_out) > T - 2:
+    if max(model.state_weight(((), q)) for q in (q1, q2, q3, q1 + q2 + q3)) > T - 2:
         return None
     if max(model.state_weight(((), q1 + q2)), model.state_weight(((), q2 + q3))) > T:
         return None
     t_out = ceil(m_out)
+    # integer basis vectors keep the outer sums in integers
+    u, w = {((), q1): 1}, {((), q3): 1}
 
-    prod: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for m2, vec2 in model.components(v, w, T).items():
-        coeff = model.components(u, vec2, t_out).get(m_out, {}).get(out_key)
-        if coeff:
-            prod[(m_out - wu - m2, m2 - wv - ww)] = coeff
-    cp = _fit_pattern(prod, base=(c1 + c3, c2), gamma=c3, alternating=True)
+    prod = {t: model.coefficient(u, vec, out_key, t_out)
+            for t, vec in model._components_basis((), q2, (), q3, T).items()}
+    cp = _fit_pattern(prod, gamma=Fraction(q1 * q2, two_k), alternating=True)
     if cp is None:
         raise OracleError(
             f"product grid does not match the prefactor pattern at q=({q1},{q2},{q3})")
 
-    iterate: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for m, vecm in model.components(u, v, T).items():
-        coeff = model.components(vecm, w, t_out).get(m_out, {}).get(out_key)
-        if coeff:
-            iterate[(m - wu - wv, m_out - m - ww)] = coeff
-    ci = _fit_pattern(iterate, base=(c3, c1 + c2), gamma=c1, alternating=False)
+    iterate = {t: model.coefficient(vec, w, out_key, t_out)
+               for t, vec in model._components_basis((), q1, (), q2, T).items()}
+    ci = _fit_pattern(iterate, gamma=Fraction(q1 * q3, two_k), alternating=False)
     if ci is None:
         raise OracleError(
             f"iterate grid does not match the prefactor pattern at q=({q1},{q2},{q3})")
-    return cp / ci
+    return (cp / model._denominator(q2 + q3, T)[1]) / (ci / model._denominator(q1 + q2, T)[1])
 
 
-def _fit_pattern(grid: dict, base: tuple[Fraction, Fraction], gamma: Fraction,
+def _fit_pattern(grid: dict[int, Fraction], gamma: Fraction,
                  alternating: bool) -> Fraction | None:
-    """Fit grid == c * binom(gamma, t) * (-1 if alternating)^t.
+    """The lead c of grid[t] == c * binom(gamma, t) * (-1 if alternating)^t.
 
-    The product side expands (1 - z2/z1)^gamma, so its terms alternate at
-    grid points (base1 - t, base2 + t); the iterate side expands
-    (1 + x/z2)^gamma at (base1 + t, base2 - t) without the sign.
+    Every level t from 0 to the grid's top must match, a missing one reading
+    0; None when the lead is missing or zero, or any level differs.
     """
-    if not grid:
+    c = grid.get(0)
+    if not c:
         return None
-    lead = grid.get(base)
-    if not lead:
-        return None
-    c = lead  # binom(gamma, 0) = 1
-    step = -1 if alternating else 1
-    for (e1, e2), val in grid.items():
-        t = (e2 - base[1]) if alternating else (e1 - base[0])
-        if t < 0 or t != int(t):
+    expect = c
+    for t in range(max(grid) + 1):
+        if grid.get(t, 0) != expect:
             return None
-        if alternating and e1 != base[0] - t:
-            return None
-        if not alternating and e2 != base[1] + t * (-1):
-            return None
-        expect = c * _frac_binom(gamma, int(t)) * step ** int(t)
-        if val != expect:
-            return None
+        expect = expect * (gamma - t) / (t + 1)
+        if alternating:
+            expect = -expect
     return c
 
 

@@ -30,6 +30,7 @@ from fullfield.lattice import checks
 from fullfield.lattice.checks import (SectorBasis, _commutator_holds,
                                       _paired_exponents_integral, seeded_states, zpow)
 from fullfield.lattice.model import vec_add, vec_scale
+from fullfield.lattice.oracle import _fit_pattern, residue_extraction
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
 from tests.test_solver import SIGMA_KINDS
@@ -201,6 +202,40 @@ class TestComponents:
         assert digest.hexdigest() == (
             "6c898da85bbe7f636e944deaa1035cdfc8e4fda6d3ddaaf610c2ce811a91442c")
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_coefficient_is_the_components_entry(self, k):
+        # the single-entry read equals the full component map's entry, on
+        # integer basis pairs and on Fraction-weighted mixed-charge vectors;
+        # a key above the cutoff and a key of an unreached charge read 0
+        model = LatticeModel(k)
+        qs = (model.min_rep(1), model.min_rep(1) - model.two_k, model.min_rep(-1))
+        keys = [(parts, q) for q in qs for parts in ((), (1,), (2, 1))]
+        mixed = vec_add(vec_scale(model.alpha(-1, model.charged(qs[0])), Fraction(3, 2)),
+                        vec_scale(model.charged(qs[1]), Fraction(-2, 5)))
+        dressed = vec_add(model.alpha(-2, model.charged(qs[2])),
+                          vec_scale(model.charged(qs[1]), Fraction(1, 7)))
+        vectors = [{key: 1} for key in keys] + [mixed, dressed]
+        for T in (1, 4, 7, 10):
+            for u in vectors:
+                for v in vectors:
+                    comps = model.components(u, v, T)
+                    for key in [key for vec in comps.values() for key in vec]:
+                        got = model.coefficient(u, v, key, T)
+                        assert type(got) is Fraction
+                        assert got == comps[model.state_weight(key)][key], (k, T, u, v, key)
+                    charges = {qu + qv for _, qu in u for _, qv in v}
+                    for q in charges:
+                        assert model.coefficient(u, v, ((T + 1,), q), T) == 0
+                    assert model.coefficient(u, v, ((), max(charges) + 1), T) == 0
+
+
+F_TABLE_SHA256 = {
+    1: "cc265a86d09a1b6a9af38c47046e9e74c82f5028a5dbd24d3afe44077cd86879",
+    2: "bbaf107e981422740a214d6aad9707a57734786a02a1291898c83a72512de9a6",
+    3: "2bf82919e7d47405b2dc95042e65682dd56085aab563e5f51885d9467e05d8db",
+    4: "c8dcbb426ed30dbe2acbd5d00acef96de9e47bf321e134067fde5b66fb37f012",
+}
+
 
 class TestOracle:
     def test_vacuum_labels_give_one(self):
@@ -230,6 +265,52 @@ class TestOracle:
         assert all(type(v) is Fraction for v in g.values())
         assert g == {(i, j): Fraction(-1 if (i, j) in minus else 1)
                      for i in range(2 * k) for j in range(2 * k)}
+
+    @pytest.mark.parametrize("k", sorted(F_TABLE_SHA256))
+    def test_f_table_pinned(self, k):
+        # every channel-consistent entry at T = 8, k = 3 and 4 included,
+        # which no fixture holds
+        gauge = CanonicalGauge(LatticeModel(k))
+        n = 2 * k
+        rows = []
+        for b1 in range(n):
+            for b2 in range(n):
+                for b3 in range(n):
+                    key = (b1, (b2 + b3) % n, (b1 + b2 + b3) % n, b2, b3, (b1 + b2) % n)
+                    rows.append((key, derive_f_entry(gauge, key, 8)))
+        text = "\n".join(f"{key} {val}" for key, val in sorted(rows))
+        assert hashlib.sha256(text.encode()).hexdigest() == F_TABLE_SHA256[k]
+
+    def test_fit_pattern_can_fail(self):
+        gamma, c = Fraction(3, 4), Fraction(-5, 3)
+        for alternating in (True, False):
+            sign = -1 if alternating else 1
+            series = {}
+            b = Fraction(1)
+            for t in range(6):
+                series[t] = c * b * sign ** t
+                b = b * (gamma - t) / (t + 1)
+            assert _fit_pattern(series, gamma, alternating) == c
+            for t in (1, 2):
+                assert _fit_pattern({**series, t: series[t] + 1}, gamma, alternating) is None
+            assert _fit_pattern({t: v for t, v in series.items() if t}, gamma,
+                                alternating) is None
+            assert _fit_pattern(series, gamma + 1, alternating) is None
+            assert _fit_pattern(series, gamma, not alternating) is None
+
+    def test_residue_extraction_rejects_a_non_integer_level(self):
+        # charge 2 is not a dual state of sector 1 for k = 2: weight 1/2 lies
+        # 3/8 above h = 1/8
+        m = LatticeModel(2)
+        with pytest.raises(OracleError, match=r"sector 1: dual piece of weight 1/2"):
+            residue_extraction(m, 1, m.charged(2), m.charged(1), 8)
+
+    def test_skew_rejects_a_non_integer_exponent(self, monkeypatch):
+        # a charged "vacuum" gives the module map a half-integer exponent
+        m = LatticeModel(1)
+        monkeypatch.setattr(m, "vacuum", lambda: m.charged(1))
+        with pytest.raises(OracleError, match=r"module map of sector 1: exponent 1/2"):
+            CanonicalGauge(m)
 
     def test_unstable_truncation_raises(self):
         with pytest.raises(OracleError, match=r"fusing ratio for sectors \(1,1,1\)"):
