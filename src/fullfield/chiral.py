@@ -58,7 +58,12 @@ def fails(records: list[CheckRecord]) -> list[CheckRecord]:
 
 
 class ChiralData:
-    """A loaded bundle with cached pairing/dual-basis matrices."""
+    """A loaded bundle with the exact values its checks share, cached.
+
+    Each instance computes these once and keeps them: the pairing matrix,
+    the dual basis and the modified form of each space, and the square roots
+    of each F_a.  ``run_suites`` builds one instance per call.
+    """
 
     NUMERIC_RTOL = 1e-12
 
@@ -68,6 +73,8 @@ class ChiralData:
         self.fusion = bundle.fusion
         self._pairing: dict[Space, list[list[CycScalar]]] = {}
         self._dual: dict[Space, list[list[CycScalar]]] = {}
+        self._sqrt_f: dict[str, tuple] = {}
+        self._form: dict[Space, tuple] = {}
 
     # -- index helpers -------------------------------------------------------
 
@@ -340,22 +347,25 @@ class ChiralData:
 
     def sqrt_f(self, a: str):
         """(exact CycScalar | None, complex) principal square root of F_a."""
-        fa = self.f_a(a)
-        exact = self.field.sqrt(fa)
-        approx = _principal_sqrt_c(complex(fa))
-        return exact, approx
+        if a not in self._sqrt_f:
+            fa = self.f_a(a)
+            self._sqrt_f[a] = self.field.sqrt(fa), _principal_sqrt_c(complex(fa))
+        return self._sqrt_f[a]
 
     def modified_form(self, space: Space):
         """(matrix, path): sqrt-weighted form; exact if all roots lie in the field."""
+        if space in self._form:
+            return self._form[space]
         a1, a2, a3 = space
         g = self.pairing_matrix(space)
         roots = {a: self.sqrt_f(a) for a in (a1, a2, a3)}
         if all(r[0] is not None for r in roots.values()):
             factor = roots[a3][0] * (roots[a1][0] * roots[a2][0]).inverse()
-            return mat_scale(g, factor), "exact"
-        factor = roots[a3][1] / (roots[a1][1] * roots[a2][1])
-        num = [[factor * complex(v) for v in row] for row in g]
-        return num, "numeric"
+            self._form[space] = mat_scale(g, factor), "exact"
+        else:
+            factor = roots[a3][1] / (roots[a1][1] * roots[a2][1])
+            self._form[space] = [[factor * complex(v) for v in row] for row in g], "numeric"
+        return self._form[space]
 
     def verify_s3_relations(self) -> list[CheckRecord]:
         """Involutivity of both generators, the braid relation, and the

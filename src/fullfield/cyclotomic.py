@@ -6,7 +6,9 @@ order N is declared once.  Scalars are stored in the power basis
 coefficients, reduced modulo the N-th cyclotomic polynomial after every
 operation, so equality is literal comparison of coefficient maps.  Products
 and inverses of monomials c*z^e take a fast path that builds the same
-coefficient map, in the same insertion order, as the general routine.
+coefficient map, in the same insertion order, as the general routine.  Each
+field memoizes the inverses of its multi-term scalars and its square roots,
+keyed by the scalar, so a value asked for again is not computed again.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ class CycField:
         self._units = tuple(j for j in range(1, order) if gcd(j, order) == 1)
         self._split_primes = _split_primes(order, 8)
         self._embed_inverse = None
+        self._inverse_cache: dict = {}
         self._sqrt_cache: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -405,12 +408,20 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        A monomial is inverted directly.  Any other scalar is solved for once
+        per field, by Gauss-Jordan elimination of a * x = 1, and the result is
+        memoized in the field, as square roots are.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         if len(self.coeffs) == 1:
             ((e, c),) = self.coeffs.items()
             return self.field.zeta(-e) * (1 / c)
+        cache = self.field._inverse_cache
+        if self in cache:
+            return cache[self]
         d = self.field.degree
         # Columns: self * zeta^j in the power basis.
         cols = []
@@ -422,7 +433,8 @@ class CycScalar:
                   [[Fraction(1 if e == 0 else 0)] for e in range(d)], Fraction(1))
         if x is None:  # pragma: no cover - nonzero elements are invertible
             raise ZeroDivisionError("singular multiplication matrix")
-        return CycScalar(self.field, {j: x[j][0] for j in range(d) if x[j][0]})
+        cache[self] = CycScalar(self.field, {j: x[j][0] for j in range(d) if x[j][0]})
+        return cache[self]
 
     def __truediv__(self, other) -> "CycScalar":
         o = self._coerce(other)

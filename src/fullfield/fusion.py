@@ -194,16 +194,28 @@ class FusionData:
         ``(key6, mults)``; only entries with nonempty multiplicity ranges
         occur.  Instances of one cell come consecutively, cells in label
         order.
+
+        The trees are read from two indexes built once per call from
+        ``rules``: the y with N(x, y; z) > 0 per (x, z), and the x per
+        (y, z).  Both lists keep label order, so the instances come in the
+        order of a scan over all labels, which the pentagon solver's
+        equation order depends on.
         """
         labels = self.labels
         n = self.n
+        ys: dict[tuple[str, str], list[str]] = {}
+        xs: dict[tuple[str, str], list[str]] = {}
+        for x, y, z in product(labels, repeat=3):
+            if n(x, y, z) > 0:
+                ys.setdefault((x, z), []).append(y)
+                xs.setdefault((y, z), []).append(x)
         for a1, a2, a3, a4, d in product(labels, repeat=5):
-            lefts = [(b, c) for b in labels for c in labels
-                     if n(a1, b, d) and n(a2, c, b) and n(a3, a4, c)]
-            rights = [(v, s) for v in labels for s in labels
-                      if n(v, a4, d) and n(s, a3, v) and n(a1, a2, s)]
+            lefts = [(b, c) for b in ys.get((a1, d), ()) for c in ys.get((a2, b), ())
+                     if n(a3, a4, c)]
+            rights = [(v, s) for v in xs.get((a4, d), ()) for s in xs.get((a3, v), ())
+                      if n(a1, a2, s)]
             for b, c in lefts:
-                mids = [u for u in labels if n(u, a4, b) and n(a2, a3, u)]
+                mids = [u for u in xs.get((a4, b), ()) if n(a2, a3, u)]
                 for i, j, k in product(range(n(a1, b, d)), range(n(a2, c, b)),
                                        range(n(a3, a4, c))):
                     for v, s in rights:

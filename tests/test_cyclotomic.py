@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fullfield import cyclotomic
 from fullfield.chiral import ChiralData
 from fullfield.cyclotomic import CycField, CycScalar, FieldOrderError, scalar_from_literal
 from fullfield.fixtures import MUTATIONS, REGULAR, load_fixture
@@ -139,6 +140,34 @@ class TestMonomialInverse:
                 got = a.inverse().coeffs
                 want = _general_inverse(a)
                 assert got == want and list(got.items()) == list(want.items()), (e, c)
+
+
+class TestGeneralInverse:
+    # a multi-term inverse is solved once per field and memoized; the memo
+    # must hand back the general solve's dict, values and insertion order
+    @pytest.mark.parametrize("order", range(4, 33, 2))
+    def test_random_elements_match_general_inverse(self, order, monkeypatch):
+        field = CycField(order)
+        rng = random.Random(order)
+        solves = []
+        monkeypatch.setattr(cyclotomic, "solve", lambda *args: solves.append(1) or solve(*args))
+        for _ in range(20):
+            size = rng.randint(2, min(4, field.degree))
+            a = field.scalar({e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                          rng.randint(1, 5))
+                              for e in rng.sample(range(field.degree), size)})
+            assert len(a.coeffs) == size
+            got = a.inverse().coeffs
+            want = _general_inverse(a)
+            assert got == want and list(got.items()) == list(want.items()), a
+            # an equal scalar built apart, keys reversed, reads the memo
+            before = len(solves)
+            twin = CycScalar(field, dict(reversed(list(a.coeffs.items()))))
+            assert twin is not a and twin.inverse() == a.inverse()
+            assert list(twin.inverse().coeffs.items()) == list(want.items())
+            assert len(solves) == before
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
 
 
 class TestRootOfUnity:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from fullfield import ffa as ffa_mod
+from fullfield import cyclotomic, ffa as ffa_mod
 from fullfield.bundles import BundleError
 from fullfield.chiral import ChiralData, fails
+from fullfield.cyclotomic import CycField
 from fullfield.fixtures import load_fixture
 from fullfield.linalg import change_basis4, transpose
 from fullfield.suites import run_suites
@@ -80,6 +81,30 @@ def test_run_suites_constructs_once(monkeypatch):
     assert errors == dict.fromkeys(("ffa-assoc", "skew", "single-valued", "invariance",
                                     "unit"), want)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, solves, roots", [("ising", 1, 3), ("fibonacci", 1, 2)])
+def test_run_suites_computes_each_exact_value_once(monkeypatch, name, solves, roots):
+    # one general inverse solve per distinct multi-term F_a (the same one
+    # is inverted by dual, s3, invariance and the pairing pivots), and one
+    # square root per label; without the memos ising makes 11 solves and
+    # 90 sqrt calls
+    calls = {"solve": 0, "sqrt": 0}
+    real_solve, real_sqrt = cyclotomic.solve, CycField.sqrt
+
+    def counting_solve(*args):
+        calls["solve"] += 1
+        return real_solve(*args)
+
+    def counting_sqrt(field, a):
+        calls["sqrt"] += 1
+        return real_sqrt(field, a)
+
+    monkeypatch.setattr(cyclotomic, "solve", counting_solve)
+    monkeypatch.setattr(CycField, "sqrt", counting_sqrt)
+    reports = run_suites(load_fixture(name))
+    assert all(r.verdict == "pass" for r in reports)
+    assert calls == {"solve": solves, "sqrt": roots}
 
 
 class TestChangeBasis4:

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from fullfield.fixtures import MUTATIONS, REGULAR, load_fixture
 from fullfield.fusion import FusionData
 from fullfield.lattice import LatticeModel, lattice_fusion
 from fullfield.solver import admissible_tuples
@@ -112,6 +114,57 @@ class TestNonzeroSpaces:
         order = {a: i for i, a in enumerate(("1", "eps", "sigma"))}
         keys = [tuple(order[x] for x in s[:3]) for s in spaces]
         assert keys == sorted(keys)
+
+
+def scan_pentagon_instances(fusion: FusionData):
+    """Reference: the pentagon enumeration as a scan over every label 5-tuple
+    and every label of each tree, testing each multiplicity with ``n``."""
+    labels = fusion.labels
+    n = fusion.n
+    for a1, a2, a3, a4, d in product(labels, repeat=5):
+        lefts = [(b, c) for b in labels for c in labels
+                 if n(a1, b, d) and n(a2, c, b) and n(a3, a4, c)]
+        rights = [(v, s) for v in labels for s in labels
+                  if n(v, a4, d) and n(s, a3, v) and n(a1, a2, s)]
+        for b, c in lefts:
+            mids = [u for u in labels if n(u, a4, b) and n(a2, a3, u)]
+            for i, j, k in product(range(n(a1, b, d)), range(n(a2, c, b)),
+                                   range(n(a3, a4, c))):
+                for v, s in rights:
+                    for p, r, t in product(range(n(v, a4, d)), range(n(s, a3, v)),
+                                           range(n(a1, a2, s))):
+                        lhs = [(((a2, c, b, a3, a4, u), (j, k, mm, nn)),
+                                ((a1, b, d, u, a4, v), (i, mm, p, q)),
+                                ((a1, u, v, a2, a3, s), (q, nn, r, t)))
+                               for u in mids
+                               for mm, nn, q in product(range(n(u, a4, b)),
+                                                        range(n(a2, a3, u)),
+                                                        range(n(a1, u, v)))]
+                        rhs = [(((a1, b, d, a2, c, s), (i, j, l1, t)),
+                                ((s, c, d, a3, a4, v), (l1, k, p, r)))
+                               for l1 in range(n(s, c, d))]
+                        yield ((a1, a2, a3, a4, d), (b, c, i, j, k, v, s, p, r, t),
+                               lhs, rhs)
+
+
+def pentagon_ring(name: str) -> FusionData:
+    from tests.test_chiral import rep_a4_fusion
+    if name == "rep_a4":
+        return rep_a4_fusion()
+    if name.startswith("lattice_"):
+        return lattice_fusion(int(name[-1]))
+    return load_fixture(name, strict=False).fusion
+
+
+@pytest.mark.parametrize("name", REGULAR + MUTATIONS
+                         + tuple(f"lattice_{k}" for k in range(1, 5)) + ("rep_a4",))
+def test_pentagon_instances_match_the_full_label_scan(name):
+    # the indexed trees must give the scan's instances in the scan's order:
+    # the pentagon solver's equation order and solution lists depend on it
+    fusion = pentagon_ring(name)
+    got = list(fusion.pentagon_instances())
+    assert got == list(scan_pentagon_instances(fusion))
+    assert got
 
 
 def s3_table_ring(name: str) -> FusionData:

@@ -423,11 +423,16 @@ class TestExactChecks:
             assert found and int(found[2]) <= int(found[1])
 
     def test_residue_orthogonal_pair_is_zero(self):
-        # distinct partitions pair to zero, so the extраction vanishes too
+        # distinct partitions pair to zero, so the extraction vanishes too;
+        # the alpha(-1)/alpha(-1) pair shows that it can read nonzero
         model = LatticeModel(1)
         wp = model.alpha(-1, model.charged(-1))
         w = model.alpha(-2, model.charged(1))
+        same = model.alpha(-1, model.charged(1))
         assert model.pair(wp, w) == 0
+        for T in (4, 6, 8):
+            assert residue_extraction(model, 1, wp, w, T) == 0
+            assert residue_extraction(model, 1, wp, same, T) == 2
 
 
 @pytest.mark.parametrize("k, name", [(1, "ising"), (2, "z2k1"), (1, "z4k2"), (2, "trivial")])
