@@ -121,7 +121,8 @@ class DiagonalFFA:
                 dmat = self.chiral.dual_basis(space)
                 self.dual_scale[(i, j)] = complex(dmat[0][0])
         self._bases: dict = {}
-        self._comp: dict = {}
+        self._cols: dict = {}
+        self._powers: dict = {}
 
     # -- bases and operator matrices ---------------------------------------
 
@@ -131,54 +132,60 @@ class DiagonalFFA:
             self._bases[key] = SectorBasis(self.model, j, T)
         return self._bases[key]
 
-    def _comp_matrix(self, key: StateKey, sector: int, T: int, key_first: bool):
-        """Compiled entries and (n_out, n) shape of Y(key, z) on the sector
-        basis if ``key_first``, else of Y(., z) key over first arguments in
-        the sector.
+    def _column(self, key: StateKey, sector: int, T: int, key_first: bool, col: int):
+        """Compiled input column ``col`` of Y(key, z) on the sector basis if
+        ``key_first``, else of Y(., z) key over first arguments in the sector.
 
-        The compiled form is ``(gammas, gidx, oi, ii, coef)``: the sorted
-        distinct z-exponents (Fractions), then one array slot per entry for
-        the index of its exponent in ``gammas``, its output index, its input
-        index and its coefficient as a float.  Each (oi, ii) pair occurs at
-        most once, since an output key has a single weight.  Basis states have
-        coefficient 1, so the integer components n / D are read directly.
+        The compiled form is ``(gammas, gidx, oi, coef)``: the distinct
+        z-exponents times 4k, then one array slot per entry for the index of
+        its exponent in ``gammas``, its output index and its coefficient as a
+        float.  Each output index occurs at most once, since an output key has
+        a single weight.  Basis states have coefficient 1, so the integer
+        components n / D are read directly.
         """
-        ck = (key, sector % self.model.two_k, T, key_first)
-        hit = self._comp.get(ck)
+        ck = (key, sector % self.model.two_k, T, key_first, col)
+        hit = self._cols.get(ck)
         if hit is not None:
             return hit
         m = self.model
         four_k = 4 * m.k
-        bvar = self.basis(sector, T)
+        var_key = self.basis(sector, T).keys[col]
         bout = self.basis(sector + m.sector(key[1]), T)
-        exps, ois, iis, coefs = [], [], [], []
-        for idx, var_key in enumerate(bvar.keys):
-            (mu, qu), (nu, qv) = (key, var_key) if key_first else (var_key, key)
-            den = m._denominator(qu + qv, T)[1]
-            # exponent times 4k at offset 0: 2 qu qv - 4k (|mu| + |nu|)
-            g0 = 2 * qu * qv - four_k * (sum(mu) + sum(nu))
-            for off, vec in m._components_basis(mu, qu, nu, qv, T).items():
-                g = g0 + four_k * off
-                for out_key, n in vec.items():
-                    oi = bout.index.get(out_key)
-                    if oi is not None:
-                        exps.append(g)
-                        ois.append(oi)
-                        iis.append(idx)
-                        coefs.append(n / den)
-        nums, gidx = np.unique(np.array(exps, dtype=np.intp), return_inverse=True)
-        compiled = ([Fraction(int(g), four_k) for g in nums], gidx,
-                    np.array(ois, dtype=np.intp), np.array(iis, dtype=np.intp),
+        (mu, qu), (nu, qv) = (key, var_key) if key_first else (var_key, key)
+        den = m._denominator(qu + qv, T)[1]
+        # exponent times 4k at offset 0: 2 qu qv - 4k (|mu| + |nu|)
+        g0 = 2 * qu * qv - four_k * (sum(mu) + sum(nu))
+        gammas, gidx, ois, coefs = [], [], [], []
+        for off, vec in m._components_basis(mu, qu, nu, qv, T).items():
+            gammas.append(g0 + four_k * off)
+            for out_key, n in vec.items():
+                oi = bout.index.get(out_key)
+                if oi is not None:
+                    gidx.append(len(gammas) - 1)
+                    ois.append(oi)
+                    coefs.append(n / den)
+        compiled = (gammas, np.array(gidx, dtype=np.intp), np.array(ois, dtype=np.intp),
                     np.array(coefs, dtype=float))
-        self._comp[ck] = (compiled, (len(bout), len(bvar)))
-        return self._comp[ck]
+        self._cols[ck] = compiled
+        return compiled
 
-    @staticmethod
-    def _dense(compiled, shape, z, conj):
-        gammas, gidx, oi, ii, coef = compiled
-        pw = np.array([zpow(z, g, conj) for g in gammas], dtype=complex)
-        mat = np.zeros(shape, dtype=complex)
-        mat[oi, ii] += coef * pw[gidx]
+    def _operator(self, key: StateKey, sector: int, T: int, key_first: bool, cols,
+                  z: complex, conj: bool) -> np.ndarray:
+        """The matrix of ``_column`` on the full basis shapes with only the
+        input columns ``cols`` filled; every other entry is exactly 0."""
+        m = self.model
+        mat = np.zeros((len(self.basis(sector + m.sector(key[1]), T)), len(self.basis(sector, T))),
+                       dtype=complex)
+        powers = self._powers
+        for col in cols:
+            gammas, gidx, oi, coef = self._column(key, sector, T, key_first, col)
+            pw = []
+            for g in gammas:
+                pk = (z, conj, g)
+                if pk not in powers:
+                    powers[pk] = zpow(z, Fraction(g, 4 * m.k), conj)
+                pw.append(powers[pk])
+            mat[oi, col] += coef * np.array(pw, dtype=complex)[gidx]
         return mat
 
     def apply(self, u_pair, u_state, x_pair, x_mat, z: complex, T: int):
@@ -206,11 +213,16 @@ class DiagonalFFA:
         # right factors carry the dual-basis coefficient on the primed bases
         scale_l = self.left_scale[(i1, i2)]
         scale_r = self.dual_scale[(i1, i2)] * self.left_scale[((-i1) % two_k, (-i2) % two_k)]
+        # only the operator columns that meet a nonzero row or column of x_mat
+        # are filled; the rest stay 0 and the products keep the full shapes, so
+        # each product rounds as it does with every column filled
+        rows = np.flatnonzero(x_mat.any(axis=1))
+        cols = np.flatnonzero(x_mat.any(axis=0))
         for (lk, rk), c in s_state.items():
             if not c:
                 continue
-            ml = self._dense(*self._comp_matrix(lk, x_pair[0], T, state_first), z, conj=False)
-            mr = self._dense(*self._comp_matrix(rk, x_pair[1], T, state_first), z, conj=True)
+            ml = self._operator(lk, x_pair[0], T, state_first, rows, z, conj=False)
+            mr = self._operator(rk, x_pair[1], T, state_first, cols, z, conj=True)
             out += (c * scale_l * scale_r) * (ml @ x_mat @ mr.T)
         return out_pair, out
 
@@ -305,6 +317,12 @@ def _restrict_grid(ffa: DiagonalFFA, mat: np.ndarray, pair, t_small: int) -> np.
     return mat[:len(ffa.basis(pair[0], t_small)), :len(ffa.basis(pair[1], t_small))]
 
 
+def _require_samples(samples: int) -> None:
+    """A sampled check with no samples has no record and passes vacuously."""
+    if samples < 1:
+        raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
+
+
 def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                         seed: int = 1) -> list[CheckRecord]:
     """Product equals iterate inside the ordered region.
@@ -320,6 +338,7 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
       value_{T+2}| must shrink by a factor >= 4 from T to T+2, which pins
       the expansion parameter |z1 - z2| / |z2| of the iterate.
     """
+    _require_samples(samples)
     T = ffa.spec.truncation
     if T < 3:
         raise ValueError(f"associativity evaluates at truncation T - 2 and needs "
@@ -373,6 +392,7 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
 def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                         seed: int = 2) -> list[CheckRecord]:
     """Y(u; z)v = exp(z D^L + zbar D^R) Y(v; -z)u on every component."""
+    _require_samples(samples)
     T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
@@ -712,15 +732,17 @@ def _laurent_slice(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, T: int,
     """{integer exponent: dense vector} of Y(u_key, z) on the in-sector
     basis: the row at output index ``row`` (over the inputs), or else the
     column at input index ``col`` (over the outputs)."""
-    (gammas, gidx, oi, ii, coef), (n_out, n_in) = ffa._comp_matrix(u_key, in_sector, T,
-                                                                   key_first=True)
-    at, pos, n = (oi == row, ii, n_in) if col is None else (ii == col, oi, n_out)
+    n_in = len(ffa.basis(in_sector, T))
+    n = n_in if col is None else len(ffa.basis(in_sector + ffa.model.sector(u_key[1]), T))
     out: dict = {}
-    for g, i, c in zip(gidx[at], pos[at], coef[at]):
-        gamma = gammas[g]
-        assert gamma.denominator == 1, "vacuum-sector insertions have integer powers"
-        vec = out.get(int(gamma))
-        if vec is None:
-            vec = out[int(gamma)] = np.zeros(n, dtype=complex)
-        vec[i] += c
+    for i_in in (range(n_in) if col is None else (col,)):
+        gammas, gidx, oi, coef = ffa._column(u_key, in_sector, T, True, i_in)
+        at = oi == row if col is None else slice(None)
+        for g, o, c in zip(gidx[at], oi[at], coef[at]):
+            e, frac = divmod(gammas[g], 4 * ffa.model.k)
+            assert not frac, "vacuum-sector insertions have integer powers"
+            vec = out.get(e)
+            if vec is None:
+                vec = out[e] = np.zeros(n, dtype=complex)
+            vec[i_in if col is None else o] += c
     return out

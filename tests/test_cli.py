@@ -17,6 +17,11 @@ LATTICE_REF = json.loads((ROOT / "perfbench" / "refs" / "lattice_k1" / "seed_5.j
 # SHA-256 of the CLI output for that argv; test_report_pinned says how it
 # differs from the reference
 LATTICE_SHA256 = "9485abacf4c934a532d572947ce7be1a632248c3acb2d934f0aa1f3a215fb107"
+# the same digest for the other two seeds of the benchmark's lattice pool
+LATTICE_POOL_SHA256 = {
+    13: "b1085a805d65bae8894cdd2d940710c2026064b24b3f372a455693439c4bc721",
+    29: "12aad65017d51b639ffcc2fe8b857a60763095d414033f49055b5c62dace6163",
+}
 
 
 @pytest.fixture()
@@ -145,6 +150,13 @@ class TestLattice:
             assert [[rec[k] for k in keys] for rec in rep["records"]] == \
                 [[rec[k] for k in keys] for rec in rrep["records"]]
 
+    @pytest.mark.parametrize("seed", sorted(LATTICE_POOL_SHA256))
+    def test_pool_seed_report_pinned(self, seed, capsys):
+        argv = LATTICE_REF["argv"][:-1] + [str(seed)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE_POOL_SHA256[seed]
+
     def test_jacobi_passes_at_the_default_truncation(self, capsys):
         assert main(["lattice", "--k", "1", "--seed", "0", "--check", "jacobi"]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out
@@ -153,6 +165,15 @@ class TestLattice:
     def test_low_truncation_assoc_is_usage_error(self, truncate, capsys):
         assert main(["lattice", "--k", "1", "--truncate", truncate, "--check", "assoc"]) == 2
         assert "needs truncation >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_is_usage_error(self, samples, capsys):
+        # no sample means no record, which used to read "0/0 checks passed"
+        assert main(["lattice", "--k", "1", "--truncate", "4", "--samples", samples,
+                     "--check", "assoc,skew"]) == 2
+        captured = capsys.readouterr()
+        assert f"needs samples >= 1, got {samples}" in captured.err
+        assert captured.out == ""
 
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2

@@ -18,6 +18,7 @@ from fullfield.lattice import (
     check_grading_axioms,
     check_jacobi_residues,
     check_residue_lemma,
+    check_skew_symmetry,
     check_virasoro,
     chiral_io_apply,
     derive_f_entry,
@@ -27,7 +28,7 @@ from fullfield.lattice import (
 )
 from fullfield.fixtures import fixture_bytes
 from fullfield.lattice import checks
-from fullfield.lattice.checks import (SectorBasis, _commutator_holds,
+from fullfield.lattice.checks import (SectorBasis, _commutator_holds, _laurent_slice,
                                       _paired_exponents_integral, seeded_states, zpow)
 from fullfield.lattice.model import vec_add, vec_scale
 from fullfield.lattice.oracle import _fit_pattern, residue_extraction
@@ -502,9 +503,69 @@ def test_dense_matches_entrywise_reference(k, name):
             for key in keys:
                 for sector in range(model.two_k):
                     for key_first in (True, False):
-                        got = ffa._dense(*ffa._comp_matrix(key, sector, T, key_first), z, conj)
+                        where = (z, conj, key, sector, key_first)
                         want = _dense_reference(model, key, sector, T, key_first, z, conj)
-                        assert np.array_equal(got, want), (z, conj, key, sector, key_first)
+                        n_in = want.shape[1]
+                        got = ffa._operator(key, sector, T, key_first, range(n_in), z, conj)
+                        assert np.array_equal(got, want), where
+                        # a column subset fills those columns and leaves exact zeros
+                        cols = np.arange(sector % 3, n_in, 3)
+                        part = ffa._operator(key, sector, T, key_first, cols, z, conj)
+                        assert np.array_equal(part[:, cols], want[:, cols]), where
+                        assert not np.delete(part, cols, axis=1).any(), where
+
+
+def _full_apply_reference(ffa, s_pair, s_state, x_pair, x_mat, z, T, state_first):
+    """The vertex map as the sum of c s (ML @ X @ MR.T) over the terms of the
+    factorized argument, with ML and MR filled in full from the exact
+    components."""
+    two_k = ffa.model.two_k
+    i1, i2 = (s_pair[0], x_pair[0]) if state_first else (x_pair[0], s_pair[0])
+    scale_l = ffa.left_scale[(i1, i2)]
+    scale_r = ffa.dual_scale[(i1, i2)] * ffa.left_scale[((-i1) % two_k, (-i2) % two_k)]
+    out = 0
+    for (lk, rk), c in s_state.items():
+        ml = _dense_reference(ffa.model, lk, x_pair[0], T, state_first, z, False)
+        mr = _dense_reference(ffa.model, rk, x_pair[1], T, state_first, z, True)
+        out = out + (c * scale_l * scale_r) * (ml @ x_mat @ mr.T)
+    return out
+
+
+@pytest.mark.parametrize("k, name, seed", [(1, "z2k1", 5), (2, "z4k2", 3)])
+def test_sparse_arguments_match_the_full_products(k, name, seed):
+    T = 6
+    ffa = DiagonalFFA(LatticeSpec(k, T), bundle=get_bundle(name))
+    (upair, ustate), (vpair, vstate) = seeded_states(ffa.model, seed, 2)
+    z = 0.55 + 0.3j
+    xpair, xmat = ffa.tensor_state_from_dict(vpair, vstate, T)
+    got = ffa.apply(upair, ustate, xpair, xmat, z, T)[1]
+    want = _full_apply_reference(ffa, upair, ustate, xpair, xmat, z, T, True)
+    assert np.array_equal(got, want) and np.any(got)
+    # only the columns the argument touches are compiled, never a whole basis
+    rows, cols = np.flatnonzero(xmat.any(axis=1)), np.flatnonzero(xmat.any(axis=0))
+    touched = {(lk, xpair[0], T, True, int(i)) for lk, _ in ustate for i in rows}
+    touched |= {(rk, xpair[1], T, True, int(j)) for _, rk in ustate for j in cols}
+    assert set(ffa._cols) == touched
+    assert len(rows) < len(ffa.basis(xpair[0], T)) and len(cols) < len(ffa.basis(xpair[1], T))
+
+    # apply_first on the outer product of two Laurent columns of alpha(-1) 1
+    a_key = ((1,), 0)
+    il, ir = (ffa.basis(s, T).index[key] for s, key in zip(upair, next(iter(ustate))))
+    col_l = _laurent_slice(ffa, a_key, upair[0], T, col=il)
+    col_r = _laurent_slice(ffa, a_key, upair[1], T, col=ir)
+    xmat = np.outer(next(iter(col_l.values())), next(iter(col_r.values())))
+    assert np.any(xmat)
+    got = ffa.apply_first(upair, xmat, vpair, vstate, z, T)[1]
+    want = _full_apply_reference(ffa, vpair, vstate, upair, xmat, z, T, False)
+    assert np.array_equal(got, want) and np.any(got)
+
+
+@pytest.mark.parametrize("check", [check_associativity, check_skew_symmetry])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_checks_need_a_sample(check, samples):
+    ffa = DiagonalFFA(LatticeSpec(1, 4), bundle=get_bundle("z2k1"))
+    with pytest.raises(ValueError, match=f"needs samples >= 1, got {samples}"):
+        check(ffa, samples=samples)
 
 
 @pytest.mark.parametrize("k", [1, 2])
