@@ -112,6 +112,7 @@ def cmd_lattice(args) -> int:
         check_virasoro,
         emit_bundle,
     )
+    from fullfield.solver import SolverError
 
     spec = LatticeSpec(args.k, args.truncate)
     names = args.check.split(",") if args.check else list(LATTICE_CHECKS)
@@ -120,7 +121,13 @@ def cmd_lattice(args) -> int:
             print(f"unknown lattice check {name!r}; known: {', '.join(LATTICE_CHECKS)}",
                   file=sys.stderr)
             return 2
-    bundle = emit_bundle(spec, seed=args.seed)
+    try:
+        bundle = emit_bundle(spec, seed=args.seed)
+    except SolverError as exc:
+        # the solvers cannot complete the lattice ring's data (k = 3)
+        where = "" if exc.conflict is None else f" (conflict: {exc.conflict})"
+        print(f"error: {exc}{where}", file=sys.stderr)
+        return 2
     if args.emit_bundle:
         save_bundle(bundle, args.emit_bundle)
         print(f"emitted bundle to {args.emit_bundle}")

@@ -65,12 +65,17 @@ class SectorBasis:
         keys.sort(key=lambda key: (model.state_weight(key), key))
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
+        self._virasoro: dict = {}
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def virasoro_matrix(self, n: int) -> np.ndarray:
-        """Dense L(n) on this basis, truncated at the basis cutoff."""
+        """Dense L(n) on this basis, truncated at the basis cutoff; built once
+        per mode and returned read-only."""
+        mat = self._virasoro.get(n)
+        if mat is not None:
+            return mat
         mat = np.zeros((len(self), len(self)), dtype=complex)
         for i, key in enumerate(self.keys):
             out = self.model.virasoro(n, {key: Fraction(1)}, self.T)
@@ -78,6 +83,8 @@ class SectorBasis:
                 oi = self.index.get(k2)
                 if oi is not None:
                     mat[oi, i] = complex(c)
+        mat.flags.writeable = False
+        self._virasoro[n] = mat
         return mat
 
 
@@ -203,28 +210,38 @@ class DiagonalFFA:
     def _apply(self, s_pair, s_state, x_pair, x_mat, z: complex, T: int, state_first: bool):
         """The vertex map with one factorized argument ``s_state`` and one
         dense argument ``x_mat``; ``state_first`` says which is the first."""
-        if z == 0:
-            raise ValueError("the vertex map is not defined at z = 0")
         two_k = self.model.two_k
-        i1, i2 = (s_pair[0], x_pair[0]) if state_first else (x_pair[0], s_pair[0])
         out_pair = ((s_pair[0] + x_pair[0]) % two_k, (s_pair[1] + x_pair[1]) % two_k)
         out = np.zeros((len(self.basis(out_pair[0], T)), len(self.basis(out_pair[1], T))),
                        dtype=complex)
-        # right factors carry the dual-basis coefficient on the primed bases
-        scale_l = self.left_scale[(i1, i2)]
-        scale_r = self.dual_scale[(i1, i2)] * self.left_scale[((-i1) % two_k, (-i2) % two_k)]
         # only the operator columns that meet a nonzero row or column of x_mat
         # are filled; the rest stay 0 and the products keep the full shapes, so
         # each product rounds as it does with every column filled
         rows = np.flatnonzero(x_mat.any(axis=1))
         cols = np.flatnonzero(x_mat.any(axis=0))
+        for w, ml, mr in self._terms(s_pair, s_state, x_pair, rows, cols, z, T, state_first):
+            out += w * (ml @ x_mat @ mr.T)
+        return out_pair, out
+
+    def _terms(self, s_pair, s_state, x_pair, rows, cols, z: complex, T: int,
+               state_first: bool):
+        """``(w, ML, MR)`` for each term of ``s_state``: the vertex map on a
+        dense argument X supported in ``rows`` x ``cols`` is the sum of
+        w * (ML @ X @ MR.T), where ML and MR have only those input columns
+        filled."""
+        if z == 0:
+            raise ValueError("the vertex map is not defined at z = 0")
+        two_k = self.model.two_k
+        i1, i2 = (s_pair[0], x_pair[0]) if state_first else (x_pair[0], s_pair[0])
+        # right factors carry the dual-basis coefficient on the primed bases
+        scale_l = self.left_scale[(i1, i2)]
+        scale_r = self.dual_scale[(i1, i2)] * self.left_scale[((-i1) % two_k, (-i2) % two_k)]
         for (lk, rk), c in s_state.items():
             if not c:
                 continue
-            ml = self._operator(lk, x_pair[0], T, state_first, rows, z, conj=False)
-            mr = self._operator(rk, x_pair[1], T, state_first, cols, z, conj=True)
-            out += (c * scale_l * scale_r) * (ml @ x_mat @ mr.T)
-        return out_pair, out
+            yield (c * scale_l * scale_r,
+                   self._operator(lk, x_pair[0], T, state_first, rows, z, conj=False),
+                   self._operator(rk, x_pair[1], T, state_first, cols, z, conj=True))
 
     def tensor_state_from_dict(self, pair, state, T: int):
         return pair, tensor_matrix(self.basis(pair[0], T), self.basis(pair[1], T), state)
@@ -323,6 +340,13 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
 
 
+def _require_same_pair(lhs_pair, rhs_pair, where: str) -> None:
+    """The two sides of a compared identity must land in one sector pair."""
+    if lhs_pair != rhs_pair:
+        raise ValueError(f"{where}: the two sides land in the sector pairs {lhs_pair} "
+                         f"and {rhs_pair}")
+
+
 def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                         seed: int = 1) -> list[CheckRecord]:
     """Product equals iterate inside the ordered region.
@@ -360,7 +384,7 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
             ip, imat = ffa.apply(pair, ustate,
                                  *ffa.tensor_state_from_dict(vpair, vstate, tt), z1 - z2, tt)
             it_pair, it = ffa.apply_first(ip, imat, wpair, wstate, z2, tt)
-            assert prod_pair == it_pair
+            _require_same_pair(prod_pair, it_pair, f"associativity sample {idx} at T = {tt}")
             out_pair = prod_pair
             prods[tt] = prod
             its[tt] = it
@@ -406,7 +430,7 @@ def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                                   *ffa.tensor_state_from_dict(vpair, vstate, T), z, T)
         rhs_pair, rhs0 = ffa.apply(vpair, vstate,
                                    *ffa.tensor_state_from_dict(upair, ustate, T), -z, T)
-        assert lhs_pair == rhs_pair
+        _require_same_pair(lhs_pair, rhs_pair, f"skew-symmetry sample {idx}")
         rhs = ffa.exp_d_left_right(rhs_pair, rhs0, z, z.conjugate(), T)
         mask = ffa.weight_mask(lhs_pair, T, Fraction(T))
         err = _rel_err(lhs, rhs, mask)
@@ -651,7 +675,13 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
     shipped z2k1 and z4k2 bundles (seeds 0-7) every record holds to rounding
     from T = 6 on; at T = 5 and 4 the seeds with the heaviest states fail,
     at T = 3 every seed, with defects from 0.007 to 1.  At T = 1 and 2 almost
-    every record fails, and at T = 1 the f = 1 records are vacuous.
+    every record fails, and at T = 1 the f = 1 records are vacuous.  Seeds
+    0-7 are a sample, not a bound: at T = 6 seeds 19 and 20 fail their
+    1/(z-r) records on both bundles (defects 0.02 to 0.51), and seed 25 on
+    z2k1 (32 on z4k2) has a vacuous f = 1 record.
+
+    The coefficients are read from one output entry (il, ir) of each
+    ordering; see ``_jacobi_series``.
     """
     T = ffa.spec.truncation
     model = ffa.model
@@ -684,7 +714,17 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
 
 def _jacobi_series(ffa: DiagonalFFA, upair, ustate, wpair, wstate, r: float, T: int):
     """Laurent coefficients of the three orderings, as {exponent: value}, for
-    the insertion alpha(-1) 1 on both sides."""
+    the insertion alpha(-1) 1 on both sides, read at one output entry
+    (il, ir).
+
+    The outer ordering contracts rows il and ir of the insertion with X.  The
+    inner and middle orderings feed the vertex map a rank-1 argument
+    c1 c2^T, c1 and c2 being Laurent columns of the insertion, and the map is
+    a sum over the terms t of its factorized argument of w_t ML_t X MR_t^T
+    (``DiagonalFFA._terms``).  So their entry is the sum over t of
+    w_t (ML_t[il] @ c1) (MR_t[ir] @ c2): one row of each factor per term,
+    built once per ordering, and two dot products per exponent pair.
+    """
     a_key = ((1,), 0)
 
     # X = Y(u; r, r) w; extract the coefficient functional at the dominant
@@ -702,36 +742,51 @@ def _jacobi_series(ffa: DiagonalFFA, upair, ustate, wpair, wstate, r: float, T: 
         for e2, row2 in rows_r.items():
             g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + complex(tmp @ row2)
 
-    def inserted(pair, state, evaluate):
-        """Series of <w', evaluate(YL(z) YR(z) x)> summed over x in ``state``;
+    def inserted(pair, state, s_pair, s_state, state_first):
+        """Series of <w', Y(YL(z) YR(z) x) with ``s_state``> summed over x in
+        ``state``, ``s_state`` being the first argument if ``state_first``;
         like X, it keeps only the keys on the sector bases at T."""
         bl, br = ffa.basis(pair[0], T), ffa.basis(pair[1], T)
+        slices = [(float(c), _laurent_slice(ffa, a_key, pair[0], T, col=bl.index[lk]),
+                   _laurent_slice(ffa, a_key, pair[1], T, col=br.index[rk]))
+                  for (lk, rk), c in state.items() if lk in bl.index and rk in br.index]
+        # the factors' columns are filled where some Laurent column is nonzero
+        rows = _support((c1 for _, cols_l, _ in slices for c1 in cols_l.values()), len(bl))
+        cols = _support((c2 for _, _, cols_r in slices for c2 in cols_r.values()), len(br))
+        factors = [(w, ml[il], mr[ir]) for w, ml, mr
+                   in ffa._terms(s_pair, s_state, pair, rows, cols, complex(r), T, state_first)]
         g: dict = {}
-        for (lk, rk), c in state.items():
-            if lk not in bl.index or rk not in br.index:
-                continue
-            cols_l = _laurent_slice(ffa, a_key, pair[0], T, col=bl.index[lk])
-            cols_r = _laurent_slice(ffa, a_key, pair[1], T, col=br.index[rk])
+        for c, cols_l, cols_r in slices:
+            rights = {e2: [complex(mr @ c2) for _, _, mr in factors] for e2, c2 in cols_r.items()}
             for e1, c1 in cols_l.items():
-                for e2, c2 in cols_r.items():
-                    ymat = evaluate(np.outer(c1, c2))
-                    g[e1 + e2] = g.get(e1 + e2, 0j) + float(c) * complex(ymat[il, ir])
+                left = [complex(ml @ c1) for _, ml, _ in factors]
+                for e2, right in rights.items():
+                    value = sum((w * (a * b) for (w, _, _), a, b in zip(factors, left, right)), 0j)
+                    g[e1 + e2] = g.get(e1 + e2, 0j) + c * value
         return g
 
     # inner: <w', Y(u; r, r) [YL(z) YR(z) w]>
-    g_in = inserted(wpair, wstate,
-                    lambda mat: ffa.apply(upair, ustate, wpair, mat, complex(r), T)[1])
+    g_in = inserted(wpair, wstate, upair, ustate, True)
     # middle: <w', Y(YL(x) YR(x) u; r, r) w>, x = z - r
-    g_mid = inserted(upair, ustate,
-                     lambda mat: ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)[1])
+    g_mid = inserted(upair, ustate, wpair, wstate, False)
     return g_out, g_in, g_mid
+
+
+def _support(vectors, n: int) -> np.ndarray:
+    """Indexes where any of the length-``n`` ``vectors`` is nonzero."""
+    mask = np.zeros(n, dtype=bool)
+    for vec in vectors:
+        mask |= vec != 0
+    return np.flatnonzero(mask)
 
 
 def _laurent_slice(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, T: int,
                    row: int | None = None, col: int | None = None):
     """{integer exponent: dense vector} of Y(u_key, z) on the in-sector
     basis: the row at output index ``row`` (over the inputs), or else the
-    column at input index ``col`` (over the outputs)."""
+    column at input index ``col`` (over the outputs).  Raises ValueError
+    where a power of z is not an integer, as it can be for a ``u_key``
+    outside the vacuum sector."""
     n_in = len(ffa.basis(in_sector, T))
     n = n_in if col is None else len(ffa.basis(in_sector + ffa.model.sector(u_key[1]), T))
     out: dict = {}
@@ -740,7 +795,10 @@ def _laurent_slice(ffa: DiagonalFFA, u_key: StateKey, in_sector: int, T: int,
         at = oi == row if col is None else slice(None)
         for g, o, c in zip(gidx[at], oi[at], coef[at]):
             e, frac = divmod(gammas[g], 4 * ffa.model.k)
-            assert not frac, "vacuum-sector insertions have integer powers"
+            if frac:
+                raise ValueError(f"Y({u_key}, z) on sector {in_sector} has the power "
+                                 f"z^{Fraction(gammas[g], 4 * ffa.model.k)}; a Laurent "
+                                 f"slice needs integer powers")
             vec = out.get(e)
             if vec is None:
                 vec = out[e] = np.zeros(n, dtype=complex)

@@ -175,6 +175,15 @@ class TestLattice:
         assert f"needs samples >= 1, got {samples}" in captured.err
         assert captured.out == ""
 
+    def test_unsolvable_level_is_reported(self, capsys):
+        # at k = 3 the sigma constraints contradict each other; the error
+        # names the first contradicted constraint instead of a traceback
+        assert main(["lattice", "--k", "3", "--check", "grading"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no S3 action")
+        assert "'kind': 'pairing'" in captured.err and "('2', '2', '4')" in captured.err
+        assert captured.out == ""
+
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2
 

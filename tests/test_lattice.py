@@ -560,6 +560,96 @@ def test_sparse_arguments_match_the_full_products(k, name, seed):
     assert np.array_equal(got, want) and np.any(got)
 
 
+def _jacobi_by_full_apply(ffa, upair, ustate, wpair, wstate, r, T):
+    """The contour series with the inner and middle orderings read as one
+    entry of a full apply on the outer product of two Laurent columns, per
+    exponent pair."""
+    a_key = ((1,), 0)
+    xpair, xmat = ffa.apply(upair, ustate, *ffa.tensor_state_from_dict(wpair, wstate, T),
+                            complex(r), T)
+    il, ir = np.unravel_index(int(np.abs(xmat).argmax()), xmat.shape)
+    g_out = {}
+    rows_l = _laurent_slice(ffa, a_key, xpair[0], T, row=il)
+    rows_r = _laurent_slice(ffa, a_key, xpair[1], T, row=ir)
+    for e1, row1 in rows_l.items():
+        for e2, row2 in rows_r.items():
+            g_out[e1 + e2] = g_out.get(e1 + e2, 0j) + complex(row1 @ xmat @ row2)
+
+    def inserted(pair, state, evaluate):
+        bl, br = ffa.basis(pair[0], T), ffa.basis(pair[1], T)
+        g = {}
+        for (lk, rk), c in state.items():
+            if lk not in bl.index or rk not in br.index:
+                continue
+            cols_l = _laurent_slice(ffa, a_key, pair[0], T, col=bl.index[lk])
+            cols_r = _laurent_slice(ffa, a_key, pair[1], T, col=br.index[rk])
+            for e1, c1 in cols_l.items():
+                for e2, c2 in cols_r.items():
+                    ymat = evaluate(np.outer(c1, c2))
+                    g[e1 + e2] = g.get(e1 + e2, 0j) + float(c) * complex(ymat[il, ir])
+        return g
+
+    g_in = inserted(wpair, wstate,
+                    lambda mat: ffa.apply(upair, ustate, wpair, mat, complex(r), T)[1])
+    g_mid = inserted(upair, ustate,
+                     lambda mat: ffa.apply_first(upair, mat, wpair, wstate, complex(r), T)[1])
+    return g_out, g_in, g_mid
+
+
+@pytest.mark.parametrize("k, name, seed", [(1, "z2k1", seed) for seed in (4, 5, 13, 18, 29, 31)]
+                         + [(2, "z4k2", 4)])
+def test_jacobi_rank1_read_matches_the_full_apply(k, name, seed, monkeypatch):
+    T = 6
+    ffa = DiagonalFFA(LatticeSpec(k, T), bundle=get_bundle(name))
+    (upair, ustate), (wpair, wstate) = seeded_states(ffa.model, seed, 2, sector=1)
+    for r in (0.5, 0.6, 0.45):
+        got = checks._jacobi_series(ffa, upair, ustate, wpair, wstate, r, T)
+        want = _jacobi_by_full_apply(ffa, upair, ustate, wpair, wstate, r, T)
+        for g, h in zip(got, want):
+            assert g.keys() == h.keys() and h, (r, sorted(h))
+            scale = max(abs(c) for c in h.values())
+            assert max(abs(g[e] - h[e]) for e in h) <= 1e-14 * scale, r
+    statuses = [rec.status for rec in check_jacobi_residues(ffa, seed=seed)]
+    monkeypatch.setattr(checks, "_jacobi_series", _jacobi_by_full_apply)
+    assert [rec.status for rec in check_jacobi_residues(ffa, seed=seed)] == statuses
+
+
+def test_virasoro_matrix_is_built_once_and_read_only():
+    basis = SectorBasis(M1, 1, 6)
+    first = basis.virasoro_matrix(-1)
+    assert basis.virasoro_matrix(-1) is first
+    assert np.array_equal(first, SectorBasis(M1, 1, 6).virasoro_matrix(-1)) and first.any()
+    assert basis.virasoro_matrix(0) is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1
+
+
+def test_laurent_slice_rejects_a_fractional_power():
+    # Y(e^alpha, z) on the charge-1 sector has powers in 1/2 + Z at k = 1
+    ffa = DiagonalFFA(LatticeSpec(1, 6), bundle=get_bundle("z2k1"))
+    with pytest.raises(ValueError, match=r"Y\(\(\(\), 1\), z\) on sector 1 has the power z\^-1/2"):
+        _laurent_slice(ffa, ((), 1), 1, 6, col=0)
+
+
+def test_compared_sides_must_share_a_sector_pair(monkeypatch):
+    ffa = DiagonalFFA(LatticeSpec(1, 4), bundle=get_bundle("z2k1"))
+    apply, apply_first = ffa.apply, ffa.apply_first
+
+    def shift(pair):
+        return (pair[0] + 1) % 2, pair[1]
+
+    monkeypatch.setattr(ffa, "apply_first", lambda *args: (lambda p, m: (shift(p), m))(
+        *apply_first(*args)))
+    with pytest.raises(ValueError, match=r"associativity sample 0 at T = 2: the two sides land "
+                                         r"in the sector pairs \(\d, \d\) and"):
+        check_associativity(ffa, samples=1)
+    # the right-hand side of skew symmetry is evaluated at -z
+    monkeypatch.setattr(ffa, "apply", lambda *args: (lambda p, m: (
+        shift(p) if args[-2].real < 0 else p, m))(*apply(*args)))
+    with pytest.raises(ValueError, match="skew-symmetry sample 0: the two sides land"):
+        check_skew_symmetry(ffa, samples=1)
+
+
 @pytest.mark.parametrize("check", [check_associativity, check_skew_symmetry])
 @pytest.mark.parametrize("samples", [0, -1])
 def test_sampled_checks_need_a_sample(check, samples):
