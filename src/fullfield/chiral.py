@@ -32,8 +32,7 @@ from operator import itemgetter
 
 from fullfield.bundles import Bundle, BundleError
 from fullfield.cyclotomic import CycScalar
-from fullfield.linalg import (change_basis4, identity, mat_eq, mat_inv, mat_mul, mat_scale,
-                              transpose)
+from fullfield.linalg import change_basis4, identity, mat_inv, mat_mul, mat_scale, transpose
 
 Space = tuple[str, str, str]
 
@@ -159,7 +158,7 @@ class ChiralData:
         key_a, key_b = self.fusion.pairing_keys(space)
         ga = self._pairing_via(key_a, self.sigma23(self.primed(space)))
         gb = transpose(self._pairing_via(key_b, self.sigma23(space)))
-        if not mat_eq(ga, gb):
+        if ga != gb:
             raise BundleError(f"pairing{space}",
                               "the two fusing expressions for the pairing disagree")
         self._pairing[space] = ga
@@ -233,7 +232,7 @@ class ChiralData:
             lhs = mat_mul(transpose(f1[0][0]), mat_mul(f2_slice, mat_mul(s12, s23)))
             want = [[fa if i == j else zero for j in range(len(lhs))] for i in range(len(lhs))]
             out.append(CheckRecord("left-inverse-normalization", space,
-                                   "pass" if mat_eq(lhs, want) else "fail"))
+                                   "pass" if lhs == want else "fail"))
         return out
 
     def verify_pairing_properties(self) -> list[CheckRecord]:
@@ -243,7 +242,7 @@ class ChiralData:
         for space in self.spaces():
             g = self.pairing_matrix(space)
             gp = self.pairing_matrix(self.primed(space))
-            ok = mat_eq(gp, transpose(g))
+            ok = gp == transpose(g)
             out.append(CheckRecord("pairing-symmetry", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
             module, _, vacuum = self.fusion.canonical_spaces(a)
@@ -265,7 +264,7 @@ class ChiralData:
             g = self.pairing_matrix(space)
             dm = self.dual_basis(space)
             ident = identity(self.dim(space), one, zero)
-            ok = mat_eq(mat_mul(g, dm), ident)
+            ok = mat_mul(g, dm) == ident
             out.append(CheckRecord("dual-delta", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
             fa = self.f_a(a)
@@ -275,7 +274,7 @@ class ChiralData:
             for space, (want, msg) in zip(self.fusion.canonical_spaces(a), wants):
                 dm = self.dual_basis(space)
                 out.append(CheckRecord("dual-canonical", space,
-                                       "pass" if mat_eq(dm, want) else "fail", message=msg))
+                                       "pass" if dm == want else "fail", message=msg))
             fap = self.f_a(self.fusion.dual[a])
             out.append(CheckRecord("canonical-weight-duality", (a,),
                                    "pass" if fa == fap else "fail",
@@ -378,18 +377,18 @@ class ChiralData:
             ident = identity(dim, one, zero)
             s12a = self.sigma12(space)
             s12b = self.sigma12(t12(space))
-            ok = mat_eq(mat_mul(s12b, s12a), ident)
+            ok = mat_mul(s12b, s12a) == ident
             out.append(CheckRecord("sigma12-involution", space, "pass" if ok else "fail"))
             s23a = self.sigma23(space)
             s23b = self.sigma23(t23(space))
-            ok = mat_eq(mat_mul(s23b, s23a), ident)
+            ok = mat_mul(s23b, s23a) == ident
             out.append(CheckRecord("sigma23-involution", space, "pass" if ok else "fail"))
             # braid: s12 s23 s12 = s23 s12 s23 as maps out of ``space``
             m1 = mat_mul(self.sigma12(t23(t12(space))),
                          mat_mul(self.sigma23(t12(space)), self.sigma12(space)))
             m2 = mat_mul(self.sigma23(t12(t23(space))),
                          mat_mul(self.sigma12(t23(space)), self.sigma23(space)))
-            out.append(CheckRecord("s3-braid", space, "pass" if mat_eq(m1, m2) else "fail"))
+            out.append(CheckRecord("s3-braid", space, "pass" if m1 == m2 else "fail"))
         for a in self.fusion.labels:
             module, skew, vacuum = self.fusion.canonical_spaces(a)
             checks = [
@@ -421,7 +420,7 @@ class ChiralData:
                 form_t, path_t = self.modified_form(tgt)
                 if path == "exact" and path_t == "exact":
                     lhs = mat_mul(transpose(smat), mat_mul(form_t, smat_p))
-                    ok = mat_eq(lhs, form)
+                    ok = lhs == form
                     out.append(CheckRecord(f"{name}-form-invariance", space,
                                            "pass" if ok else "fail", path="exact"))
                 else:
@@ -443,7 +442,7 @@ class ChiralData:
             s23p = self.sigma23(self.primed(space))
             lhs = mat_mul(transpose(s23), mat_mul(gt, s23p))
             factor = self.f_a(a3) * self.f_a(a2).inverse()
-            ok = mat_eq(lhs, mat_scale(g, factor))
+            ok = lhs == mat_scale(g, factor)
             out.append(CheckRecord("sigma23-pairing-factor", space,
                                    "pass" if ok else "fail"))
         return out

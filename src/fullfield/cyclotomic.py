@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -56,10 +56,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _euler_phi(n: int) -> int:
-    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
-
-
 def _split_primes(n: int, count: int) -> list[tuple[int, tuple[int, ...]]]:
     """The first ``count`` primes p = 1 (mod n), each with the powers
     w^0 .. w^(n-1) mod p of a primitive n-th root of unity w mod p."""
@@ -94,7 +90,6 @@ class CycField:
         self.order = order
         phi = cyclotomic_polynomial(order)
         self.degree = len(phi) - 1
-        assert self.degree == _euler_phi(order)
         # x^k in the power basis, for k = degree .. order-1
         self._reduce_pow: dict[int, tuple[int, ...]] = {}
         rep = [-c for c in phi[: self.degree]]  # x^degree
@@ -169,14 +164,6 @@ class CycField:
 
     # -- numeric embedding and square roots --------------------------------
 
-    def embed(self, a: "CycScalar", precision: int = 17) -> mpmath.mpc:
-        """Complex value of ``a`` to ``precision`` decimal digits."""
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        self._check(a)
-        with mpmath.workdps(precision + 15):
-            return mpmath.mpc(self._embed_conj(a, 1))
-
     def sqrt(self, a: "CycScalar") -> "CycScalar | None":
         """Principal square root of ``a`` if it lies in the field, else None.
 
@@ -191,12 +178,10 @@ class CycField:
         2. a residue proof: if a reduction of ``a`` at a split prime
            p = 1 (mod N) and some primitive N-th root of unity mod p is a
            quadratic non-residue, ``a`` is no square in the field: None;
-        3. a numeric search over the sign patterns of the conjugate roots
-           at 60 digits, read back into Fractions and checked by squaring.
-
-        The search reads coefficients with denominators up to 10**8 only,
-        so a square whose root has larger coefficient denominators still
-        yields None there.
+        3. a numeric search over the sign patterns of the conjugate roots,
+           each read back as integers over the lcm of the denominators of
+           ``a`` and checked by squaring, at a precision that grows with
+           that lcm and the size of ``a``.
         """
         self._check(a)
         if not a.coeffs:
@@ -242,19 +227,26 @@ class CycField:
         return False
 
     def _sqrt_search(self, a: "CycScalar") -> "CycScalar | None":
+        # With den the lcm of a's coefficient denominators, den^2 * a is
+        # integral, so a root den * sqrt(a) in the field lies in Z[z], whose
+        # power basis is a Z-basis: each sign pattern's solve is rounded to
+        # integers over den and checked by squaring.  The digits cover
+        # |den * sqrt(a)| <= den * (sum |a_e| + 1) with 30 to spare.
         units = self._units
-        d = self.degree
-        with mpmath.workdps(60):
+        den = lcm(*(c.denominator for c in a.coeffs.values()))
+        size = sum(abs(c) for c in a.coeffs.values())
+        dps = max(60, len(str(den * (int(size) + 1))) + 30)
+        with mpmath.workdps(dps):
             conj_a = {j: self._embed_conj(a, j) for j in units}
             # Solve M c = v for each admissible sign pattern on the free
             # conjugate-pair representatives; sign at j=1 fixed to principal.
             reps = [j for j in units if j <= self.order - j]
             frees = [j for j in reps if j != 1]
-            if self._embed_inverse is None:
+            if self._embed_inverse is None or self._embed_inverse[0] < dps:
                 m_rows = [[mpmath.expjpi(mpmath.mpf(2 * j * e) / self.order)
-                           for e in range(d)] for j in units]
-                self._embed_inverse = mpmath.inverse(mpmath.matrix(m_rows))
-            minv = self._embed_inverse
+                           for e in range(self.degree)] for j in units]
+                self._embed_inverse = (dps, mpmath.inverse(mpmath.matrix(m_rows)))
+            minv = self._embed_inverse[1]
             for bits in range(1 << len(frees)):
                 v: dict[int, mpmath.mpc] = {}
                 v[1] = _principal_sqrt(conj_a[1])
@@ -265,26 +257,11 @@ class CycField:
                     other = (self.order - j) % self.order
                     if other in units and other not in v:
                         v[other] = mpmath.conj(v[j])
-                rhs = mpmath.matrix([v[j] for j in units])
-                sol = minv * rhs
-                coeffs: dict[int, Fraction] = {}
-                ok = True
-                for e in range(d):
-                    z = sol[e]
-                    if abs(mpmath.im(z)) > mpmath.mpf("1e-25"):
-                        ok = False
-                        break
-                    frac = _to_fraction(mpmath.re(z))
-                    if frac is None:
-                        ok = False
-                        break
-                    if frac:
-                        coeffs[e] = frac
-                if not ok:
-                    continue
-                cand = CycScalar(self, coeffs)
+                sol = minv * mpmath.matrix([v[j] for j in units])
+                ints = [int(mpmath.nint(den * sol[e].real)) for e in range(self.degree)]
+                cand = CycScalar(self, {e: Fraction(n, den) for e, n in enumerate(ints) if n})
                 if cand * cand == a:
-                    # v[1] took its sign from a 60-digit value whose imaginary
+                    # v[1] took its sign from a numeric value whose imaginary
                     # part may be only rounding: fix it on the exact root
                     val = self._embed_conj(cand, 1)
                     real = cand.conjugate() == cand
@@ -318,20 +295,11 @@ def _principal_sqrt(w: mpmath.mpc) -> mpmath.mpc:
     return s
 
 
-def _to_fraction(x: mpmath.mpf, max_den: int = 10**8) -> Fraction | None:
-    man, exp = x.man_exp  # |x| = man * 2**exp
-    frac = (Fraction(-man if x < 0 else man) * Fraction(2) ** exp).limit_denominator(max_den)
-    with mpmath.workdps(50):
-        if abs(x - mpmath.mpf(frac.numerator) / frac.denominator) < mpmath.mpf("1e-30"):
-            return frac
-    return None
-
-
 class CycScalar:
     """An element of Q(zeta_N), always in canonical reduced form.
 
     Immutable; arithmetic returns new scalars.  Integers and Fractions mix
-    freely on either side of ``+ - * /``.
+    in on either side of ``+`` and ``*``, and on the right of ``-`` and ``/``.
     """
 
     __slots__ = ("field", "coeffs", "_hash")
@@ -374,12 +342,6 @@ class CycScalar:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other) -> "CycScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other) -> "CycScalar":
         o = self._coerce(other)
@@ -442,24 +404,6 @@ class CycScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> "CycScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int) -> "CycScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "CycScalar":
         """Complex conjugation: exponent map k -> N - k, then reduction."""
         n = self.field.order
@@ -483,11 +427,10 @@ class CycScalar:
             self._hash = hash((self.field.order, frozenset(self.coeffs.items())))
         return self._hash
 
-    def embed(self, precision: int = 17) -> mpmath.mpc:
-        return self.field.embed(self, precision)
-
     def __complex__(self) -> complex:
-        return complex(self.embed(17))
+        """The value at 32 digits, rounded once to a double."""
+        with mpmath.workdps(32):
+            return complex(self.field._embed_conj(self, 1))
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""

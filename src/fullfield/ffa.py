@@ -28,8 +28,7 @@ from itertools import product
 from fullfield.bundles import Bundle, BundleError
 from fullfield.chiral import CheckRecord, ChiralData
 from fullfield.cyclotomic import CycScalar
-from fullfield.linalg import (change_basis4, identity, mat_eq, mat_inv, mat_mul, mat_scale,
-                              transpose)
+from fullfield.linalg import change_basis4, identity, mat_inv, mat_mul, mat_scale, transpose
 
 Space = tuple[str, str, str]
 
@@ -97,7 +96,7 @@ def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
         d_sw = ffa.blocks[fusion.sigma12_space(space)]
         lhs = mat_scale(mat_mul(s, mat_mul(transpose(d), transpose(sp))),
                         phase_l * phase_r)
-        ok = mat_eq(lhs, transpose(d_sw))
+        ok = lhs == transpose(d_sw)
         out.append(CheckRecord("ffa-skew-symmetry", space, "pass" if ok else "fail"))
     return out
 
@@ -135,7 +134,7 @@ def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
         g_t = chiral.pairing_matrix(fusion.sigma23_space(space))
         factor = chiral.f_a(a2) * chiral.f_a(a3).inverse()
         lhs = mat_scale(mat_mul(transpose(v), mat_mul(g_t, mat_mul(vp, d))), factor)
-        ok = mat_eq(lhs, identity(len(d), one, zero))
+        ok = lhs == identity(len(d), one, zero)
         out.append(CheckRecord("ffa-invariance", space, "pass" if ok else "fail"))
     return out
 
@@ -147,7 +146,7 @@ def verify_unit_blocks(ffa: FFAStructure) -> list[CheckRecord]:
     for a in ffa.fusion.labels:
         module = ffa.fusion.canonical_spaces(a)[0]
         d = ffa.blocks[module]
-        ok = mat_eq(d, identity(len(d), one, zero))
+        ok = d == identity(len(d), one, zero)
         out.append(CheckRecord("ffa-unit-block", module, "pass" if ok else "fail"))
     return out
 

@@ -552,17 +552,18 @@ def check_virasoro(ffa: DiagonalFFA) -> list[CheckRecord]:
         probe.append(model.lowest(j))
         probe.append(model.alpha(-1, model.lowest(j)))
         probe.append(model.alpha(-2, model.alpha(-1, model.lowest(j))))
+    # L(n)v and L(m)L(n)v once per probe, both orders read from the table
+    tables = []
+    for vec in probe:
+        once = {n: model.virasoro(n, vec) for n in range(-4, 5)}
+        twice = {(m, n): model.virasoro(m, once[n]) for m in range(-2, 3) for n in range(-2, 3)}
+        tables.append((vec, once, twice))
     for mmode in range(-2, 3):
         for nmode in range(-2, 3):
             ok = True
-            for vec in probe:
-                w = model.vec_weight(vec)
-                cap = w + abs(mmode) + abs(nmode) + 1
-                x1 = model.virasoro(mmode, model.virasoro(nmode, vec, cap), cap)
-                x2 = model.virasoro(nmode, model.virasoro(mmode, vec, cap), cap)
-                comm = vec_add(x1, vec_scale(x2, Fraction(-1)))
-                want = vec_scale(model.virasoro(mmode + nmode, vec, cap),
-                                 Fraction(mmode - nmode))
+            for vec, once, twice in tables:
+                comm = vec_add(twice[mmode, nmode], vec_scale(twice[nmode, mmode], Fraction(-1)))
+                want = vec_scale(once[mmode + nmode], Fraction(mmode - nmode))
                 if mmode + nmode == 0:
                     c = Fraction(mmode ** 3 - mmode, 12)
                     want = vec_add(want, vec_scale(vec, c))

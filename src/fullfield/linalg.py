@@ -63,18 +63,6 @@ def mat_inv(a, one, zero):
     return solve(a, identity(len(a), one, zero), one)
 
 
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not (x == y):
-                return False
-    return True
-
-
 def mat_scale(a, s):
     return [[s * v for v in row] for row in a]
 

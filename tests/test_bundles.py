@@ -93,6 +93,43 @@ class TestParsing:
         with pytest.raises(BundleError, match="duplicate"):
             bundle_from_obj(obj)
 
+    @pytest.mark.parametrize("edit, where, match", [
+        pytest.param(lambda o: o.pop("field_order"), "field_order", "field_order",
+                     id="field-order-missing"),
+        pytest.param(lambda o: o.pop("fusion"), "fusion", "missing fusion", id="fusion-missing"),
+        pytest.param(lambda o: o["fusion"].update(labels=["e", "e"]), "fusion.labels",
+                     "distinct", id="labels-repeated"),
+        pytest.param(lambda o: o["fusion"].update(dual=[]), "fusion.dual", "length",
+                     id="dual-length"),
+        pytest.param(lambda o: o["fusion"].update(weights={}), "fusion.weights.e",
+                     "missing weight", id="weight-missing"),
+        pytest.param(lambda o: o["fusion"]["weights"].update(e="1/0"), "fusion.weights.e",
+                     "bad rational", id="weight-unreadable"),
+        pytest.param(lambda o: o["fusion"]["rules"][0].pop(), "fusion.rules[0]",
+                     "rule record", id="rule-length"),
+        pytest.param(lambda o: o["fusion"]["rules"][0].__setitem__(2, "x"), "fusion.rules[0]",
+                     "unknown label 'x'", id="rule-label"),
+        pytest.param(lambda o: o["fusion"]["rules"][0].__setitem__(3, 1.0), "fusion.rules[0]",
+                     "multiplicity", id="rule-multiplicity"),
+        pytest.param(lambda o: o.pop("chiral"), "chiral", "missing chiral", id="chiral-missing"),
+        pytest.param(lambda o: o["chiral"]["f"][0]["labels"].pop(), "chiral.f[0]",
+                     "label tuple", id="f-labels"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(mults=[0, 0, 0, -1]), "chiral.f[0]",
+                     "multiplicity indices", id="f-mults"),
+        pytest.param(lambda o: o["chiral"]["sigma12"][0].update(space=["e", "e"]),
+                     "chiral.sigma12[0]", "bad space", id="sigma-space"),
+        pytest.param(lambda o: o["chiral"]["sigma12"][0].update(matrix=[[[[4, 1, 1]]]]),
+                     "chiral.sigma12[0][0][0]", "exponent 4", id="sigma-entry"),
+        pytest.param(lambda o: o["chiral"]["canonical"][0].update(space=["e", "x", "e"]),
+                     "chiral.canonical[0]", "bad space", id="canonical-space"),
+    ])
+    def test_error_names_the_location(self, edit, where, match):
+        obj = _trivial_obj()
+        edit(obj)
+        with pytest.raises(BundleError, match=match) as info:
+            bundle_from_obj(obj)
+        assert info.value.where == where
+
     def test_nonstrict_load_keeps_violations(self):
         bundle = load_fixture("mut_validate", strict=False)
         assert bundle.fusion.validate(field_order=bundle.field.order)

@@ -76,6 +76,38 @@ class TestValidate:
                              weights=weights, rules=data.rules)
         assert any(v.code == "dual-weight" for v in mutated.validate())
 
+    @pytest.mark.parametrize("code, labels, edit", [
+        pytest.param("unit-missing", ("x",), lambda p: p.update(unit="x"), id="unit-missing"),
+        pytest.param("dual-missing", ("1",), lambda p: p["dual"].pop("1"), id="dual-missing"),
+        pytest.param("dual-range", ("1",), lambda p: p["dual"].update({"1": "x"}),
+                     id="dual-range"),
+        pytest.param("rule-label", ("0", "x", "x"),
+                     lambda p: p["rules"].update({("0", "x", "x"): 1}), id="rule-label"),
+        pytest.param("unit-dual", ("0",), lambda p: p["dual"].update({"0": "2", "2": "0"}),
+                     id="unit-dual"),
+        pytest.param("dual-involution", ("1",), lambda p: p["dual"].update({"1": "2"}),
+                     id="dual-involution"),
+        pytest.param("weight-missing", ("1",), lambda p: p["weights"].pop("1"),
+                     id="weight-missing"),
+        pytest.param("unit-left", ("0", "1", "2"),
+                     lambda p: p["rules"].update({("0", "1", "2"): 1}), id="unit-left"),
+        pytest.param("unit-right", ("1", "0", "1"), lambda p: p["rules"].pop(("1", "0", "1")),
+                     id="unit-right"),
+        pytest.param("negative", ("1", "1", "2"),
+                     lambda p: p["rules"].update({("1", "1", "2"): -1}), id="negative"),
+        pytest.param("prime-symmetry", ("1", "1", "2"),
+                     lambda p: p["rules"].update({("1", "1", "2"): 2}), id="prime-symmetry"),
+    ])
+    def test_violation_names_its_labels(self, code, labels, edit):
+        # each edit of the Z/4 ring breaks one invariant, which is reported
+        # with the offending label tuple
+        base = lattice_fusion(2)
+        parts = {"unit": base.unit, "dual": dict(base.dual), "weights": dict(base.weights),
+                 "rules": dict(base.rules)}
+        edit(parts)
+        found = {(v.code, v.labels) for v in FusionData(labels=base.labels, **parts).validate()}
+        assert (code, labels) in found
+
     def test_every_shipped_fixture_validates(self, fixture_name):
         from tests.conftest import get_bundle
         bundle = get_bundle(fixture_name)

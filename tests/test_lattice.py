@@ -352,6 +352,37 @@ class TestExactChecks:
     def test_virasoro_suite(self):
         assert not fails(check_virasoro(z2_ffa(6)))
 
+    @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+    def test_virasoro_bracket_fails_on_a_shifted_l0(self, k, name, monkeypatch):
+        # L(0) + 1 leaves [L(m), L(n)] alone but moves the L(0) in the
+        # central-term relation [L(m), L(-m)] = 2m L(0) + (m^3 - m)/12 by 2m
+        ffa = DiagonalFFA(LatticeSpec(k, 6), bundle=get_bundle(name))
+        virasoro = ffa.model.virasoro
+
+        def shifted(n, vec, cap=None):
+            out = virasoro(n, vec, cap)
+            return vec_add(out, vec) if n == 0 else out
+
+        monkeypatch.setattr(ffa.model, "virasoro", shifted)
+        recs = [r for r in check_virasoro(ffa) if r.identity == "virasoro-bracket"]
+        assert len(recs) == 25
+        assert {r.index for r in recs if r.status == "fail"} == {(m, -m) for m in (-2, -1, 1, 2)}
+
+    @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+    def test_derivative_property_fails_on_a_doubled_l_minus_1(self, k, name, monkeypatch):
+        # Y(2 L(-1) u, z) is twice d/dz Y(u, z) wherever the derivative is
+        # nonzero: every charged sector; on the vacuum both sides vanish
+        ffa = DiagonalFFA(LatticeSpec(k, 8), bundle=get_bundle(name))
+        virasoro = ffa.model.virasoro
+
+        def doubled(n, vec, cap=None):
+            out = virasoro(n, vec, cap)
+            return vec_scale(out, 2) if n == -1 else out
+
+        monkeypatch.setattr(ffa.model, "virasoro", doubled)
+        recs = [r for r in check_grading_axioms(ffa) if r.identity == "derivative-property"]
+        assert {r.index for r in recs if r.status == "fail"} == {(j,) for j in range(1, 2 * k)}
+
     @pytest.mark.parametrize("m", [-1, 0, 1])
     def test_commutator_kernel_can_fail(self, monkeypatch, m):
         # the d-bracket and conformal-commutator-residue records both come

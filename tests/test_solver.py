@@ -54,11 +54,11 @@ class TestPentagonSolver:
         for sol in solutions:
             block = [[sol[("sigma", b5, "sigma", "sigma", "sigma", b6)]
                       for b6 in ("1", "eps")] for b5 in ("1", "eps")]
-            flat = [abs(complex(v.embed())) for row in block for v in row]
-            if all(abs(x - abs(complex(inv_sqrt2.embed()))) < 1e-12 for x in flat):
+            flat = [abs(complex(v)) for row in block for v in row]
+            if all(abs(x - abs(complex(inv_sqrt2))) < 1e-12 for x in flat):
                 found = True
                 # Hadamard shape: equal magnitudes, one sign flip
-                signs = [1 if complex(v.embed()).real > 0 else -1
+                signs = [1 if complex(v).real > 0 else -1
                          for row in block for v in row]
                 assert sorted(signs) == [-1, 1, 1, 1] or sorted(signs) == [-1, -1, -1, 1]
         assert found
