@@ -6,8 +6,8 @@ The package is organized around one pipeline:
 * :mod:`fullfield.fusion` -- fusion-ring labels, duals, weights, multiplicities,
 * :mod:`fullfield.chiral` -- the fusing tensor, the S3 action, the pairing of
   intertwiner spaces, dual bases and the exact chiral-level identity checks,
-* :mod:`fullfield.ffa` -- the diagonal full field algebra assembled from dual
-  bases, with its structure-level axiom checks and invariant bilinear form,
+* :mod:`fullfield.ffa` -- the diagonal full field algebra read from the chiral
+  dual bases, with its structure-level axiom checks and invariant bilinear form,
 * :mod:`fullfield.lattice` -- a rank-1 even-lattice backend with truncated Fock
   modules, used both as a numeric testbed and as a fixture oracle,
 * :mod:`fullfield.bundles`, :mod:`fullfield.solver`, :mod:`fullfield.suites`,

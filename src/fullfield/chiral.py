@@ -14,7 +14,8 @@ central objects are, per triple of labels (a1, a2, a3) with N(a1,a2;a3) > 0:
 
 Two kernels are shared with :mod:`fullfield.ffa`: ``linalg.change_basis4``
 is the one 4-slot change of basis, and ``ChiralData.fusing_delta`` is the one
-delta contraction, parametrized by where the dual blocks come from.  The
+delta contraction, run once per instance against ``dual_basis`` and read by
+both the chiral identity and the associativity of the sector-sum algebra.  The
 pentagon equations come from ``FusionData.pentagon_instances``, which the
 pentagon solver reads too.  The S3 table of ``FusionData`` (the sigma12 and
 sigma23 space maps, the canonical spaces, and the F keys of F_a, of the
@@ -60,8 +61,9 @@ class ChiralData:
     """A loaded bundle with the exact values its checks share, cached.
 
     Each instance computes these once and keeps them: the pairing matrix,
-    the dual basis and the modified form of each space, and the square roots
-    of each F_a.  ``run_suites`` builds one instance per call.
+    the dual basis and the modified form of each space, the square roots of
+    each F_a, and the failures of the fusing-delta contraction per cell.
+    ``run_suites`` builds one instance per call.
     """
 
     NUMERIC_RTOL = 1e-12
@@ -74,6 +76,7 @@ class ChiralData:
         self._dual: dict[Space, list[list[CycScalar]]] = {}
         self._sqrt_f: dict[str, tuple] = {}
         self._form: dict[Space, tuple] = {}
+        self._delta: list[tuple[tuple, list]] | None = None
 
     # -- index helpers -------------------------------------------------------
 
@@ -283,16 +286,28 @@ class ChiralData:
 
     # -- the fusing tensor in dual bases -----------------------------------------
 
-    def fusing_delta(self, name: str, dual) -> list[CheckRecord]:
-        """The delta contraction of F against primed F in dual bases, exactly.
+    def fusing_delta(self, name: str) -> list[CheckRecord]:
+        """The delta contraction of F against primed F in dual bases, exactly:
+        one pass record per cell (a1, a2, a3, a4), or one fail record per
+        failing index of it, all under the identity ``name``.
 
-        ``dual(space)`` gives the dual-basis coefficient matrix of a space:
-        ``dual_basis`` for the chiral identity (``verify_prop_fusing``), the
-        stored right blocks for associativity of the sector-sum algebra
-        (``ffa.verify_associativity_structure``).  ``name`` is the records'
-        identity.
+        The contraction runs on the first call; later calls reread its
+        per-cell failures, so ``verify_prop_fusing`` and
+        ``ffa.verify_associativity_structure`` share one evaluation.
         """
+        if self._delta is None:
+            self._delta = list(self._delta_failures())
         out: list[CheckRecord] = []
+        for cell, bad in self._delta:
+            if bad:
+                out.extend(CheckRecord(name, cell + idx, "fail",
+                                       message="contraction mismatch") for idx in bad)
+            else:
+                out.append(CheckRecord(name, cell, "pass"))
+        return out
+
+    def _delta_failures(self):
+        """(cell, failing indices) for every cell with a middle label a5."""
         labels = self.fusion.labels
         n = self.fusion.n
         zero, one = self.field.zero(), self.field.one()
@@ -301,7 +316,7 @@ class ChiralData:
             if not mids:
                 continue
             sixes = [a6 for a6 in labels if n(a6, a3, a4) and n(a1, a2, a6)]
-            fp = {(a5, a7): self._dual_primed_block((a1, a5, a4, a2, a3, a7), dual)
+            fp = {(a5, a7): self._dual_primed_block((a1, a5, a4, a2, a3, a7))
                   for a7 in sixes for a5 in mids}
             fb = {(a5, a6): self.f_block((a1, a5, a4, a2, a3, a6))
                   for a6 in sixes for a5 in mids}
@@ -320,27 +335,22 @@ class ChiralData:
                     want = one if (a6 == a7 and m == nn and kk == ll) else zero
                     if acc != want:
                         bad.append((a6, m, kk, a7, nn, ll))
-            if bad:
-                out.extend(CheckRecord(name, (a1, a2, a3, a4) + idx, "fail",
-                                       message="contraction mismatch") for idx in bad)
-            else:
-                out.append(CheckRecord(name, (a1, a2, a3, a4), "pass"))
-        return out
+            yield (a1, a2, a3, a4), bad
 
-    def _dual_primed_block(self, key6, dual) -> list | None:
+    def _dual_primed_block(self, key6) -> list | None:
         """F on the primed labels of ``key6`` with all four slots moved to
         dual bases; indexed like the F block of the primed tuple."""
         b1, b5, b4, b2, b3, b6 = key6
         raw = self.f_block(tuple(self.fusion.dual[b] for b in key6))
         if raw is None:
             return None
-        return change_basis4(raw, dual((b1, b5, b4)), dual((b2, b3, b5)),
+        return change_basis4(raw, self.dual_basis((b1, b5, b4)), self.dual_basis((b2, b3, b5)),
                              self.pairing_matrix((b6, b3, b4)),
                              self.pairing_matrix((b1, b2, b6)), self.field.zero())
 
     def verify_prop_fusing(self) -> list[CheckRecord]:
         """The delta-contraction of F against F-in-dual-bases, exactly."""
-        return self.fusing_delta("fusing-delta", self.dual_basis)
+        return self.fusing_delta("fusing-delta")
 
     # -- modified form and S3 invariance ---------------------------------------
 

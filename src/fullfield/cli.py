@@ -84,11 +84,11 @@ def cmd_construct(args) -> int:
 
     bundle = load_bundle(args.bundle)
     chiral = ChiralData(bundle)
-    structure = ffa_mod.construct(chiral)
-    bundle.ffa = ffa_mod.ffa_section(structure)
+    ffa_mod.construct(chiral)
+    bundle.ffa = ffa_mod.ffa_section(chiral)
     save_bundle(bundle, args.output)
-    print(f"wrote {args.output} with {len(structure.sectors)} sectors "
-          f"and {len(structure.blocks)} vertex-tensor blocks")
+    print(f"wrote {args.output} with {len(bundle.ffa['sectors'])} sectors "
+          f"and {len(bundle.ffa['blocks'])} vertex-tensor blocks")
     return 0
 
 

@@ -3,12 +3,14 @@
 The structure tensor of the two-variable vertex map on the sector sum
 (one sector per label, paired with its dual label) is, per label triple, the
 canonical element: the identity matrix on the bundle basis tensored with the
-dual-basis coefficient matrix on the primed side.  The checks here verify the
-finitely-decidable axioms at the structure-constant level:
+dual-basis coefficient matrix on the primed side.  Those matrices are
+``ChiralData.dual_basis``; the checks here read them, ``f_a`` and the fusion
+weights from the ``ChiralData`` and verify the finitely-decidable axioms at the
+structure-constant level:
 
 * associativity: the double contraction of the fusing tensor against its
   dual-basis transport collapses to the Kronecker pattern; this is
-  ``ChiralData.fusing_delta`` with the dual blocks read from the structure,
+  ``ChiralData.fusing_delta``, evaluated once per ``ChiralData``,
 * skew symmetry: pushing the canonical element through sigma12 x sigma12
   (with the weight-shift phases, which cancel exactly) reproduces the
   canonical element of the swapped block,
@@ -21,68 +23,50 @@ change of basis the associativity check applies to the primed F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import product
 
 from fullfield.bundles import Bundle, BundleError
 from fullfield.chiral import CheckRecord, ChiralData
 from fullfield.cyclotomic import CycScalar
+from fullfield.fusion import FusionData
 from fullfield.linalg import change_basis4, identity, mat_inv, mat_mul, mat_scale, transpose
 
 Space = tuple[str, str, str]
 
 
-@dataclass
-class FFAStructure:
-    chiral: ChiralData
-    sectors: list[tuple[str, str]]
-    blocks: dict[Space, list[list[CycScalar]]]  # right (dual-coefficient) matrices
-    form_weights: dict[tuple[str, str], CycScalar]
-    left_weights: dict[str, Fraction] = dc_field(default_factory=dict)
-    right_weights: dict[str, Fraction] = dc_field(default_factory=dict)
-
-    @property
-    def field(self):
-        return self.chiral.field
-
-    @property
-    def fusion(self):
-        return self.chiral.fusion
+def sectors(fusion: FusionData) -> list[tuple[str, str]]:
+    """The sectors (a, a') of the sector sum, in label order."""
+    return [(a, fusion.dual[a]) for a in fusion.labels]
 
 
-def construct(chiral: ChiralData) -> FFAStructure:
-    """Assemble the structure tensor; refused if any dual basis is missing.
+def construct(chiral: ChiralData) -> None:
+    """Build on ``chiral`` every dual basis and form weight F_a the structure
+    tensor needs; refused if any is missing.
 
     Callers are expected to have run the nondegeneracy suite; this only
-    enforces what the assembly itself needs, namely invertible pairings.
+    enforces what the assembly itself needs, namely invertible pairings and
+    nonzero canonical weights.
     """
-    fusion = chiral.fusion
-    sectors = [(a, fusion.dual[a]) for a in fusion.labels]
     try:
-        blocks = {space: chiral.dual_basis(space) for space in chiral.spaces()}
+        for space in chiral.spaces():
+            chiral.dual_basis(space)
     except BundleError as exc:
         raise BundleError("construct", f"missing dual bases: {exc}") from None
-    weights = {(a, ap): chiral.f_a(a) for a, ap in sectors}
-    left = {a: fusion.weights[a] for a in fusion.labels}
-    right = {a: fusion.weights[fusion.dual[a]] for a in fusion.labels}
-    return FFAStructure(chiral=chiral, sectors=sectors, blocks=blocks,
-                        form_weights=weights, left_weights=left, right_weights=right)
+    for a in chiral.fusion.labels:
+        chiral.f_a(a)
 
 
-def verify_associativity_structure(ffa: FFAStructure) -> list[CheckRecord]:
-    """Kronecker collapse of fusing x dual-transported fusing, exactly: the
-    fusing-delta contraction with the dual blocks read from ``ffa.blocks``."""
-    return ffa.chiral.fusing_delta("ffa-associativity", ffa.blocks.__getitem__)
+def verify_associativity_structure(chiral: ChiralData) -> list[CheckRecord]:
+    """Kronecker collapse of fusing x dual-transported fusing, exactly."""
+    return chiral.fusing_delta("ffa-associativity")
 
 
-def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
+def verify_skew_symmetry_structure(chiral: ChiralData) -> list[CheckRecord]:
     """sigma12 x sigma12 with the cancelling weight-shift phases maps each
     canonical element to the swapped block's canonical element, exactly."""
     out: list[CheckRecord] = []
-    chiral = ffa.chiral
-    fusion = ffa.fusion
-    field = ffa.field
+    fusion = chiral.fusion
+    field = chiral.field
     h = fusion.weights
     for space in chiral.spaces():
         a1, a2, a3 = space
@@ -92,8 +76,8 @@ def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
         phase_r = field.root_of_unity(delta_r.numerator, delta_r.denominator)
         s = chiral.sigma12(space)
         sp = chiral.sigma12(fusion.primed(space))
-        d = ffa.blocks[space]
-        d_sw = ffa.blocks[fusion.sigma12_space(space)]
+        d = chiral.dual_basis(space)
+        d_sw = chiral.dual_basis(fusion.sigma12_space(space))
         lhs = mat_scale(mat_mul(s, mat_mul(transpose(d), transpose(sp))),
                         phase_l * phase_r)
         ok = lhs == transpose(d_sw)
@@ -101,11 +85,12 @@ def verify_skew_symmetry_structure(ffa: FFAStructure) -> list[CheckRecord]:
     return out
 
 
-def verify_single_valuedness(ffa: FFAStructure) -> list[CheckRecord]:
+def verify_single_valuedness(chiral: ChiralData) -> list[CheckRecord]:
     """Integral left/right weight difference on every sector."""
     out: list[CheckRecord] = []
-    for a, ap in ffa.sectors:
-        diff = ffa.left_weights[a] - ffa.right_weights[a]
+    h = chiral.fusion.weights
+    for a, ap in sectors(chiral.fusion):
+        diff = h[a] - h[ap]
         ok = diff.denominator == 1
         out.append(CheckRecord("single-valuedness", (a, ap),
                                "pass" if ok else "fail",
@@ -113,7 +98,7 @@ def verify_single_valuedness(ffa: FFAStructure) -> list[CheckRecord]:
     return out
 
 
-def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
+def verify_invariance_structure(chiral: ChiralData) -> list[CheckRecord]:
     """The adjoint-moved dual elements, rescaled by the vacuum-channel weight
     ratio, stay dual: the structure-constant content of form invariance.
 
@@ -122,15 +107,13 @@ def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
     the rescale reads F(a2)/F(a3) in source labels.
     """
     out: list[CheckRecord] = []
-    chiral = ffa.chiral
-    fusion = ffa.fusion
-    field = ffa.field
-    one, zero = field.one(), field.zero()
+    fusion = chiral.fusion
+    one, zero = chiral.field.one(), chiral.field.zero()
     for space in chiral.spaces():
         _, a2, a3 = space
         v = chiral.sigma23(space)
         vp = chiral.sigma23(fusion.primed(space))
-        d = ffa.blocks[space]
+        d = chiral.dual_basis(space)
         g_t = chiral.pairing_matrix(fusion.sigma23_space(space))
         factor = chiral.f_a(a2) * chiral.f_a(a3).inverse()
         lhs = mat_scale(mat_mul(transpose(v), mat_mul(g_t, mat_mul(vp, d))), factor)
@@ -139,30 +122,27 @@ def verify_invariance_structure(ffa: FFAStructure) -> list[CheckRecord]:
     return out
 
 
-def verify_unit_blocks(ffa: FFAStructure) -> list[CheckRecord]:
+def verify_unit_blocks(chiral: ChiralData) -> list[CheckRecord]:
     """Blocks with the unit on the left are the canonical unit blocks."""
     out: list[CheckRecord] = []
-    one, zero = ffa.field.one(), ffa.field.zero()
-    for a in ffa.fusion.labels:
-        module = ffa.fusion.canonical_spaces(a)[0]
-        d = ffa.blocks[module]
+    one, zero = chiral.field.one(), chiral.field.zero()
+    for a in chiral.fusion.labels:
+        module = chiral.fusion.canonical_spaces(a)[0]
+        d = chiral.dual_basis(module)
         ok = d == identity(len(d), one, zero)
         out.append(CheckRecord("ffa-unit-block", module, "pass" if ok else "fail"))
     return out
 
 
-def ffa_section(ffa: FFAStructure) -> dict:
+def ffa_section(chiral: ChiralData) -> dict:
     """The output bundle section serializing the constructed structure."""
-    order = {a: i for i, a in enumerate(ffa.fusion.labels)}
     return {
-        "sectors": [[a, ap] for a, ap in ffa.sectors],
+        "sectors": [[a, ap] for a, ap in sectors(chiral.fusion)],
         "blocks": [{"space": list(space),
-                    "right": [[v.literal() for v in row] for row in mat]}
-                   for space, mat in sorted(ffa.blocks.items(),
-                                            key=lambda kv: tuple(order[x] for x in kv[0]))],
-        "form_weights": [{"sector": [a, ap], "value": w.literal()}
-                         for (a, ap), w in sorted(ffa.form_weights.items(),
-                                                  key=lambda kv: order[kv[0][0]])],
+                    "right": [[v.literal() for v in row] for row in chiral.dual_basis(space)]}
+                   for space in chiral.spaces()],
+        "form_weights": [{"sector": [a, ap], "value": chiral.f_a(a).literal()}
+                         for a, ap in sectors(chiral.fusion)],
     }
 
 

@@ -156,7 +156,8 @@ class LatticeModel:
     def exp_virasoro(self, n: int, scale: Fraction, vec: FockVector,
                      cap: Fraction | int) -> FockVector:
         """exp(scale * L(n)) for n = +-1, truncated at weight cap."""
-        assert n in (1, -1)
+        if n not in (1, -1):
+            raise ValueError(f"exp_virasoro supports n = +1 or -1, got n = {n}")
         out: FockVector = dict(vec)
         term = vec
         fact = Fraction(1)

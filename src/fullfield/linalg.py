@@ -17,7 +17,8 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner, "shape mismatch"
+    if len(a[0]) != inner:
+        raise ValueError(f"mat_mul shape mismatch: {rows}x{len(a[0])} times {inner}x{cols}")
     out = []
     for i in range(rows):
         row = []

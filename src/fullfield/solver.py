@@ -404,7 +404,8 @@ def solve_pentagon(fusion: FusionData, field_order: int):
     non-canonical space is normalized to 1 (basis rescaling freedom); the
     rest comes from ``_search``, guessing 1 and -1, for at most 40
     solutions.  Returns a list of
-    assignments {key6: CycScalar} (gauge representatives); empty if the
+    assignments {key6: CycScalar} (gauge representatives, distinct because
+    each search branch gives one unknown distinct values); empty if the
     system has no solution over Q(zeta_N).
     """
     for _, n in fusion.rules.items():
@@ -425,16 +426,8 @@ def solve_pentagon(fusion: FusionData, field_order: int):
     assignment.update(_gauge_fix(fusion, unknowns, field))
 
     equations = _pentagon_equations(fusion, field)
-    solutions, _ = _search(equations, assignment, unknowns, field,
-                           [field.one(), field.rational(-1)], limit=40)
-    seen: set = set()
-    uniq = []
-    for sol in solutions:
-        sig = frozenset(sol.items())
-        if sig not in seen:
-            seen.add(sig)
-            uniq.append(sol)
-    return uniq
+    return _search(equations, assignment, unknowns, field,
+                   [field.one(), field.rational(-1)], limit=40)[0]
 
 
 def _pentagon_equations(fusion: FusionData, field: CycField):

@@ -9,6 +9,7 @@ is byte-stable for a fixed bundle, seed and flag set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from fullfield import ffa as ffa_mod
 from fullfield.bundles import Bundle, BundleError
@@ -71,23 +72,25 @@ def _records_from_violations(violations: list[Violation]) -> list[CheckRecord]:
 class SuiteInputs:
     """What the suite runners of one ``run_suites`` call read.
 
-    The FFA structure is built on first use and shared by every FFA suite;
-    a ``construct`` error is kept and raised again for each of them.
+    ``ffa.construct`` runs on first use, once for every FFA suite; a
+    ``construct`` error is kept and raised again for each of them.
     """
 
     def __init__(self, chiral: ChiralData):
         self.chiral = chiral
-        self._ffa: ffa_mod.FFAStructure | BundleError | None = None
 
-    def ffa(self) -> ffa_mod.FFAStructure:
-        if self._ffa is None:
-            try:
-                self._ffa = ffa_mod.construct(self.chiral)
-            except BundleError as exc:
-                self._ffa = exc
-        if isinstance(self._ffa, BundleError):
-            raise self._ffa
-        return self._ffa
+    @cached_property
+    def _refusal(self) -> BundleError | None:
+        try:
+            ffa_mod.construct(self.chiral)
+        except BundleError as exc:
+            return exc
+        return None
+
+    def ffa(self) -> ChiralData:
+        if self._refusal is not None:
+            raise self._refusal
+        return self.chiral
 
 
 def _suite_validate(chiral: ChiralData):

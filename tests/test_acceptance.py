@@ -90,12 +90,13 @@ def test_criterion_4_s3_invariance_both_paths():
 def test_criterion_5_structure_checks_and_mutations():
     ok = True
     for name in REGULAR:
-        structure = ffa_mod.construct(get_chiral(name))
+        chiral = get_chiral(name)
+        ffa_mod.construct(chiral)
         for verify in (ffa_mod.verify_associativity_structure,
                        ffa_mod.verify_skew_symmetry_structure,
                        ffa_mod.verify_single_valuedness,
                        ffa_mod.verify_invariance_structure):
-            if fails(verify(structure)):
+            if fails(verify(chiral)):
                 ok = False
     targeted = True
     for name in MUTATIONS:

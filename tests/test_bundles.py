@@ -160,9 +160,9 @@ def test_fixture_files_are_canonical():
 def test_ffa_output_section_roundtrip(tmp_path, trivial):
     from fullfield import ffa as ffa_mod
 
-    structure = ffa_mod.construct(trivial)
+    ffa_mod.construct(trivial)
     bundle = trivial.bundle
-    bundle.ffa = ffa_mod.ffa_section(structure)
+    bundle.ffa = ffa_mod.ffa_section(trivial)
     path = tmp_path / "with_ffa.json"
     save_bundle(bundle, path)
     again = load_bundle(path)

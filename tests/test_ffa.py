@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,27 +8,43 @@ from fullfield import cyclotomic, ffa as ffa_mod
 from fullfield.bundles import BundleError
 from fullfield.chiral import ChiralData, fails
 from fullfield.cyclotomic import CycField
-from fullfield.fixtures import load_fixture
-from fullfield.linalg import change_basis4, transpose
+from fullfield.fixtures import MUTATIONS, REGULAR, load_fixture
+from fullfield.linalg import change_basis4, mat_mul, transpose
 from fullfield.suites import run_suites
 from tests.conftest import get_chiral
 
 
+# every shipped bundle that loads strictly; mut_validate breaks a fusion rule
+STRICT = REGULAR + tuple(name for name in MUTATIONS if name != "mut_validate")
+
+
 class TestConstruct:
     def test_trivial_single_sector(self, trivial):
-        structure = ffa_mod.construct(trivial)
-        assert structure.sectors == [("e", "e")]
-        assert list(structure.blocks) == [("e", "e", "e")]
-        assert structure.blocks[("e", "e", "e")] == [[trivial.field.one()]]
+        ffa_mod.construct(trivial)
+        section = ffa_mod.ffa_section(trivial)
+        assert ffa_mod.sectors(trivial.fusion) == [("e", "e")]
+        assert section["sectors"] == [["e", "e"]]
+        assert [b["space"] for b in section["blocks"]] == [["e", "e", "e"]]
+        assert trivial.dual_basis(("e", "e", "e")) == [[trivial.field.one()]]
+        assert section["blocks"][0]["right"] == [[trivial.field.one().literal()]]
 
     def test_z2_sectors(self, z2):
-        structure = ffa_mod.construct(z2)
-        assert structure.sectors == [("0", "0"), ("1", "1")]
+        ffa_mod.construct(z2)
+        assert ffa_mod.sectors(z2.fusion) == [("0", "0"), ("1", "1")]
+        assert ffa_mod.ffa_section(z2)["sectors"] == [["0", "0"], ["1", "1"]]
 
-    def test_ising_block_count(self, ising):
-        structure = ffa_mod.construct(ising)
-        assert len(structure.sectors) == 3
-        assert len(structure.blocks) == 10
+    def test_ising_block_count(self):
+        # construct builds every dual basis on the ChiralData it is given
+        chiral = ChiralData(load_fixture("ising"))
+        assert chiral._dual == {}
+        ffa_mod.construct(chiral)
+        assert set(chiral._dual) == set(chiral.spaces())
+        section = ffa_mod.ffa_section(chiral)
+        assert len(section["sectors"]) == 3
+        assert len(section["blocks"]) == 10
+        for block in section["blocks"]:
+            want = chiral.dual_basis(tuple(block["space"]))
+            assert block["right"] == [[v.literal() for v in row] for row in want]
 
     def test_refused_on_degenerate_pairing(self):
         chiral = ChiralData(load_fixture("mut_pairing"))
@@ -37,31 +54,64 @@ class TestConstruct:
 
 class TestAssociativityStructure:
     def test_all_fixtures(self, fixture_name):
-        structure = ffa_mod.construct(get_chiral(fixture_name))
-        assert not fails(ffa_mod.verify_associativity_structure(structure))
+        chiral = get_chiral(fixture_name)
+        ffa_mod.construct(chiral)
+        assert not fails(ffa_mod.verify_associativity_structure(chiral))
 
     def test_equivalent_to_fusing_contraction(self, fixture_name):
         # the two contractions are two arrangements of the same identity and
         # must pass or fail together
         chiral = get_chiral(fixture_name)
-        structure = ffa_mod.construct(chiral)
-        a = bool(fails(ffa_mod.verify_associativity_structure(structure)))
+        ffa_mod.construct(chiral)
+        a = bool(fails(ffa_mod.verify_associativity_structure(chiral)))
         b = bool(fails(chiral.verify_prop_fusing()))
         assert a == b == False  # noqa: E712
 
     def test_equivalence_on_mutation(self):
         chiral = ChiralData(load_fixture("mut_assoc"))
-        structure = ffa_mod.construct(chiral)
-        a = bool(fails(ffa_mod.verify_associativity_structure(structure)))
+        ffa_mod.construct(chiral)
+        a = bool(fails(ffa_mod.verify_associativity_structure(chiral)))
         b = bool(fails(chiral.verify_prop_fusing()))
         assert a == b == True  # noqa: E712
 
     def test_non_dual_right_factors_fail(self):
         chiral = ChiralData(load_fixture("ising"))
-        structure = ffa_mod.construct(chiral)
+        ffa_mod.construct(chiral)
         # replace one right factor with a non-dual basis
-        structure.blocks[("sigma", "sigma", "eps")] = [[chiral.field.rational(2)]]
-        assert fails(ffa_mod.verify_associativity_structure(structure))
+        chiral._dual[("sigma", "sigma", "eps")] = [[chiral.field.rational(2)]]
+        bad = fails(ffa_mod.verify_associativity_structure(chiral))
+        assert bad
+        assert all(r.identity == "ffa-associativity" for r in bad)
+
+
+@pytest.mark.parametrize("name", STRICT)
+def test_ffa_assoc_records_repeat_fusing(name):
+    # one contraction feeds both suites: the records agree up to the identity
+    reports = {r.suite: r for r in run_suites(load_fixture(name), ("fusing", "ffa-assoc"))}
+    fusing, assoc = reports["fusing"], reports["ffa-assoc"]
+    assert bool(fusing.error) == bool(assoc.error)
+    assert {r.identity for r in fusing.records} <= {"fusing-delta"}
+    assert [replace(r, identity="fusing-delta") for r in assoc.records] == fusing.records
+
+
+def test_run_suites_evaluates_fusing_delta_once(monkeypatch):
+    calls = []
+    real = ChiralData._dual_primed_block
+
+    def counting(chiral, key6):
+        calls.append(key6)
+        return real(chiral, key6)
+
+    monkeypatch.setattr(ChiralData, "_dual_primed_block", counting)
+    ChiralData(load_fixture("ising")).verify_prop_fusing()
+    once = len(calls)
+    assert once > 0
+    calls.clear()
+    reports = run_suites(load_fixture("ising"))
+    assert all(r.verdict == "pass" for r in reports)
+    assert {"fusing", "ffa-assoc"} <= {r.suite for r in reports}
+    # every primed block is moved to dual bases once, by one contraction
+    assert len(calls) == once == len(set(calls))
 
 
 def test_run_suites_constructs_once(monkeypatch):
@@ -107,6 +157,14 @@ def test_run_suites_computes_each_exact_value_once(monkeypatch, name, solves, ro
     assert calls == {"solve": solves, "sqrt": roots}
 
 
+def test_mat_mul_names_both_shapes_on_a_mismatch():
+    a = [[Fraction(1), Fraction(2), Fraction(3)]]
+    b = [[Fraction(1)], [Fraction(1)]]
+    with pytest.raises(ValueError, match="1x3 times 2x1"):
+        mat_mul(a, b)
+    assert mat_mul(a[:1], [[Fraction(1)]] * 3) == [[Fraction(6)]]
+
+
 class TestChangeBasis4:
     # every shipped fixture has multiplicity 1, where a transposed slot
     # cannot show; this block has multiplicity 2 on all four slots
@@ -138,8 +196,9 @@ class TestChangeBasis4:
 
 class TestSkewStructure:
     def test_all_fixtures(self, fixture_name):
-        structure = ffa_mod.construct(get_chiral(fixture_name))
-        assert not fails(ffa_mod.verify_skew_symmetry_structure(structure))
+        chiral = get_chiral(fixture_name)
+        ffa_mod.construct(chiral)
+        assert not fails(ffa_mod.verify_skew_symmetry_structure(chiral))
 
     def test_z2_phases_in_field(self, z2):
         # the weight-shift phases have rational exponents realized exactly
@@ -151,57 +210,75 @@ class TestSkewStructure:
 
     def test_broken_normalization_fails(self):
         chiral = ChiralData(load_fixture("mut_skew"))
-        structure = ffa_mod.construct(chiral)
-        assert fails(ffa_mod.verify_skew_symmetry_structure(structure))
+        ffa_mod.construct(chiral)
+        assert fails(ffa_mod.verify_skew_symmetry_structure(chiral))
 
 
 class TestSingleValuedness:
     def test_all_fixtures_zero_difference(self, fixture_name):
-        structure = ffa_mod.construct(get_chiral(fixture_name))
-        recs = ffa_mod.verify_single_valuedness(structure)
+        chiral = get_chiral(fixture_name)
+        ffa_mod.construct(chiral)
+        recs = ffa_mod.verify_single_valuedness(chiral)
         assert not fails(recs)
-        assert all("0" in r.message for r in recs)
+        assert all(r.message == "weight difference 0" for r in recs)
 
-    def test_integer_shift_passes(self, z2):
-        structure = ffa_mod.construct(z2)
-        structure.right_weights = {a: w + 1 for a, w in structure.right_weights.items()}
-        assert not fails(ffa_mod.verify_single_valuedness(structure))
+    @staticmethod
+    def shifted_z4(shift):
+        # z4k2's labels 1 and 3 are a dual pair, so one side of their sectors
+        # can move alone; a self-dual label (all of z2k1's) cannot
+        bundle = load_fixture("z4k2")
+        fusion = bundle.fusion
+        assert fusion.dual["1"] == "3" and fusion.dual["3"] == "1"
+        weights = {**fusion.weights, "3": fusion.weights["3"] + shift}
+        chiral = ChiralData(replace(bundle, fusion=replace(fusion, weights=weights)))
+        ffa_mod.construct(chiral)
+        return {r.index: r for r in ffa_mod.verify_single_valuedness(chiral)}
 
-    def test_third_shift_fails(self, z2):
-        structure = ffa_mod.construct(z2)
-        structure.right_weights = {a: w + Fraction(1, 3)
-                                   for a, w in structure.right_weights.items()}
-        assert fails(ffa_mod.verify_single_valuedness(structure))
+    def test_integer_shift_passes(self):
+        recs = self.shifted_z4(1)
+        assert not fails(list(recs.values()))
+        assert recs[("1", "3")].message == "weight difference -1"
+        assert recs[("3", "1")].message == "weight difference 1"
+
+    def test_third_shift_fails(self):
+        recs = self.shifted_z4(Fraction(1, 3))
+        assert {index for index, r in recs.items() if r.status == "fail"} == {
+            ("1", "3"), ("3", "1")}
+        assert recs[("3", "1")].message == "weight difference 1/3"
 
 
 class TestFormWeights:
+    @staticmethod
+    def weights(chiral):
+        ffa_mod.construct(chiral)
+        return {tuple(w["sector"]): w["value"]
+                for w in ffa_mod.ffa_section(chiral)["form_weights"]}
+
     def test_trivial(self, trivial):
-        structure = ffa_mod.construct(trivial)
-        assert structure.form_weights == {("e", "e"): trivial.field.one()}
+        assert self.weights(trivial) == {("e", "e"): trivial.field.one().literal()}
 
     def test_z2_reads_canonical_weight(self, z2):
-        structure = ffa_mod.construct(z2)
-        weights = structure.form_weights
-        assert weights[("0", "0")] == z2.field.one()
-        assert weights[("1", "1")] == z2.f_a("1")
+        weights = self.weights(z2)
+        assert weights[("0", "0")] == z2.field.one().literal()
+        assert weights[("1", "1")] == z2.f_a("1").literal()
 
     def test_ising_three_weights(self, ising):
-        structure = ffa_mod.construct(ising)
-        weights = structure.form_weights
-        assert len(weights) == 3
+        weights = self.weights(ising)
+        assert list(weights) == ffa_mod.sectors(ising.fusion)
         for (a, _), w in weights.items():
-            assert w == ising.f_a(a)
+            assert w == ising.f_a(a).literal()
 
 
 class TestInvariance:
     def test_all_fixtures(self, fixture_name):
-        structure = ffa_mod.construct(get_chiral(fixture_name))
-        assert not fails(ffa_mod.verify_invariance_structure(structure))
+        chiral = get_chiral(fixture_name)
+        ffa_mod.construct(chiral)
+        assert not fails(ffa_mod.verify_invariance_structure(chiral))
 
     def test_weight_ratio_matters(self):
         chiral = ChiralData(load_fixture("mut_invariance"))
-        structure = ffa_mod.construct(chiral)
-        bad = fails(ffa_mod.verify_invariance_structure(structure))
+        ffa_mod.construct(chiral)
+        bad = fails(ffa_mod.verify_invariance_structure(chiral))
         assert bad
         # every failing triple mixes sectors with distinct canonical weights
         for r in bad:
@@ -211,8 +288,9 @@ class TestInvariance:
 
 class TestUnitBlocks:
     def test_all_fixtures(self, fixture_name):
-        structure = ffa_mod.construct(get_chiral(fixture_name))
-        assert not fails(ffa_mod.verify_unit_blocks(structure))
+        chiral = get_chiral(fixture_name)
+        ffa_mod.construct(chiral)
+        assert not fails(ffa_mod.verify_unit_blocks(chiral))
 
 
 class TestBasisIndependence:
@@ -223,7 +301,7 @@ class TestBasisIndependence:
         # structure tensor by the same change and keeps every suite green
         bundle = load_fixture(name)
         chiral = ChiralData(bundle)
-        structure = ffa_mod.construct(chiral)
+        ffa_mod.construct(chiral)
         rng = random.Random(20260808)
         changes = {}
         for space in chiral.spaces():
@@ -236,14 +314,14 @@ class TestBasisIndependence:
                                for j in range(dim)] for i in range(dim)]
         moved = ffa_mod.transport_bundle(bundle, changes)
         chiral2 = ChiralData(moved)
-        structure2 = ffa_mod.construct(chiral2)
-        assert not fails(ffa_mod.verify_associativity_structure(structure2))
-        assert not fails(ffa_mod.verify_skew_symmetry_structure(structure2))
-        assert not fails(ffa_mod.verify_invariance_structure(structure2))
+        ffa_mod.construct(chiral2)
+        assert not fails(ffa_mod.verify_associativity_structure(chiral2))
+        assert not fails(ffa_mod.verify_skew_symmetry_structure(chiral2))
+        assert not fails(ffa_mod.verify_invariance_structure(chiral2))
         # the canonical element transports covariantly: D' = B^-1-weighted D
         for space, b in changes.items():
-            d_old = structure.blocks[space]
-            d_new = structure2.blocks[space]
+            d_old = chiral.dual_basis(space)
+            d_new = chiral2.dual_basis(space)
             pr = chiral.primed(space)
             bpr = changes.get(pr)
             # mult-free fixtures: scalars; D' = D / (b * bpr)
@@ -252,8 +330,8 @@ class TestBasisIndependence:
 
 
 def test_ffa_section_shape(trivial):
-    structure = ffa_mod.construct(trivial)
-    section = ffa_mod.ffa_section(structure)
+    ffa_mod.construct(trivial)
+    section = ffa_mod.ffa_section(trivial)
     assert section["sectors"] == [["e", "e"]]
     assert section["blocks"][0]["space"] == ["e", "e", "e"]
     assert section["form_weights"][0]["value"] == [[0, 1, 1]]

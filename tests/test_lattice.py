@@ -87,6 +87,11 @@ class TestVirasoro:
             assert M1.virasoro(0, vec, None) == (
                 {} if q == 0 else vec_scale(vec, M1.state_weight(((), q))))
 
+    @pytest.mark.parametrize("n", [0, 2, -2])
+    def test_exp_virasoro_rejects_other_modes(self, n):
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            M1.exp_virasoro(n, Fraction(1), M1.charged(1), 4)
+
 
 class TestContragredientPairing:
     def test_heisenberg_norm(self):
