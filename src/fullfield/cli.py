@@ -16,6 +16,7 @@ from fullfield.chiral import ChiralData
 from fullfield.cyclotomic import FieldOrderError
 from fullfield.suites import (
     DEFAULT_SUITES,
+    REPORT_FORMAT,
     Report,
     UnknownSuiteError,
     reports_to_obj,
@@ -161,19 +162,45 @@ def cmd_lattice(args) -> int:
     return _emit(reports, args, meta)
 
 
+def _check_report(obj) -> None:
+    """Raise ValueError naming the first field ``report`` cannot read."""
+    def need(ok, where, what):
+        if not ok:
+            raise ValueError(f"not a report: {where} {what}")
+
+    need(isinstance(obj, dict) and obj.get("format") == REPORT_FORMAT,
+         "format", f"must be {REPORT_FORMAT!r}")
+    need(obj.get("verdict") in ("pass", "fail"), "verdict", "must be 'pass' or 'fail'")
+    need(isinstance(obj.get("reports"), list), "reports", "must be a list")
+    for i, rep in enumerate(obj["reports"]):
+        where = f"reports[{i}]"
+        need(isinstance(rep, dict), where, "must be an object")
+        for key in ("suite", "identity", "verdict"):
+            need(isinstance(rep.get(key), str), f"{where}.{key}", "must be a string")
+        need(isinstance(rep.get("records", []), list), f"{where}.records", "must be a list")
+        for j, rec in enumerate(rep.get("records", [])):
+            need(isinstance(rec, dict) and isinstance(rec.get("status"), str),
+                 f"{where}.records[{j}].status", "must be a string")
+            if rec["status"] == "fail":
+                for key, kind in (("identity", str), ("index", list), ("message", str)):
+                    need(isinstance(rec.get(key), kind), f"{where}.records[{j}].{key}",
+                         f"must be a {kind.__name__}")
+
+
 def cmd_report(args) -> int:
     with open(args.path, "rb") as fh:
         obj = json.loads(fh.read().decode("utf-8"))
+    _check_report(obj)
     if args.format == "json":
         sys.stdout.write(canonical_bytes(obj).decode("utf-8"))
     else:
-        for rep in obj.get("reports", []):
+        for rep in obj["reports"]:
             print(f"suite {rep['suite']} [{rep['identity']}]: {rep['verdict'].upper()}")
             for rec in rep.get("records", []):
                 if rec["status"] == "fail":
                     print(f"  FAIL {rec['identity']} {tuple(rec['index'])} {rec['message']}")
-        print(f"overall: {obj.get('verdict', '?').upper()}")
-    return 0 if obj.get("verdict") == "pass" else 1
+        print(f"overall: {obj['verdict'].upper()}")
+    return 0 if obj["verdict"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,13 +2,21 @@
 
 Every structure constant in a data bundle lives in one cyclotomic field whose
 order N is declared once.  Scalars are stored in the power basis
-``1, z, ..., z^(phi(N)-1)`` (z a primitive N-th root of unity) with Fraction
-coefficients, reduced modulo the N-th cyclotomic polynomial after every
-operation, so equality is literal comparison of coefficient maps.  Products
-and inverses of monomials c*z^e take a fast path that builds the same
-coefficient map, in the same insertion order, as the general routine.  Each
-field memoizes the inverses of its multi-term scalars and its square roots,
-keyed by the scalar, so a value asked for again is not computed again.
+``1, z, ..., z^(phi(N)-1)`` (z a primitive N-th root of unity) as integer
+numerators over one positive denominator, in lowest terms and reduced modulo
+the N-th cyclotomic polynomial after every operation, so equality is literal
+comparison of a numerator map and a denominator.  Sums, products, the
+reduction, conjugation and the rational read-out run on these integers.
+Products and inverses of monomials c*z^e take a fast path that builds the
+same numerator map, in the same insertion order, as the general routine.
+Each field memoizes the inverses of its multi-term scalars and its square
+roots, keyed by the scalar, so a value asked for again is not computed again.
+
+``CycScalar.coeffs`` is a read-only {exponent: Fraction} view of a scalar,
+built on first use, in the numerators' insertion order.  Its readers are
+``literal``, ``repr``, the numeric embedding (whose sum follows that order, so
+the bits of ``complex()`` depend on it) and callers that lift a scalar into a
+larger field.
 """
 
 from __future__ import annotations
@@ -16,10 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 import mpmath
-
-from fullfield.linalg import solve
 
 
 class FieldOrderError(ValueError):
@@ -90,18 +97,19 @@ class CycField:
         self.order = order
         phi = cyclotomic_polynomial(order)
         self.degree = len(phi) - 1
-        # x^k in the power basis, for k = degree .. order-1
-        self._reduce_pow: dict[int, tuple[int, ...]] = {}
-        rep = [-c for c in phi[: self.degree]]  # x^degree
-        self._reduce_pow[self.degree] = tuple(rep)
-        for k in range(self.degree + 1, order):
-            shifted = [0] + rep[:-1]
-            top = rep[-1]
-            if top:
-                for e in range(self.degree):
-                    shifted[e] += top * self._reduce_pow[self.degree][e]
-            rep = shifted
-            self._reduce_pow[k] = tuple(rep)
+        # z^k in the power basis, for k = degree .. order-1, as the
+        # (exponent, integer coefficient) pairs of its nonzero terms
+        self._reduce_pow: dict[int, tuple[tuple[int, int], ...]] = {}
+        top_row = [-c for c in phi[: self.degree]]  # z^degree
+        rep = top_row
+        for k in range(self.degree, order):
+            if k > self.degree:
+                top = rep[-1]
+                rep = [0] + rep[:-1]
+                if top:
+                    for e in range(self.degree):
+                        rep[e] += top * top_row[e]
+            self._reduce_pow[k] = tuple((b, c) for b, c in enumerate(rep) if c)
         self._units = tuple(j for j in range(1, order) if gcd(j, order) == 1)
         self._split_primes = _split_primes(order, 8)
         self._embed_inverse = None
@@ -111,25 +119,29 @@ class CycField:
     # -- constructors ------------------------------------------------------
 
     def scalar(self, coeffs: dict[int, Fraction | int] | None = None) -> "CycScalar":
-        raw: dict[int, Fraction] = {}
-        for e, c in (coeffs or {}).items():
-            c = Fraction(c)
+        fracs = [(e % self.order, Fraction(c)) for e, c in (coeffs or {}).items()]
+        den = lcm(*(c.denominator for _e, c in fracs))
+        raw: dict[int, int] = {}
+        for e, c in fracs:
             if c:
-                raw[e % self.order] = raw.get(e % self.order, Fraction(0)) + c
-        return CycScalar(self, self._reduce(raw))
+                raw[e] = raw.get(e, 0) + c.numerator * (den // c.denominator)
+        return self._lowest(self._reduce(raw), den)
 
     def zero(self) -> "CycScalar":
         return CycScalar(self, {})
 
     def one(self) -> "CycScalar":
-        return CycScalar(self, {0: Fraction(1)})
+        return CycScalar(self, {0: 1})
 
     def rational(self, q) -> "CycScalar":
+        if type(q) is int:
+            return CycScalar(self, {0: q} if q else {})
         q = Fraction(q)
-        return CycScalar(self, {0: q} if q else {})
+        return CycScalar(self, {0: q.numerator} if q else {}, q.denominator)
 
     def zeta(self, k: int = 1) -> "CycScalar":
-        return self.scalar({k: 1})
+        k %= self.order
+        return CycScalar(self, dict(self._reduce_pow[k]) if k >= self.degree else {k: 1})
 
     def root_of_unity(self, p: int, q: int) -> "CycScalar":
         """The exact value of exp(pi*i*p/q), requiring 2q | N."""
@@ -143,18 +155,46 @@ class CycField:
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(self, raw: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def _reduce(self, raw: dict[int, int]) -> dict[int, int]:
+        """Integer numerators of ``raw`` (exponents below N) in the power basis.
+
+        Terms land in the order of ``raw``, each high power spread over its
+        row in ascending exponent, and zero sums are dropped at the end.
+        """
+        out: dict[int, int] = {}
+        degree, rows = self.degree, self._reduce_pow
         for e, c in raw.items():
             if not c:
                 continue
-            if e < self.degree:
-                out[e] = out.get(e, Fraction(0)) + c
+            if e < degree:
+                out[e] = out.get(e, 0) + c
             else:
-                for b, rc in enumerate(self._reduce_pow[e]):
-                    if rc:
-                        out[b] = out.get(b, Fraction(0)) + c * rc
+                for b, rc in rows[e]:
+                    out[b] = out.get(b, 0) + c * rc
         return {e: c for e, c in out.items() if c}
+
+    def _lowest(self, num: dict[int, int], den: int) -> "CycScalar":
+        """The scalar num/den, with den > 0, brought to lowest terms."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return CycScalar(self, num, den)
+
+    def _inverse_uncached(self, a: "CycScalar") -> "CycScalar":
+        """1/a for a = A/den, A its integer numerators, as den * P / N(A).
+
+        P is the product of the Galois conjugates z -> z^j of A over the
+        units j != 1, and N(A) = A * P is the norm of A, a nonzero integer.
+        The terms are listed in ascending exponent.
+        """
+        n = self.order
+        p = self.one()
+        for j in self._units[1:]:
+            p = p * CycScalar(self, self._reduce({j * e % n: c for e, c in a.num.items()}))
+        norm = (CycScalar(self, a.num) * p).num[0]
+        top = a.den if norm > 0 else -a.den
+        return self._lowest({e: top * p.num[e] for e in sorted(p.num)}, abs(norm))
 
     def _check(self, other: "CycScalar") -> None:
         if other.field.order != self.order:
@@ -184,7 +224,7 @@ class CycField:
            that lcm and the size of ``a``.
         """
         self._check(a)
-        if not a.coeffs:
+        if not a.num:
             return self.zero()
         if a in self._sqrt_cache:
             return self._sqrt_cache[a]
@@ -212,14 +252,14 @@ class CycField:
         the p-integral elements onto F_p.  A root of a p-integral ``a`` is
         p-integral, since Z[z] is the ring of integers, so if ``a`` is a
         square every nonzero reduction is a quadratic residue.  Primes that
-        divide a denominator of ``a`` are skipped.
+        divide the denominator of ``a`` are skipped.
         """
         n = self.order
         for p, pows in self._split_primes:
-            if any(c.denominator % p == 0 for c in a.coeffs.values()):
+            if a.den % p == 0:
                 continue
-            terms = [(e, c.numerator * pow(c.denominator, -1, p))
-                     for e, c in a.coeffs.items()]
+            inv = pow(a.den, -1, p)
+            terms = [(e, c * inv) for e, c in a.num.items()]
             for j in self._units:
                 v = sum(c * pows[j * e % n] for e, c in terms) % p
                 if v and pow(v, (p - 1) // 2, p) == p - 1:
@@ -227,15 +267,15 @@ class CycField:
         return False
 
     def _sqrt_search(self, a: "CycScalar") -> "CycScalar | None":
-        # With den the lcm of a's coefficient denominators, den^2 * a is
-        # integral, so a root den * sqrt(a) in the field lies in Z[z], whose
-        # power basis is a Z-basis: each sign pattern's solve is rounded to
-        # integers over den and checked by squaring.  The digits cover
+        # With den the denominator of a, den^2 * a is integral, so a root
+        # den * sqrt(a) in the field lies in Z[z], whose power basis is a
+        # Z-basis: each sign pattern's solve is rounded to integers over den
+        # and checked by squaring.  The digits cover
         # |den * sqrt(a)| <= den * (sum |a_e| + 1) with 30 to spare.
         units = self._units
-        den = lcm(*(c.denominator for c in a.coeffs.values()))
-        size = sum(abs(c) for c in a.coeffs.values())
-        dps = max(60, len(str(den * (int(size) + 1))) + 30)
+        den = a.den
+        size = sum(abs(c) for c in a.num.values()) // den
+        dps = max(60, len(str(den * (size + 1))) + 30)
         with mpmath.workdps(dps):
             conj_a = {j: self._embed_conj(a, j) for j in units}
             # Solve M c = v for each admissible sign pattern on the free
@@ -259,7 +299,7 @@ class CycField:
                         v[other] = mpmath.conj(v[j])
                 sol = minv * mpmath.matrix([v[j] for j in units])
                 ints = [int(mpmath.nint(den * sol[e].real)) for e in range(self.degree)]
-                cand = CycScalar(self, {e: Fraction(n, den) for e, n in enumerate(ints) if n})
+                cand = self._lowest({e: n for e, n in enumerate(ints) if n}, den)
                 if cand * cand == a:
                     # v[1] took its sign from a numeric value whose imaginary
                     # part may be only rounding: fix it on the exact root
@@ -298,16 +338,32 @@ def _principal_sqrt(w: mpmath.mpc) -> mpmath.mpc:
 class CycScalar:
     """An element of Q(zeta_N), always in canonical reduced form.
 
+    ``num`` maps power-basis exponents to nonzero integer numerators over the
+    one positive denominator ``den``, with gcd(den, *num) == 1; zero is
+    ``{}`` over 1.  ``coeffs`` is the same value as a read-only
+    {exponent: Fraction} view, built on first use, whose readers are
+    ``literal``, ``repr``, the numeric embedding behind ``complex()`` and
+    callers that lift a scalar into a larger field.
+
     Immutable; arithmetic returns new scalars.  Integers and Fractions mix
     in on either side of ``+`` and ``*``, and on the right of ``-`` and ``/``.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_coeffs", "_hash")
 
-    def __init__(self, field: CycField, coeffs: dict[int, Fraction]):
+    def __init__(self, field: CycField, num: dict[int, int], den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._coeffs: MappingProxyType | None = None
         self._hash: int | None = None
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+        return self._coeffs
 
     # -- ring operations ---------------------------------------------------
 
@@ -320,22 +376,36 @@ class CycScalar:
         return None
 
     def __add__(self, other) -> "CycScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            v = out.get(e, Fraction(0)) + c
+        if other.__class__ is CycScalar and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        if not self.num:
+            return o
+        if not o.num:
+            return self
+        da, db = self.den, o.den
+        if da == db:
+            out = dict(self.num)
+            scale = 1
+        else:
+            g = gcd(da, db)
+            scale, da = da // g, da * (db // g)
+            out = {e: c * (db // g) for e, c in self.num.items()}
+        for e, c in o.num.items():
+            v = out.get(e, 0) + c * scale
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
-        return CycScalar(self.field, out)
+                del out[e]
+        return self.field._lowest(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.field, {e: -c for e, c in self.coeffs.items()})
+        return CycScalar(self.field, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "CycScalar":
         o = self._coerce(other)
@@ -344,58 +414,59 @@ class CycScalar:
         return self + (-o)
 
     def __mul__(self, other) -> "CycScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         field = self.field
+        if other.__class__ is CycScalar and other.field is field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         n = field.order
-        if len(self.coeffs) == 1 and len(o.coeffs) == 1:
-            # monomial times monomial: one reduction row, in _reduce's order
-            ((e1, c1),) = self.coeffs.items()
-            ((e2, c2),) = o.coeffs.items()
-            c = c1 * c2
+        a, b = self.num, o.num
+        if len(a) == 1 and len(b) == 1:
+            # monomial times monomial: one reduction row, in _reduce's order;
+            # a row's entries have gcd 1 (z^e is a unit of Z[z]), so the
+            # terms stay in lowest terms
+            ((e1, c1),) = a.items()
+            ((e2, c2),) = b.items()
+            c, den = c1 * c2, self.den * o.den
+            g = gcd(c, den)
+            if g != 1:
+                c, den = c // g, den // g
             e = (e1 + e2) % n
-            if not c:
-                return CycScalar(field, {})
             if e < field.degree:
-                return CycScalar(field, {e: c})
-            return CycScalar(field, {b: c * rc for b, rc in enumerate(field._reduce_pow[e]) if rc})
-        raw: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
+                return CycScalar(field, {e: c}, den)
+            return CycScalar(field, {k: c * rc for k, rc in field._reduce_pow[e]}, den)
+        raw: dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = (e1 + e2) % n
-                raw[e] = raw.get(e, Fraction(0)) + c1 * c2
-        return CycScalar(field, field._reduce(raw))
+                raw[e] = raw.get(e, 0) + c1 * c2
+        return field._lowest(field._reduce(raw), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
 
-        A monomial is inverted directly.  Any other scalar is solved for once
-        per field, by Gauss-Jordan elimination of a * x = 1, and the result is
+        A monomial is inverted directly.  Any other scalar is inverted once
+        per field, by ``CycField._inverse_uncached``, and the result is
         memoized in the field, as square roots are.
         """
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        if len(self.coeffs) == 1:
-            ((e, c),) = self.coeffs.items()
-            return self.field.zeta(-e) * (1 / c)
-        cache = self.field._inverse_cache
-        if self in cache:
-            return cache[self]
-        d = self.field.degree
-        # Columns: self * zeta^j in the power basis.
-        cols = []
-        for j in range(d):
-            col = self * self.field.zeta(j)
-            cols.append([col.coeffs.get(e, Fraction(0)) for e in range(d)])
-        # Solve sum_j x_j * cols[j] = e_0.
-        x = solve([[cols[j][e] for j in range(d)] for e in range(d)],
-                  [[Fraction(1 if e == 0 else 0)] for e in range(d)], Fraction(1))
-        if x is None:  # pragma: no cover - nonzero elements are invertible
-            raise ZeroDivisionError("singular multiplication matrix")
-        cache[self] = CycScalar(self.field, {j: x[j][0] for j in range(d) if x[j][0]})
+        field = self.field
+        if len(self.num) == 1:
+            # (c/den) z^e inverts to (den/c) z^-e, in lowest terms already
+            ((e, c),) = self.num.items()
+            top = self.den if c > 0 else -self.den
+            e = -e % field.order
+            if e < field.degree:
+                return CycScalar(field, {e: top}, abs(c))
+            return CycScalar(field, {k: top * rc for k, rc in field._reduce_pow[e]}, abs(c))
+        cache = field._inverse_cache
+        if self not in cache:
+            cache[self] = field._inverse_uncached(self)
         return cache[self]
 
     def __truediv__(self, other) -> "CycScalar":
@@ -405,26 +476,31 @@ class CycScalar:
         return self * o.inverse()
 
     def conjugate(self) -> "CycScalar":
-        """Complex conjugation: exponent map k -> N - k, then reduction."""
+        """Complex conjugation: exponent map k -> N - k, then reduction.
+
+        An automorphism of Z[z] keeps the numerators' gcd, so the result is
+        in lowest terms over the same denominator.
+        """
         n = self.field.order
-        raw = {(-e) % n: c for e, c in self.coeffs.items()}
-        return CycScalar(self.field, self.field._reduce(raw))
+        raw = {-e % n: c for e, c in self.num.items()}
+        return CycScalar(self.field, self.field._reduce(raw), self.den)
 
     # -- predicates, hashing, display --------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
         if not isinstance(other, CycScalar):
-            return NotImplemented
-        return self.field.order == other.field.order and self.coeffs == other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.field.rational(other)
+        return (self.num == other.num and self.den == other.den
+                and self.field.order == other.field.order)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.field.order, frozenset(self.coeffs.items())))
+            self._hash = hash((self.field.order, self.den, frozenset(self.num.items())))
         return self._hash
 
     def __complex__(self) -> complex:
@@ -434,10 +510,11 @@ class CycScalar:
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        if not self.coeffs:
+        num = self.num
+        if not num:
             return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
+        if len(num) == 1 and 0 in num:
+            return Fraction(num[0], self.den)
         return None
 
     def literal(self) -> list[list[int]]:
@@ -445,7 +522,7 @@ class CycScalar:
         return [[e, c.numerator, c.denominator] for e, c in sorted(self.coeffs.items())]
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "Cyc(0)"
         terms = []
         for e, c in sorted(self.coeffs.items()):
@@ -455,16 +532,18 @@ class CycScalar:
 
 def scalar_from_literal(field: CycField, literal) -> CycScalar:
     """Parse the bundle scalar literal format; the empty list is zero."""
-    coeffs: dict[int, Fraction] = {}
     for item in literal:
         if len(item) != 3:
             raise ValueError(f"scalar literal triple must have 3 entries, got {item!r}")
-        e, num, den = item
-        if not all(isinstance(v, int) for v in (e, num, den)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in item):
             raise ValueError(f"scalar literal entries must be integers, got {item!r}")
+        e, _num, den = item
         if not 0 <= e < field.order:
             raise ValueError(f"scalar literal exponent {e} outside 0..{field.order - 1}")
         if den <= 0:
             raise ValueError(f"scalar literal denominator must be positive, got {den}")
-        coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(num, den)
-    return field.scalar(coeffs)
+    den = lcm(*(item[2] for item in literal))
+    raw: dict[int, int] = {}
+    for e, num, d in literal:
+        raw[e] = raw.get(e, 0) + num * (den // d)
+    return field._lowest(field._reduce(raw), den)

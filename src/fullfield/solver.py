@@ -148,7 +148,8 @@ def _single_var_solve(terms, field):
     root = field.sqrt(b * b - 4 * a * c)
     if root is None:
         return []
-    return list({((-b) + root) / (2 * a), ((-b) - root) / (2 * a)})
+    r1, r2 = ((-b) + root) / (2 * a), ((-b) - root) / (2 * a)
+    return [r1] if r1 == r2 else [r1, r2]
 
 
 def _search(equations, state: dict, unknowns: list, field: CycField, guesses: list,

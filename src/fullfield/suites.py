@@ -185,9 +185,12 @@ def run_suites(bundle: Bundle, names=None) -> list[Report]:
     return reports
 
 
+REPORT_FORMAT = "ffa-report-v1"
+
+
 def reports_to_obj(reports: list[Report], meta: dict | None = None) -> dict:
     return {
-        "format": "ffa-report-v1",
+        "format": REPORT_FORMAT,
         "meta": meta or {},
         "verdict": "pass" if all(r.verdict == "pass" for r in reports) else "fail",
         "reports": [r.to_obj() for r in reports],

@@ -116,6 +116,10 @@ class TestParsing:
                      "label tuple", id="f-labels"),
         pytest.param(lambda o: o["chiral"]["f"][0].update(mults=[0, 0, 0, -1]), "chiral.f[0]",
                      "multiplicity indices", id="f-mults"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(value=[[0, True, 1]]),
+                     "chiral.f[0].value", "must be integers", id="f-value-bool"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(value=[[True, 1, True]]),
+                     "chiral.f[0].value", "must be integers", id="f-exponent-bool"),
         pytest.param(lambda o: o["chiral"]["sigma12"][0].update(space=["e", "e"]),
                      "chiral.sigma12[0]", "bad space", id="sigma-space"),
         pytest.param(lambda o: o["chiral"]["sigma12"][0].update(matrix=[[[[4, 1, 1]]]]),

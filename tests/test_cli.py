@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import pathlib
@@ -199,3 +200,44 @@ class TestReportCommand:
         assert main(["report", str(path), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["verdict"] == "pass"
+
+    @pytest.mark.parametrize("edit, where", [
+        pytest.param(lambda o: [1], "format", id="list"),
+        pytest.param(lambda o: {"reports": 3}, "format", id="no-format"),
+        pytest.param(lambda o: {**o, "reports": 3}, "reports", id="reports-not-list"),
+        pytest.param(lambda o: {**o, "verdict": None}, "verdict", id="no-verdict"),
+        pytest.param(lambda o: o["reports"][0].pop("identity") and o, "reports[0].identity",
+                     id="no-identity"),
+        pytest.param(lambda o: o["reports"][1]["records"][0].pop("status") and o,
+                     "reports[1].records[0].status", id="no-status"),
+        pytest.param(lambda o: json.loads(fixture_bytes("trivial")), "format", id="bundle"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refuses_what_is_not_a_report(self, fixture_dir, tmp_path, capsys, edit, where, fmt):
+        path = tmp_path / "rep.json"
+        main(["verify", str(fixture_dir / "trivial.json"), "--report", str(path)])
+        capsys.readouterr()
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: not a report: {where} must be")
+
+
+def test_caches_stay_per_instance(fixture_dir, monkeypatch, capsys):
+    # every verify builds its own field and chiral data, so a second run in
+    # the same process redoes every elimination and every square root
+    from fullfield import cyclotomic, linalg
+
+    counts = collections.Counter()
+    solve, sqrt = linalg.solve, cyclotomic.CycField._sqrt_uncached
+    monkeypatch.setattr(linalg, "solve", lambda *a: counts.update(["solve"]) or solve(*a))
+    monkeypatch.setattr(cyclotomic.CycField, "_sqrt_uncached",
+                        lambda field, a: counts.update(["sqrt"]) or sqrt(field, a))
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        assert main(["verify", str(fixture_dir / "ising.json"), "--format", "json"]) == 0
+        runs.append(dict(counts))
+    capsys.readouterr()
+    assert runs[0] == runs[1] and runs[0]["solve"] > 0 and runs[0]["sqrt"] > 0

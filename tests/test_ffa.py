@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fullfield import cyclotomic, ffa as ffa_mod
+from fullfield import ffa as ffa_mod
 from fullfield.bundles import BundleError
 from fullfield.chiral import ChiralData, fails
 from fullfield.cyclotomic import CycField
@@ -133,28 +133,28 @@ def test_run_suites_constructs_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name, solves, roots", [("ising", 1, 3), ("fibonacci", 1, 2)])
-def test_run_suites_computes_each_exact_value_once(monkeypatch, name, solves, roots):
-    # one general inverse solve per distinct multi-term F_a (the same one
-    # is inverted by dual, s3, invariance and the pairing pivots), and one
-    # square root per label; without the memos ising makes 11 solves and
-    # 90 sqrt calls
-    calls = {"solve": 0, "sqrt": 0}
-    real_solve, real_sqrt = cyclotomic.solve, CycField.sqrt
+@pytest.mark.parametrize("name, inverses, roots", [("ising", 1, 3), ("fibonacci", 1, 2)])
+def test_run_suites_computes_each_exact_value_once(monkeypatch, name, inverses, roots):
+    # one general inverse per distinct multi-term F_a (the same one is
+    # inverted by dual, s3, invariance and the pairing pivots), and one
+    # square root per label; without the memos ising computes 11 inverses
+    # and makes 90 sqrt calls
+    calls = {"inverse": 0, "sqrt": 0}
+    real_inverse, real_sqrt = CycField._inverse_uncached, CycField.sqrt
 
-    def counting_solve(*args):
-        calls["solve"] += 1
-        return real_solve(*args)
+    def counting_inverse(field, a):
+        calls["inverse"] += 1
+        return real_inverse(field, a)
 
     def counting_sqrt(field, a):
         calls["sqrt"] += 1
         return real_sqrt(field, a)
 
-    monkeypatch.setattr(cyclotomic, "solve", counting_solve)
+    monkeypatch.setattr(CycField, "_inverse_uncached", counting_inverse)
     monkeypatch.setattr(CycField, "sqrt", counting_sqrt)
     reports = run_suites(load_fixture(name))
     assert all(r.verdict == "pass" for r in reports)
-    assert calls == {"solve": solves, "sqrt": roots}
+    assert calls == {"inverse": inverses, "sqrt": roots}
 
 
 def test_mat_mul_names_both_shapes_on_a_mismatch():

@@ -2,12 +2,13 @@ import hashlib
 import importlib.util
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from fullfield.bundles import bundle_to_obj, canonical_bytes
-from fullfield.cyclotomic import CycField
+from fullfield.cyclotomic import CycField, CycScalar
 from fullfield.fixtures import fixture_bytes
 from fullfield.fusion import FusionData
 from fullfield.lattice import LatticeSpec, emit_bundle, lattice_fusion
@@ -164,18 +165,24 @@ def test_solution_lists_pinned(ring, order):
     assert (len(solutions), digest) == PINNED_SOLUTIONS[(ring, order)]
 
 
-class TestExpandMono:
-    def test_cyclic_substitution_raises(self):
-        field = CycField(8)
-        state = {"x": (field.one(), ("y",)), "y": (field.rational(2), ("x",))}
-        with pytest.raises(SolverError, match="did not terminate"):
-            _expand_mono(field.one(), ("x",), state)
+def _hash_of_fractions(x):
+    return hash((x.field.order, frozenset(x.coeffs.items())))
 
-    def test_resolved_chain_is_compressed(self):
-        field = CycField(8)
-        state = {"x": (field.rational(2), ("y", "z")), "y": (field.rational(3), ("w",)),
-                 "w": field.zeta(1)}
-        assert _expand_mono(field.one(), ("x", "z"), state) == (field.zeta(1) * 6, ("z", "z"))
-        # x now reads as one monomial over the unresolved z, y as a scalar
-        assert state["x"] == (field.zeta(1) * 6, ("z",))
-        assert state["y"] == field.zeta(1) * 3
+
+def _hash_of_numerators(x):
+    den = lcm(*(c.denominator for c in x.coeffs.values()))
+    return hash((x.field.order, den, frozenset((e, int(c * den)) for e, c in x.coeffs.items())))
+
+
+def _hash_salted(x):
+    return hash(("salt", tuple(sorted(x.coeffs.items()))))
+
+
+@pytest.mark.parametrize("scalar_hash", [_hash_of_fractions, _hash_of_numerators, _hash_salted])
+@pytest.mark.parametrize("ring,order", [("ising", 16), ("fibonacci", 20)],
+                         ids=["ising@16", "fibonacci@20"])
+def test_solution_order_does_not_follow_the_hash(ring, order, scalar_hash, monkeypatch):
+    # the two roots of a quadratic come out in a fixed order, not in the
+    # iteration order of a set of scalars
+    monkeypatch.setattr(CycScalar, "__hash__", scalar_hash)
+    test_solution_lists_pinned(ring, order)
