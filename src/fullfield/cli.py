@@ -182,9 +182,10 @@ def _check_report(obj) -> None:
             need(isinstance(rec, dict) and isinstance(rec.get("status"), str),
                  f"{where}.records[{j}].status", "must be a string")
             if rec["status"] == "fail":
-                for key, kind in (("identity", str), ("index", list), ("message", str)):
+                for key, kind, what in (("identity", str, "a string"), ("index", list, "a list"),
+                                        ("message", str, "a string")):
                     need(isinstance(rec.get(key), kind), f"{where}.records[{j}].{key}",
-                         f"must be a {kind.__name__}")
+                         f"must be {what}")
 
 
 def cmd_report(args) -> int:

@@ -93,7 +93,8 @@ class TestIntegerForm:
         lambda f: st.tuples(scalars(f), scalars(f), scalars(f))))
     def test_results_in_lowest_terms(self, abc):
         a, b, c = abc
-        results = [a, b, a + b, a - b, a * b, a * b * c, -a, a.conjugate(), a + 3, a * Fraction(2, 3)]
+        results = [a, b, a + b, a - b, a * b, a * b * c, -a, a.conjugate(), a + 3,
+                   a * Fraction(2, 3)]
         if b:
             results += [a / b, b.inverse()]
         for x in results:
