@@ -186,3 +186,20 @@ def test_solution_order_does_not_follow_the_hash(ring, order, scalar_hash, monke
     # iteration order of a set of scalars
     monkeypatch.setattr(CycScalar, "__hash__", scalar_hash)
     test_solution_lists_pinned(ring, order)
+
+
+class TestExpandMono:
+    def test_cyclic_substitution_raises(self):
+        field = CycField(8)
+        state = {"x": (field.one(), ("y",)), "y": (field.rational(2), ("x",))}
+        with pytest.raises(SolverError, match="did not terminate"):
+            _expand_mono(field.one(), ("x",), state)
+
+    def test_resolved_chain_is_compressed(self):
+        field = CycField(8)
+        state = {"x": (field.rational(2), ("y", "z")), "y": (field.rational(3), ("w",)),
+                 "w": field.zeta(1)}
+        assert _expand_mono(field.one(), ("x", "z"), state) == (field.zeta(1) * 6, ("z", "z"))
+        # x now reads as one monomial over the unresolved z, y as a scalar
+        assert state["x"] == (field.zeta(1) * 6, ("z",))
+        assert state["y"] == field.zeta(1) * 3
