@@ -113,9 +113,12 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
     """
     if obj.get("format") != BUNDLE_FORMAT:
         raise BundleError("format", f"expected {BUNDLE_FORMAT!r}, got {obj.get('format')!r}")
+    order = obj.get("field_order")
+    if type(order) is not int:
+        raise BundleError("field_order", f"field_order must be an integer, got {order!r}")
     try:
-        field = CycField(int(obj["field_order"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        field = CycField(order)
+    except ValueError as exc:
         raise BundleError("field_order", str(exc)) from None
 
     fo = obj.get("fusion")
@@ -141,8 +144,8 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         for a in (a1, a2, a3):
             if a not in labels:
                 raise BundleError(f"fusion.rules[{i}]", f"unknown label {a!r}")
-        if not isinstance(n, int):
-            raise BundleError(f"fusion.rules[{i}]", "multiplicity must be an integer")
+        if type(n) is not int:
+            raise BundleError(f"fusion.rules[{i}]", f"multiplicity must be an integer, got {n!r}")
         if n:
             rules[(a1, a2, a3)] = n
     fusion = FusionData(labels=labels, unit=fo.get("unit", ""), dual=dual,
@@ -169,7 +172,7 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         if len(key6) != 6 or any(a not in labels for a in key6):
             raise BundleError(where, f"bad label tuple {key6!r}")
         mults = tuple(rec.get("mults", ()))
-        if len(mults) != 4 or not all(isinstance(m, int) and m >= 0 for m in mults):
+        if len(mults) != 4 or not all(type(m) is int and m >= 0 for m in mults):
             raise BundleError(where, f"bad multiplicity indices {mults!r}")
         val = parse_scalar(rec.get("value", []), where + ".value")
         b1, b5, b4, b2, b3, b6 = key6
@@ -205,7 +208,11 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         space = tuple(rec.get("space", ()))
         if len(space) != 3 or any(a not in labels for a in space):
             raise BundleError(where, f"bad space {space!r}")
-        canonical[space] = int(rec.get("index", 0))
+        index, dim = rec.get("index", 0), fusion.n(*space)
+        if type(index) is not int or not 0 <= index < dim:
+            raise BundleError(where, f"index {index!r} is not a basis index of a space "
+                                     f"of dimension {dim}")
+        canonical[space] = index
 
     return Bundle(field=field, fusion=fusion, f=f, sigma12=sigma12, sigma23=sigma23,
                   canonical=canonical, provenance=obj.get("provenance", {}),

@@ -29,11 +29,14 @@ LATTICE_CHECKS = ("assoc", "skew", "grading", "virasoro", "residue", "jacobi")
 
 def _emit(reports, args, meta):
     obj = reports_to_obj(reports, meta=meta)
-    if getattr(args, "report", None):
-        with open(args.report, "wb") as fh:
-            fh.write(canonical_bytes(obj))
-    if getattr(args, "format", "text") == "json":
-        sys.stdout.write(canonical_bytes(obj).decode("utf-8"))
+    report = getattr(args, "report", None)
+    json_out = getattr(args, "format", "text") == "json"
+    data = canonical_bytes(obj) if report or json_out else b""
+    if report:
+        with open(report, "wb") as fh:
+            fh.write(data)
+    if json_out:
+        sys.stdout.write(data.decode("utf-8"))
     else:
         print(reports_to_text(reports, verbose=getattr(args, "verbose", False)))
     return 0 if obj["verdict"] == "pass" else 1

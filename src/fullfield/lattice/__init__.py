@@ -3,7 +3,8 @@
 The model works over the lattice Z*alpha with <alpha, alpha> = 2k.  Sector
 labels are Z/2k; lattice points are stored as integers q meaning q*alpha/(2k).
 The exact engine (:mod:`fullfield.lattice.model`) produces graded components
-of intertwining operators with Fraction coefficients; the oracle
+of intertwining operators as integer numerators over one denominator per
+charge and cutoff (read back as Fractions by ``components``); the oracle
 (:mod:`fullfield.lattice.oracle`) derives fusing-tensor entries and normalizes
 the canonical bases exactly over Q, and emits a self-consistent data bundle
 (the cyclotomic field enters only there, in ``emit_bundle``); the checks
@@ -11,7 +12,7 @@ the canonical bases exactly over Q, and emits a self-consistent data bundle
 it, exactly where decidable and numerically at sample points otherwise.
 """
 
-from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, chiral_io_apply
+from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec
 from fullfield.lattice.oracle import (
     CanonicalGauge,
     OracleError,
@@ -43,7 +44,6 @@ __all__ = [
     "check_residue_lemma",
     "check_skew_symmetry",
     "check_virasoro",
-    "chiral_io_apply",
     "derive_f_entry",
     "emit_bundle",
     "lattice_fusion",

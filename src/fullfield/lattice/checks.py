@@ -46,25 +46,13 @@ class SectorBasis:
         self.model = model
         self.j = j % model.two_k
         self.T = T
-        keys = []
-        q0 = model.min_rep(self.j)
-        step = model.two_k
-        points = []
-        q = q0
-        while Fraction(q * q, 4 * model.k) <= T:
-            points.append(q)
-            q += step
-        q = q0 - step
-        while Fraction(q * q, 4 * model.k) <= T:
-            points.append(q)
-            q -= step
-        for q in sorted(points):
-            budget = int(T - Fraction(q * q, 4 * model.k))
-            for parts in _partitions(budget):
-                keys.append((tuple(parts), q))
-        keys.sort(key=lambda key: (model.state_weight(key), key))
-        self.keys = keys
-        self.index = {key: i for i, key in enumerate(keys)}
+        # q^2/4k <= T exactly when |q| <= isqrt(4kT); each point takes the
+        # partitions up to its level B = floor(T - q^2/4k)
+        top = math.isqrt(4 * model.k * T)
+        self.keys = sorted(((parts, q) for q in range(-top, top + 1) if model.sector(q) == self.j
+                            for parts in _partitions(model._denominator(q, T)[0])),
+                           key=lambda key: (model.state_weight(key), key))
+        self.index = {key: i for i, key in enumerate(self.keys)}
         self._virasoro: dict = {}
 
     def __len__(self) -> int:

@@ -10,11 +10,14 @@ holds integer numerators over D = (2k)^B B!, B = floor(T - q^2/(4k)): the
 exponential's coefficients qu^l / ((2k)^l z_lam) have l = l(lam) <= B and
 z_lam | |lam|! | B!, and the dressing recursion multiplies by integers only.
 
-Two readers sit on those numerators.  ``components`` returns every output as
-a Fraction.  ``coefficient`` reads a single output key: it touches only the
-basis pairs whose charges sum to the key's, adds their numerators (as
+Four readers sit on those numerators.  ``components`` returns every output
+as a Fraction.  ``coefficient`` reads a single output key: it touches only
+the basis pairs whose charges sum to the key's, adds their numerators (as
 integers when the input coefficients are integers) and divides by D once.
-The lattice oracle's four-point fits and residue extraction use it.
+``DiagonalFFA._column`` (:mod:`fullfield.lattice.checks`) compiles one input
+column of a vertex operator from them as floats.  The oracle's four-point
+fit ``_fit_f`` reads its inner series from them as integers, takes the outer
+entry through ``coefficient`` and divides only the fitted leads by D.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ def _partitions(budget: int):
             rec(cur, p, left - p)
     rec((), budget, budget)
     return out
+
+
+def _z(lam: tuple[int, ...]) -> int:
+    """z_lam = prod_p p^m_p m_p! over the multiplicities m_p of lam."""
+    return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
 
 
 class LatticeModel:
@@ -166,20 +174,15 @@ class LatticeModel:
             ell += 1
             fact *= ell
             term = self.virasoro(n, term, cap)
+            coef = scale ** ell / fact
             for key, c in term.items():
-                _acc(out, key, c * scale ** ell / fact)
+                _acc(out, key, c * coef)
         return {key: c for key, c in out.items() if c}
 
     # -- contragredient pairing -------------------------------------------------
 
     def heis_norm(self, parts: tuple[int, ...]) -> int:
-        norm = 1
-        for p in set(parts):
-            c = parts.count(p)
-            for i in range(1, c + 1):
-                norm *= i
-            norm *= (p * self.two_k) ** c
-        return norm
+        return self.two_k ** len(parts) * _z(parts)
 
     def pair(self, functional: FockVector, vec: FockVector):
         """Contragredient pairing; first argument is the primed-module side."""
@@ -239,13 +242,10 @@ class LatticeModel:
         return top, self.two_k ** max(top, 0) * factorial(max(top, 0))
 
     def _partition_table(self, budget: int) -> list:
-        """(lam, |lam|, l(lam), z_lam) for each of ``_partitions(budget)``, where
-        z_lam = prod_p p^m_p m_p! over the multiplicities m_p of lam."""
+        """(lam, |lam|, l(lam), z_lam) for each of ``_partitions(budget)``."""
         if budget not in self._tables:
-            self._tables[budget] = [
-                (lam, sum(lam), len(lam),
-                 prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam)))
-                for lam in _partitions(budget)]
+            self._tables[budget] = [(lam, sum(lam), len(lam), _z(lam))
+                                    for lam in _partitions(budget)]
         return self._tables[budget]
 
     def _components_basis(self, mu, qu, nu, qv, T) -> dict[int, dict[StateKey, int]]:
@@ -366,19 +366,3 @@ def vec_add(a: FockVector, b: FockVector) -> FockVector:
 
 def vec_scale(a: FockVector, s) -> FockVector:
     return {k: s * v for k, v in a.items() if s * v}
-
-
-def chiral_io_apply(model: LatticeModel, lam: int, v: FockVector, target_sector: int,
-                    T: int):
-    """Graded components, up to weight ``T``, of the charged insertion at
-    lattice point ``lam``.
-
-    ``lam`` is an integer point (units of alpha/2k).  A target sector not
-    matching the group law is the zero operator: the empty component map.
-    """
-    sectors = {model.sector(key[1]) for key in v}
-    if len(sectors) != 1:
-        raise ValueError("the argument must be sector homogeneous")
-    if (model.sector(lam) + sectors.pop() - target_sector) % model.two_k:
-        return {}
-    return model.components(model.charged(lam), v, T)

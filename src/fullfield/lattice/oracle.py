@@ -91,28 +91,22 @@ class CanonicalGauge:
                  (m.lowest(i), {((2,), 0): Fraction(1)}),
                  (m.alpha(-1, m.lowest(i)), m.vacuum())]
         for tag, (w1, w2) in enumerate(pairs):
-            wt1, wt2 = m.vec_weight(w1), m.vec_weight(w2)
+            wt = m.vec_weight(w1) + m.vec_weight(w2)
             comps = m.components(w2, w1, T)  # module map acts with the V side first
             for mm, vec in comps.items():
-                gamma = mm - wt1 - wt2
+                gamma = mm - wt
                 if gamma != int(gamma):
                     raise OracleError(
                         f"skew image of the module map of sector {i}: exponent {gamma} "
                         f"at weight {mm} is not an integer")
                 sign = Fraction(-1) ** int(gamma)
-                term = vec
-                fact = Fraction(1)
-                ell = 0
-                while term:
-                    for key, c in term.items():
-                        _acc(num, (tag, gamma + ell, key), c * sign / fact)
-                    ell += 1
-                    fact *= ell
-                    term = m.virasoro(-1, term, T)
+                # the x^ell term of e^{xL(-1)} sits ell levels up, at x^(gamma + ell)
+                for key, c in m.exp_virasoro(-1, Fraction(1), vec, T).items():
+                    _acc(num, (tag, m.state_weight(key) - wt, key), c * sign)
             comps2 = m.components(w1, w2, T)
             for mm, vec in comps2.items():
                 for key, c in vec.items():
-                    _acc(den, (tag, mm - wt1 - wt2, key), c)
+                    _acc(den, (tag, mm - wt, key), c)
         cap = Fraction(T) - m.sector_weight(i) - 3
         num = {k: v for k, v in num.items() if k[1] <= cap}
         den = {k: v for k, v in den.items() if k[1] <= cap}
@@ -316,28 +310,14 @@ def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
     The fusing tensor comes from the four-point oracle; the S3 action comes
     from the constraint solver pinned to the canonical bases.
     """
-    from fullfield.solver import solve_sigma
+    from fullfield.solver import admissible_tuples, solve_sigma
 
-    model = LatticeModel(spec.k)
     field = CycField(8 * spec.k)
-    two_k = model.two_k
     T = max(min(spec.truncation, 10), 8)
-    gauge = CanonicalGauge(model)
-    labels = sector_labels(spec.k)
+    gauge = CanonicalGauge(LatticeModel(spec.k))
     fusion = lattice_fusion(spec.k)
-
-    def lab(x: int) -> str:
-        return labels[x % two_k]
-
-    f: dict = {}
-    for b1 in range(two_k):
-        for b2 in range(two_k):
-            for b3 in range(two_k):
-                key_int = (b1, (b2 + b3) % two_k, (b1 + b2 + b3) % two_k,
-                           b2, b3, (b1 + b2) % two_k)
-                key6 = tuple(lab(x) for x in key_int)
-                f[(key6, (0, 0, 0, 0))] = field.rational(derive_f_entry(gauge, key_int, T))
-
+    f = {(key6, (0, 0, 0, 0)): field.rational(derive_f_entry(gauge, tuple(map(int, key6)), T))
+         for key6 in admissible_tuples(fusion)}
     canonical = {s: 0 for a in fusion.labels for s in fusion.canonical_spaces(a)}
 
     sigma12, sigma23 = solve_sigma(field, fusion, f)

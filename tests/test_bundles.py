@@ -96,6 +96,10 @@ class TestParsing:
     @pytest.mark.parametrize("edit, where, match", [
         pytest.param(lambda o: o.pop("field_order"), "field_order", "field_order",
                      id="field-order-missing"),
+        pytest.param(lambda o: o.update(field_order="8"), "field_order", "must be an integer",
+                     id="field-order-string"),
+        pytest.param(lambda o: o.update(field_order=8.9), "field_order", "must be an integer",
+                     id="field-order-float"),
         pytest.param(lambda o: o.pop("fusion"), "fusion", "missing fusion", id="fusion-missing"),
         pytest.param(lambda o: o["fusion"].update(labels=["e", "e"]), "fusion.labels",
                      "distinct", id="labels-repeated"),
@@ -111,11 +115,15 @@ class TestParsing:
                      "unknown label 'x'", id="rule-label"),
         pytest.param(lambda o: o["fusion"]["rules"][0].__setitem__(3, 1.0), "fusion.rules[0]",
                      "multiplicity", id="rule-multiplicity"),
+        pytest.param(lambda o: o["fusion"]["rules"][0].__setitem__(3, True), "fusion.rules[0]",
+                     "multiplicity", id="rule-multiplicity-bool"),
         pytest.param(lambda o: o.pop("chiral"), "chiral", "missing chiral", id="chiral-missing"),
         pytest.param(lambda o: o["chiral"]["f"][0]["labels"].pop(), "chiral.f[0]",
                      "label tuple", id="f-labels"),
         pytest.param(lambda o: o["chiral"]["f"][0].update(mults=[0, 0, 0, -1]), "chiral.f[0]",
                      "multiplicity indices", id="f-mults"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(mults=[False] * 4), "chiral.f[0]",
+                     "multiplicity indices", id="f-mults-bool"),
         pytest.param(lambda o: o["chiral"]["f"][0].update(value=[[0, True, 1]]),
                      "chiral.f[0].value", "must be integers", id="f-value-bool"),
         pytest.param(lambda o: o["chiral"]["f"][0].update(value=[[True, 1, True]]),
@@ -126,6 +134,9 @@ class TestParsing:
                      "chiral.sigma12[0][0][0]", "exponent 4", id="sigma-entry"),
         pytest.param(lambda o: o["chiral"]["canonical"][0].update(space=["e", "x", "e"]),
                      "chiral.canonical[0]", "bad space", id="canonical-space"),
+        *(pytest.param(lambda o, i=index: o["chiral"]["canonical"][0].update(index=i),
+                       "chiral.canonical[0]", "not a basis index", id=f"canonical-index-{index!r}")
+          for index in (1, -1, "0", True, 0.0)),
     ])
     def test_error_names_the_location(self, edit, where, match):
         obj = _trivial_obj()

@@ -62,14 +62,24 @@ class TestVerify:
         assert main(["verify", str(fixture_dir / "ising.json"),
                      "--suite", "nonsense"]) == 2
 
-    def test_report_reproducible(self, fixture_dir, tmp_path):
+    def test_report_reproducible(self, fixture_dir, tmp_path, capsys):
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"
         for path in (r1, r2):
             assert main(["verify", str(fixture_dir / "z2k1.json"),
                          "--suite", "pentagon,fusing",
                          "--report", str(path), "--format", "json"]) == 0
+            # the report file holds the bytes written to stdout
+            assert path.read_bytes() == capsys.readouterr().out.encode("utf-8")
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_canonical_index_out_of_range_is_input_error(self, fixture_dir, tmp_path, capsys):
+        obj = json.loads((fixture_dir / "z2k1.json").read_text(encoding="utf-8"))
+        obj["chiral"]["canonical"][0]["index"] = 5
+        path = tmp_path / "bad_index.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "chiral.canonical[0]" in capsys.readouterr().err
 
     def test_json_and_text_verdicts_agree(self, fixture_dir, capsys):
         main(["verify", str(fixture_dir / "mut_fusing.json"), "--suite", "fusing",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -20,7 +21,6 @@ from fullfield.lattice import (
     check_residue_lemma,
     check_skew_symmetry,
     check_virasoro,
-    chiral_io_apply,
     derive_f_entry,
     emit_bundle,
     lattice_fusion,
@@ -86,6 +86,27 @@ class TestVirasoro:
             assert M1.virasoro(2, vec, None) == {}
             assert M1.virasoro(0, vec, None) == (
                 {} if q == 0 else vec_scale(vec, M1.state_weight(((), q))))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exp_virasoro_is_the_hand_summed_series(self, k):
+        # exp(s L(-1)) v = sum_l s^l L(-1)^l v / l!, on the components the
+        # canonical gauge expands (module maps of every sector, T = 6)
+        model, T = LatticeModel(k), CanonicalGauge.T
+        vectors = []
+        for i in range(2 * k):
+            for w1, w2 in ((model.lowest(i), model.vacuum()),
+                           (model.lowest(i), {((2,), 0): Fraction(1)}),
+                           (model.alpha(-1, model.lowest(i)), model.vacuum())):
+                vectors += model.components(w2, w1, T).values()
+        assert len(vectors) > 6 * k
+        for vec in vectors:
+            for s in (Fraction(1), Fraction(-1), Fraction(2, 3)):
+                want, term, ell = {}, vec, 0
+                while term:
+                    want = vec_add(want, vec_scale(term, s ** ell / math.factorial(ell)))
+                    ell += 1
+                    term = model.virasoro(-1, term, T)
+                assert model.exp_virasoro(-1, s, vec, T) == want
 
     @pytest.mark.parametrize("n", [0, 2, -2])
     def test_exp_virasoro_rejects_other_modes(self, n):
@@ -725,18 +746,21 @@ def test_monodromy_fails_on_a_shifted_partner(k, name, monkeypatch):
     assert monodromy(ffa) == ["fail"] * (2 * k)
 
 
-class TestChiralIOApply:
-    def test_module_map_on_vacuum_point(self):
-        comps = chiral_io_apply(M1, 0, M1.alpha(-1, M1.charged(1)), 1, 6)
-        v = M1.alpha(-1, M1.charged(1))
-        assert comps == {M1.vec_weight(v): v}
-
-    def test_sector_mismatch_zero(self):
-        assert chiral_io_apply(M1, 1, M1.charged(1), 1, 6) == {}
-
-    def test_charged_application(self):
-        comps = chiral_io_apply(M1, 1, M1.charged(-1), 0, 4)
-        assert comps[Fraction(0)] == {((), 0): Fraction(1)}
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sector_basis_is_the_brute_force_list(k):
+    # every (parts, q) with q = j mod 2k and q^2/4k + |parts| <= T, each
+    # partition a non-increasing tuple of positive parts
+    model = LatticeModel(k)
+    for T in range(1, 9):
+        partitions = [tuple(sorted(c, reverse=True)) for n in range(T + 1)
+                      for c in itertools.combinations_with_replacement(range(1, T + 1), n)
+                      if sum(c) <= T]
+        for j in range(2 * k):
+            want = sorted(((parts, q) for q in range(-4 * k * T, 4 * k * T + 1)
+                           if (q - j) % (2 * k) == 0 for parts in partitions
+                           if Fraction(q * q, 4 * k) + sum(parts) <= T),
+                          key=lambda key: (model.state_weight(key), key))
+            assert SectorBasis(model, j, T).keys == want, (j, T)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
