@@ -124,7 +124,13 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
     fo = obj.get("fusion")
     if not isinstance(fo, dict):
         raise BundleError("fusion", "missing fusion section")
-    labels = tuple(fo.get("labels", ()))
+    labels = fo.get("labels", [])
+    if type(labels) is not list:
+        raise BundleError("fusion.labels", f"labels must be a list, got {labels!r}")
+    for i, a in enumerate(labels):
+        if type(a) is not str:
+            raise BundleError(f"fusion.labels[{i}]", f"label must be a string, got {a!r}")
+    labels = tuple(labels)
     if not labels or len(set(labels)) != len(labels):
         raise BundleError("fusion.labels", "labels must be a nonempty list of distinct strings")
     dual_list = fo.get("dual", [])
@@ -196,6 +202,8 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
             mat = rec.get("matrix", [])
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise BundleError(where, f"matrix must be {dim}x{dim}")
+            if space in out:
+                raise BundleError(where, "duplicate entry")
             out[space] = [[parse_scalar(v, f"{where}[{r}][{c}]")
                            for c, v in enumerate(row)] for r, row in enumerate(mat)]
         return out
@@ -212,6 +220,8 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         if type(index) is not int or not 0 <= index < dim:
             raise BundleError(where, f"index {index!r} is not a basis index of a space "
                                      f"of dimension {dim}")
+        if space in canonical:
+            raise BundleError(where, "duplicate entry")
         canonical[space] = index
 
     return Bundle(field=field, fusion=fusion, f=f, sigma12=sigma12, sigma23=sigma23,

@@ -8,9 +8,10 @@ the N-th cyclotomic polynomial after every operation, so equality is literal
 comparison of a numerator map and a denominator.  Sums, products, the
 reduction, conjugation and the rational read-out run on these integers.
 Products and inverses of monomials c*z^e take a fast path that builds the
-same numerator map, in the same insertion order, as the general routine.
-Each field memoizes the inverses of its multi-term scalars and its square
-roots, keyed by the scalar, so a value asked for again is not computed again.
+same numerator map, in the same insertion order, as the general routine; a
+product with 1, like a sum with 0, returns the other operand.  Each field
+memoizes the inverses of its multi-term scalars and its square roots, keyed
+by the scalar, so a value asked for again is not computed again.
 
 ``CycScalar.coeffs`` is a read-only {exponent: Fraction} view of a scalar,
 built on first use, in the numerators' insertion order.  Its readers are
@@ -27,6 +28,10 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 import mpmath
+
+from fullfield.linalg import mat_inv
+
+_ONE = {0: 1}  # the numerators of 1, compared against and never mutated
 
 
 class FieldOrderError(ValueError):
@@ -283,9 +288,19 @@ class CycField:
             reps = [j for j in units if j <= self.order - j]
             frees = [j for j in reps if j != 1]
             if self._embed_inverse is None or self._embed_inverse[0] < dps:
-                m_rows = [[mpmath.expjpi(mpmath.mpf(2 * j * e) / self.order)
-                           for e in range(self.degree)] for j in units]
-                self._embed_inverse = (dps, mpmath.inverse(mpmath.matrix(m_rows)))
+                # M[j][e] = z^(je) has M^H M = G with G[e][f] = c_N(f - e), a
+                # Ramanujan sum (the trace of z^(f-e)), so M^-1 = G^-1 M^H
+                # with G^-1 exact; G = (N/2) I when N is a power of two
+                n, deg = self.order, self.degree
+                trace = [sum((self.zeta(j * d) for j in units), self.zero()).num.get(0, 0)
+                         for d in range(deg)]
+                ginv = mat_inv([[trace[abs(f - e)] for f in range(deg)] for e in range(deg)],
+                               Fraction(1), Fraction(0))
+                roots = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+                m_h = mpmath.matrix([[roots[-j * e % n] for j in units] for e in range(deg)])
+                g = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                                   for row in ginv])
+                self._embed_inverse = (dps, g * m_h)
             minv = self._embed_inverse[1]
             for bits in range(1 << len(frees)):
                 v: dict[int, mpmath.mpc] = {}
@@ -421,8 +436,12 @@ class CycScalar:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        n = field.order
         a, b = self.num, o.num
+        if o.den == 1 and b == _ONE:
+            return self
+        if self.den == 1 and a == _ONE:
+            return o
+        n = field.order
         if len(a) == 1 and len(b) == 1:
             # monomial times monomial: one reduction row, in _reduce's order;
             # a row's entries have gcd 1 (z^e is a unit of Z[z]), so the

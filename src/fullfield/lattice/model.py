@@ -312,23 +312,16 @@ class LatticeModel:
         level = [sign * qu ** ell * self.two_k ** (top - ell) for ell in range(top + 1)]
         top_fact = factorial(top)
         out: dict[int, dict[StateKey, int]] = {}
-        # expand annihilation-conjugated partition choices
-        distinct = sorted(set(nu), reverse=True)
-        counts = [nu.count(p) for p in distinct]
-        choices = [[]]
-        for p, c in zip(distinct, counts):
-            choices = [prev + [t] for prev in choices for t in range(c + 1)]
-        for pick in choices:
-            kept: list[int] = []
-            factor = 1
-            for p, c, t in zip(distinct, counts, pick):
-                kept.extend([p] * (c - t))
-                if t:
-                    factor *= comb(c, t) * (-qu) ** t
-            kept_t = tuple(sorted(kept, reverse=True))
-            off0 = sum(kept_t)
-            if off0 > top:
-                continue
+        # annihilation picks: t of the c modes p taken by the conjugation, as
+        # (kept weight, factor, kept modes), in lexicographic order of the
+        # counts t; a prefix whose kept modes already exceed top is dropped
+        picks = [(0, 1, ())]
+        for p in sorted(set(nu), reverse=True):
+            c = nu.count(p)
+            picks = [(off + p * (c - t), factor * comb(c, t) * (-qu) ** t, kept + (p,) * (c - t))
+                     for off, factor, kept in picks for t in range(c + 1)
+                     if off + p * (c - t) <= top]
+        for off0, factor, kept_t in picks:
             for lam, size, ell, z in self._partition_table(top - off0):
                 num = factor * level[ell] * (top_fact // z)
                 if not num:

@@ -209,8 +209,9 @@ def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction |
     since (q1+q2+q3)^2 - q1^2 - (q2+q3)^2 = 2 q1 (q2+q3), the exponents are
     z1^(C1+C3-t) z2^(C2+t): the t-th term of (1 - z2/z1)^C3.  The iterate
     side is the same with Y(u)v, x^(C3+t) z2^(C1+C2-t) and (1 + x/z2)^C1.
-    Both grids share the outer denominator, so only the fitted leads are
-    divided by their D_in.  None when a weight does not fit below T - 2, or
+    Both grids share the outer denominator, which ``_fit_pattern``
+    cross-multiplies away on integers, so only the fitted leads are divided
+    by their D_in.  None when a weight does not fit below T - 2, or
     when an intermediate state ((), q1+q2) or ((), q2+q3) lies above T,
     where its side's grid would be empty.
     """
@@ -246,18 +247,21 @@ def _fit_pattern(grid: dict[int, Fraction], gamma: Fraction,
     """The lead c of grid[t] == c * binom(gamma, t) * (-1 if alternating)^t.
 
     Every level t from 0 to the grid's top must match, a missing one reading
-    0; None when the lead is missing or zero, or any level differs.
+    0; None when the lead is missing or zero, or any level differs.  With
+    gamma = a/b the test is grid[t] * t! * b^t == c * prod_{s<t} +-(a - s*b),
+    made on integers by cross-multiplying the denominators of grid[t] and c.
     """
     c = grid.get(0)
     if not c:
         return None
-    expect = c
+    a, b = gamma.numerator, gamma.denominator
+    scale, expect = c.denominator, c.numerator  # c.den * t! * b^t, c.num * prod
     for t in range(max(grid) + 1):
-        if grid.get(t, 0) != expect:
+        g = grid.get(t, 0)
+        if g.numerator * scale != expect * g.denominator:
             return None
-        expect = expect * (gamma - t) / (t + 1)
-        if alternating:
-            expect = -expect
+        scale *= (t + 1) * b
+        expect *= -(a - t * b) if alternating else a - t * b
     return c
 
 

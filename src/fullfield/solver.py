@@ -17,8 +17,9 @@ unknown first.
 
 Propagation is incremental.  Each search frame caches every equation's
 normalized term list with the variables it watches; a child frame starts
-from a copy of its parent's cache, and an equation is normalized again only
-once a watched variable has been resolved, so the cached list is always the
+from a copy of its parent's cache, and an equation is visited and normalized
+again only once a watched variable has been resolved (``_search`` says why
+skipping the other visits changes nothing), so the cached list is always the
 one a fresh normalization would give.  A substitution whose variables have
 since been resolved is rewritten in place, on first read, to the scalar or
 monomial it stands for, so chains are followed once.  When a search finds
@@ -165,6 +166,13 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
     holds each equation's ``_normalize_terms`` result in the current frame.
     Every branch resolves one more unknown, so the recursion is at most as
     deep as ``unknowns`` is long.
+
+    A sweep skips an equation whose cached entry is still valid (no watched
+    variable in ``state``): a visit reads only the cached list, and each
+    action it can take returns (a branch, dead end or conflict) or puts one of
+    the equation's own watched variables into ``state``.  So a still-valid
+    entry took no action on its last visit, in this frame or in the parent
+    frame whose cache this one copied, and would take none now.
     """
     solutions: list[dict] = []
     conflict = None
@@ -178,9 +186,9 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
             progress = False
             for i, eq in enumerate(equations):
                 hit = cache[i]
-                if hit is None or any(v in state for v in hit[1]):
-                    hit = cache[i] = _normalize_terms(eq, state)
-                terms = hit[0]
+                if hit is not None and not any(v in state for v in hit[1]):
+                    continue  # still valid: its last visit took no action
+                terms, _ = cache[i] = _normalize_terms(eq, state)
                 varset = {v for _, vs in terms for v in vs}
                 if len(terms) == 2 and len(varset) > 1:
                     # cancel the common factor (unknowns are nonzero)

@@ -103,6 +103,10 @@ class TestParsing:
         pytest.param(lambda o: o.pop("fusion"), "fusion", "missing fusion", id="fusion-missing"),
         pytest.param(lambda o: o["fusion"].update(labels=["e", "e"]), "fusion.labels",
                      "distinct", id="labels-repeated"),
+        pytest.param(lambda o: o["fusion"].update(labels=[1]), "fusion.labels[0]",
+                     "must be a string", id="labels-not-string"),
+        pytest.param(lambda o: o["fusion"].update(labels="e"), "fusion.labels",
+                     "must be a list", id="labels-string"),
         pytest.param(lambda o: o["fusion"].update(dual=[]), "fusion.dual", "length",
                      id="dual-length"),
         pytest.param(lambda o: o["fusion"].update(weights={}), "fusion.weights.e",
@@ -132,6 +136,9 @@ class TestParsing:
                      "chiral.sigma12[0]", "bad space", id="sigma-space"),
         pytest.param(lambda o: o["chiral"]["sigma12"][0].update(matrix=[[[[4, 1, 1]]]]),
                      "chiral.sigma12[0][0][0]", "exponent 4", id="sigma-entry"),
+        *(pytest.param(lambda o, s=section: o["chiral"][s].append(dict(o["chiral"][s][0])),
+                       f"chiral.{section}[1]", "duplicate entry", id=f"{section}-duplicate")
+          for section in ("sigma12", "sigma23", "canonical")),
         pytest.param(lambda o: o["chiral"]["canonical"][0].update(space=["e", "x", "e"]),
                      "chiral.canonical[0]", "bad space", id="canonical-space"),
         *(pytest.param(lambda o, i=index: o["chiral"]["canonical"][0].update(index=i),

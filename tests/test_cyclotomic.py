@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -183,6 +184,24 @@ class TestMonomialProduct:
             assert got == want and list(got.items()) == list(want.items())
 
 
+class TestProductWithOne:
+    # the shortcut for a factor 1 must give the general product, values and
+    # insertion order both, on either side and for int and Fraction operands
+    @pytest.mark.parametrize("order", [8, 20, 32])
+    def test_product_with_one_is_the_other_operand(self, order):
+        field = CycField(order)
+        others = [field.zero(), field.rational(Fraction(-3, 5)), CycScalar(field, {1: -3}, 2),
+                  field.scalar({3: Fraction(1, 2), 0: -2, 1: Fraction(5, 3)})]
+        for one in (field.one(), 1, Fraction(1)):
+            for x in others:
+                want = _general_product(x, field.one())
+                for got in (x * one, one * x):
+                    assert got == x and list(got.coeffs.items()) == list(want.items()), (one, x)
+        for q in (0, 5, -1, Fraction(-7, 3)):
+            for got in (field.one() * q, q * field.one()):
+                assert got == field.rational(q) and _lowest_terms(got), q
+
+
 def _general_inverse(a):
     """Coefficients of 1/a by the Gauss-Jordan solve of a * x = 1."""
     field = a.field
@@ -311,6 +330,18 @@ class TestSqrt:
             assert complex(root).real > 0, r
             assert field.sqrt(r * r) == root
         assert checked >= 30
+
+    @pytest.mark.parametrize("order", [16, 20, 24, 40])
+    def test_embedding_inverse(self, order):
+        # the inverse built from the integer Gram matrix inverts M[j][e] = z^(je)
+        field = CycField(order)
+        b = field.zeta(1) + 2
+        assert field._sqrt_search(b * b) == b
+        dps, minv = field._embed_inverse
+        with mpmath.workdps(dps):
+            m = mpmath.matrix([[mpmath.expjpi(mpmath.mpf(2 * j * e) / order)
+                                for e in range(field.degree)] for j in field._units])
+            assert mpmath.mnorm(m * minv - mpmath.eye(field.degree), 1) < mpmath.mpf(10) ** -50
 
     def test_search_reads_denominators_up_to_the_bound(self):
         # 99999988/99999989's nearest double is closer to 99999989/99999990:

@@ -30,7 +30,7 @@ from fullfield.fixtures import fixture_bytes
 from fullfield.lattice import checks
 from fullfield.lattice.checks import (SectorBasis, _commutator_holds, _laurent_slice,
                                       _paired_exponents_integral, seeded_states, zpow)
-from fullfield.lattice.model import vec_add, vec_scale
+from fullfield.lattice.model import _acc, _clean, _partitions, _z, vec_add, vec_scale
 from fullfield.lattice.oracle import _fit_pattern, residue_extraction
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
@@ -229,6 +229,27 @@ class TestComponents:
         assert digest.hexdigest() == (
             "6c898da85bbe7f636e944deaa1035cdfc8e4fda6d3ddaaf610c2ce811a91442c")
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exponential_components_match_every_pick(self, k):
+        # the pruned annihilation picks give the sum over every pick, values
+        # and insertion order both, for each nu with |nu| <= 6 at cutoffs
+        # B from 0 up
+        model = LatticeModel(k)
+        tops = set()
+        for nu in _partitions(6):
+            for qu, qv in itertools.product((-1, 1, 2), (-1, 0, 3)):
+                for T in range(1, 9):
+                    top, den = model._denominator(qu + qv, T)
+                    if top < 0:
+                        continue
+                    tops.add(top)
+                    want = _exp_components_by_every_pick(model, qu, nu, qv, top, den)
+                    got = model._components_exp(qu, nu, qv, T)
+                    assert got == want, (nu, qu, qv, T)
+                    assert [(m, list(vec.items())) for m, vec in got.items()] == \
+                        [(m, list(vec.items())) for m, vec in want.items()], (nu, qu, qv, T)
+        assert set(range(7)) <= tops
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_coefficient_is_the_components_entry(self, k):
         # the single-entry read equals the full component map's entry, on
@@ -254,6 +275,28 @@ class TestComponents:
                     for q in charges:
                         assert model.coefficient(u, v, ((T + 1,), q), T) == 0
                     assert model.coefficient(u, v, ((), max(charges) + 1), T) == 0
+
+
+def _exp_components_by_every_pick(model, qu, nu, qv, top, den):
+    """Y(e^qu, z) on (nu, qv) as numerators over ``den``, summed over every
+    annihilation pick in lexicographic order, each coefficient
+    den * eps * prod C(c, t) (-qu)^t * qu^l(lam) / ((2k)^l(lam) z_lam)."""
+    distinct = sorted(set(nu), reverse=True)
+    counts = [nu.count(p) for p in distinct]
+    out = {}
+    for pick in itertools.product(*(range(c + 1) for c in counts)):
+        kept = tuple(p for p, c, t in zip(distinct, counts, pick) for _ in range(c - t))
+        factor = math.prod(math.comb(c, t) * (-qu) ** t for c, t in zip(counts, pick))
+        if sum(kept) > top:
+            continue
+        for lam in _partitions(top - sum(kept)):
+            num = Fraction(den * model.eps(qu, qv) * factor * qu ** len(lam),
+                           model.two_k ** len(lam) * _z(lam))
+            assert num.denominator == 1
+            if num:
+                parts = tuple(sorted(kept + lam, reverse=True))
+                _acc(out.setdefault(sum(parts), {}), (parts, qu + qv), int(num))
+    return _clean(out)
 
 
 F_TABLE_SHA256 = {
@@ -309,17 +352,25 @@ class TestOracle:
         assert hashlib.sha256(text.encode()).hexdigest() == F_TABLE_SHA256[k]
 
     def test_fit_pattern_can_fail(self):
-        gamma, c = Fraction(3, 4), Fraction(-5, 3)
-        for alternating in (True, False):
+        # exact binomial grids fit, for fractional and integer gamma (whose
+        # grid ends in zeros that may be left out); a level off by 1, a
+        # missing level, another gamma or the other sign pattern does not
+        cases = [(Fraction(3, 4), Fraction(-5, 3)), (Fraction(-7, 2), Fraction(2, 9)),
+                 (Fraction(2), Fraction(4)), (Fraction(5), Fraction(-1, 6))]
+        for (gamma, c), alternating in itertools.product(cases, (True, False)):
             sign = -1 if alternating else 1
             series = {}
             b = Fraction(1)
-            for t in range(6):
+            for t in range(8):
                 series[t] = c * b * sign ** t
                 b = b * (gamma - t) / (t + 1)
             assert _fit_pattern(series, gamma, alternating) == c
+            assert _fit_pattern({t: v for t, v in series.items() if v}, gamma,
+                                alternating) == c
             for t in (1, 2):
                 assert _fit_pattern({**series, t: series[t] + 1}, gamma, alternating) is None
+                assert _fit_pattern({s: v for s, v in series.items() if s != t}, gamma,
+                                    alternating) is None
             assert _fit_pattern({t: v for t, v in series.items() if t}, gamma,
                                 alternating) is None
             assert _fit_pattern(series, gamma + 1, alternating) is None
