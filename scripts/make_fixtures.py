@@ -167,12 +167,7 @@ def mutations(ising: Bundle, z4: Bundle) -> dict[str, Bundle]:
     m.fusion = FusionData(labels=m.fusion.labels, unit=m.fusion.unit,
                           dual=m.fusion.dual, weights=m.fusion.weights,
                           rules=rules)
-
-    def touches_dead(key6):
-        b1, b5, b4, b2, b3, b6 = key6
-        return dead in {(b1, b5, b4), (b2, b3, b5), (b6, b3, b4), (b1, b2, b6)}
-
-    m.f = {k: v for k, v in m.f.items() if not touches_dead(k[0])}
+    m.f = {k: v for k, v in m.f.items() if dead not in m.fusion.key_spaces(k[0])}
     m.sigma12 = {s: v for s, v in m.sigma12.items() if s != dead}
     m.sigma23 = {s: v for s, v in m.sigma23.items() if s != dead}
     m.canonical = {s: v for s, v in m.canonical.items() if s != dead}

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from fullfield.cyclotomic import CycField, CycScalar, scalar_from_literal
-from fullfield.fusion import FusionData
+from fullfield.fusion import FusionData, Space
 
 BUNDLE_FORMAT = "ffa-bundle-v1"
 
 Key6 = tuple[str, str, str, str, str, str]
 Mults = tuple[int, int, int, int]
-Space = tuple[str, str, str]
 
 
 class BundleError(ValueError):
@@ -46,6 +45,7 @@ class Bundle:
 
 
 def _fraction_from_string(s: str, where: str) -> Fraction:
+    _json(s, str, where)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -65,21 +65,17 @@ def bundle_to_obj(b: Bundle) -> dict:
         "weights": {a: _fraction_to_string(b.fusion.weights[a]) for a in labels},
         "rules": [[a1, a2, a3, n] for (a1, a2, a3), n in sorted(b.fusion.rules.items())],
     }
-    order = {a: i for i, a in enumerate(labels)}
-
-    def space_key(space):
-        return tuple(order[a] for a in space)
-
+    label_key = b.fusion.label_key
     f_records = []
-    for (key6, mults), val in sorted(
-            b.f.items(), key=lambda kv: (tuple(order[a] for a in kv[0][0]), kv[0][1])):
+    for (key6, mults), val in sorted(b.f.items(),
+                                     key=lambda kv: (label_key(kv[0][0]), kv[0][1])):
         if not val:
             continue
         f_records.append({"labels": list(key6), "mults": list(mults), "value": val.literal()})
 
     def sigma_records(sig):
         recs = []
-        for space, mat in sorted(sig.items(), key=lambda kv: space_key(kv[0])):
+        for space, mat in sorted(sig.items(), key=lambda kv: label_key(kv[0])):
             recs.append({
                 "space": list(space),
                 "matrix": [[v.literal() for v in row] for row in mat],
@@ -91,7 +87,7 @@ def bundle_to_obj(b: Bundle) -> dict:
         "sigma12": sigma_records(b.sigma12),
         "sigma23": sigma_records(b.sigma23),
         "canonical": [{"space": list(s), "index": i}
-                      for s, i in sorted(b.canonical.items(), key=lambda kv: space_key(kv[0]))],
+                      for s, i in sorted(b.canonical.items(), key=lambda kv: label_key(kv[0]))],
     }
     obj = {
         "format": BUNDLE_FORMAT,
@@ -105,14 +101,36 @@ def bundle_to_obj(b: Bundle) -> dict:
     return obj
 
 
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _json(value, kind: type, where: str):
+    """``value`` if its JSON type is ``kind``, else a BundleError at ``where``."""
+    if type(value) is not kind:
+        raise BundleError(where, f"must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> list:
+    return [_json(a, str, f"{where}[{i}]") for i, a in enumerate(_json(value, list, where))]
+
+
+def _records(section: dict, name: str, where: str):
+    """(location, record) for each object in the list ``section[name]``."""
+    for i, rec in enumerate(_json(section.get(name, []), list, where)):
+        yield f"{where}[{i}]", _json(rec, dict, f"{where}[{i}]")
+
+
 def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
     """Parse a bundle object; ``strict`` gates on the fusion invariants.
 
     Non-strict loading still checks the structural form of every field (so
-    the validate command can report invariant violations itself).
+    the validate command can report invariant violations itself).  A field
+    of the wrong JSON type is a ``BundleError`` that names its location.
     """
-    if obj.get("format") != BUNDLE_FORMAT:
-        raise BundleError("format", f"expected {BUNDLE_FORMAT!r}, got {obj.get('format')!r}")
+    fmt = obj.get("format") if type(obj) is dict else None
+    if fmt != BUNDLE_FORMAT:
+        raise BundleError("format", f"expected {BUNDLE_FORMAT!r}, got {fmt!r}")
     order = obj.get("field_order")
     if type(order) is not int:
         raise BundleError("field_order", f"field_order must be an integer, got {order!r}")
@@ -124,27 +142,23 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
     fo = obj.get("fusion")
     if not isinstance(fo, dict):
         raise BundleError("fusion", "missing fusion section")
-    labels = fo.get("labels", [])
-    if type(labels) is not list:
-        raise BundleError("fusion.labels", f"labels must be a list, got {labels!r}")
-    for i, a in enumerate(labels):
-        if type(a) is not str:
-            raise BundleError(f"fusion.labels[{i}]", f"label must be a string, got {a!r}")
-    labels = tuple(labels)
+    labels = tuple(_strings(fo.get("labels", []), "fusion.labels"))
     if not labels or len(set(labels)) != len(labels):
         raise BundleError("fusion.labels", "labels must be a nonempty list of distinct strings")
-    dual_list = fo.get("dual", [])
+    unit = _json(fo.get("unit", ""), str, "fusion.unit")
+    dual_list = _strings(fo.get("dual", []), "fusion.dual")
     if len(dual_list) != len(labels):
         raise BundleError("fusion.dual", "dual permutation list length mismatch")
     dual = {a: d for a, d in zip(labels, dual_list)}
+    weights_obj = _json(fo.get("weights", {}), dict, "fusion.weights")
     weights = {}
     for a in labels:
-        if a not in fo.get("weights", {}):
+        if a not in weights_obj:
             raise BundleError(f"fusion.weights.{a}", "missing weight")
-        weights[a] = _fraction_from_string(fo["weights"][a], f"fusion.weights.{a}")
+        weights[a] = _fraction_from_string(weights_obj[a], f"fusion.weights.{a}")
     rules = {}
-    for i, rec in enumerate(fo.get("rules", [])):
-        if len(rec) != 4:
+    for i, rec in enumerate(_json(fo.get("rules", []), list, "fusion.rules")):
+        if type(rec) is not list or len(rec) != 4:
             raise BundleError(f"fusion.rules[{i}]", "rule record must be [a1, a2, a3, N]")
         a1, a2, a3, n = rec
         for a in (a1, a2, a3):
@@ -154,8 +168,7 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
             raise BundleError(f"fusion.rules[{i}]", f"multiplicity must be an integer, got {n!r}")
         if n:
             rules[(a1, a2, a3)] = n
-    fusion = FusionData(labels=labels, unit=fo.get("unit", ""), dual=dual,
-                        weights=weights, rules=rules)
+    fusion = FusionData(labels=labels, unit=unit, dual=dual, weights=weights, rules=rules)
     if strict:
         violations = fusion.validate(field_order=field.order)
         if violations:
@@ -171,19 +184,22 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         except ValueError as exc:
             raise BundleError(where, str(exc)) from None
 
+    def parse_space(rec, where) -> Space:
+        space = tuple(_json(rec.get("space", []), list, where + ".space"))
+        if len(space) != 3 or any(a not in labels for a in space):
+            raise BundleError(where, f"bad space {space!r}")
+        return space
+
     f: dict[tuple[Key6, Mults], CycScalar] = {}
-    for i, rec in enumerate(co.get("f", [])):
-        where = f"chiral.f[{i}]"
-        key6 = tuple(rec.get("labels", ()))
+    for where, rec in _records(co, "f", "chiral.f"):
+        key6 = tuple(_json(rec.get("labels", []), list, where + ".labels"))
         if len(key6) != 6 or any(a not in labels for a in key6):
             raise BundleError(where, f"bad label tuple {key6!r}")
-        mults = tuple(rec.get("mults", ()))
+        mults = tuple(_json(rec.get("mults", []), list, where + ".mults"))
         if len(mults) != 4 or not all(type(m) is int and m >= 0 for m in mults):
             raise BundleError(where, f"bad multiplicity indices {mults!r}")
         val = parse_scalar(rec.get("value", []), where + ".value")
-        b1, b5, b4, b2, b3, b6 = key6
-        bounds = (fusion.n(b1, b5, b4), fusion.n(b2, b3, b5),
-                  fusion.n(b6, b3, b4), fusion.n(b1, b2, b6))
+        bounds = tuple(fusion.n(*space) for space in fusion.key_spaces(key6))
         if any(m >= bound for m, bound in zip(mults, bounds)):
             raise BundleError(where, f"indices {mults} outside multiplicity bounds {bounds}")
         if (key6, mults) in f:
@@ -193,14 +209,12 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
 
     def parse_sigma(name) -> dict[Space, list[list[CycScalar]]]:
         out = {}
-        for i, rec in enumerate(co.get(name, [])):
-            where = f"chiral.{name}[{i}]"
-            space = tuple(rec.get("space", ()))
-            if len(space) != 3 or any(a not in labels for a in space):
-                raise BundleError(where, f"bad space {space!r}")
+        for where, rec in _records(co, name, f"chiral.{name}"):
+            space = parse_space(rec, where)
             dim = fusion.n(*space)
             mat = rec.get("matrix", [])
-            if len(mat) != dim or any(len(row) != dim for row in mat):
+            if (type(mat) is not list or len(mat) != dim
+                    or any(type(row) is not list or len(row) != dim for row in mat)):
                 raise BundleError(where, f"matrix must be {dim}x{dim}")
             if space in out:
                 raise BundleError(where, "duplicate entry")
@@ -211,11 +225,8 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
     sigma12 = parse_sigma("sigma12")
     sigma23 = parse_sigma("sigma23")
     canonical = {}
-    for i, rec in enumerate(co.get("canonical", [])):
-        where = f"chiral.canonical[{i}]"
-        space = tuple(rec.get("space", ()))
-        if len(space) != 3 or any(a not in labels for a in space):
-            raise BundleError(where, f"bad space {space!r}")
+    for where, rec in _records(co, "canonical", "chiral.canonical"):
+        space = parse_space(rec, where)
         index, dim = rec.get("index", 0), fusion.n(*space)
         if type(index) is not int or not 0 <= index < dim:
             raise BundleError(where, f"index {index!r} is not a basis index of a space "

@@ -20,7 +20,9 @@ pentagon equations come from ``FusionData.pentagon_instances``, which the
 pentagon solver reads too.  The S3 table of ``FusionData`` (the sigma12 and
 sigma23 space maps, the canonical spaces, and the F keys of F_a, of the
 pairing contractions and of the left-inverse normalization) is the one the
-sigma solver encodes as scalar equations.
+sigma solver encodes as scalar equations; its ``key_spaces`` lays out every
+F block, and spaces, dimensions and F entries are read from ``FusionData``
+and ``Bundle`` directly.
 
 Reports are lists of CheckRecord; an empty list means the identity holds.
 """
@@ -33,9 +35,8 @@ from operator import itemgetter
 
 from fullfield.bundles import Bundle, BundleError
 from fullfield.cyclotomic import CycScalar
+from fullfield.fusion import Space
 from fullfield.linalg import change_basis4, identity, mat_inv, mat_mul, mat_scale, transpose
-
-Space = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,7 @@ class ChiralData:
         self._form: dict[Space, tuple] = {}
         self._delta: list[tuple[tuple, list]] | None = None
 
-    # -- index helpers -------------------------------------------------------
-
-    def spaces(self) -> list[Space]:
-        return self.fusion.spaces()
-
-    def dim(self, space: Space) -> int:
-        return self.fusion.n(*space)
-
-    def primed(self, space: Space) -> Space:
-        return self.fusion.primed(space)
+    # -- reads of the bundle -----------------------------------------------------
 
     def sigma12(self, space: Space) -> list[list[CycScalar]]:
         try:
@@ -101,17 +93,14 @@ class ChiralData:
         except KeyError:
             raise BundleError(f"sigma23{space}", "missing sigma23 matrix") from None
 
-    def f_entry(self, key6, mults) -> CycScalar:
-        return self.bundle.f_entry(tuple(key6), tuple(mults))
-
     def f_block(self, key6) -> list | None:
         """Dense [i][j][l][k] block for one label tuple, None if inadmissible."""
-        b1, b5, b4, b2, b3, b6 = key6
-        n = self.fusion.n
-        d1, d2, d3, d4 = (n(b1, b5, b4), n(b2, b3, b5), n(b6, b3, b4), n(b1, b2, b6))
-        if 0 in (d1, d2, d3, d4):
+        dims = [self.fusion.n(*space) for space in self.fusion.key_spaces(key6)]
+        if 0 in dims:
             return None
-        return [[[[self.f_entry(key6, (i, j, l, kk)) for kk in range(d4)]
+        d1, d2, d3, d4 = dims
+        f = self.bundle.f_entry
+        return [[[[f(key6, (i, j, l, kk)) for kk in range(d4)]
                   for l in range(d3)] for j in range(d2)] for i in range(d1)]
 
     # -- pentagon --------------------------------------------------------------
@@ -121,7 +110,7 @@ class ChiralData:
         ``FusionData.pentagon_instances``: one pass record per cell, or one
         fail record per failing instance of it."""
         out: list[CheckRecord] = []
-        f, zero = self.f_entry, self.field.zero()
+        f, zero = self.bundle.f_entry, self.field.zero()
         for cell, group in groupby(self.fusion.pentagon_instances(), key=itemgetter(0)):
             bad = [index for _, index, lhs, rhs in group
                    if sum((f(*x) * f(*y) * f(*z) for x, y, z in lhs), zero)
@@ -140,7 +129,7 @@ class ChiralData:
         for space in self.fusion.canonical_spaces(a):
             if space not in self.bundle.canonical:
                 raise BundleError(f"canonical{space}", "canonical-basis marker missing")
-        val = self.f_entry(self.fusion.weight_key(a), (0, 0, 0, 0))
+        val = self.bundle.f_entry(self.fusion.weight_key(a), (0, 0, 0, 0))
         if not val:
             raise BundleError(f"f_a({a})", "canonical fusing entry missing or zero")
         return val
@@ -155,11 +144,11 @@ class ChiralData:
         """
         if space in self._pairing:
             return self._pairing[space]
-        if self.dim(space) == 0:
+        if self.fusion.n(*space) == 0:
             self._pairing[space] = []
             return []
         key_a, key_b = self.fusion.pairing_keys(space)
-        ga = self._pairing_via(key_a, self.sigma23(self.primed(space)))
+        ga = self._pairing_via(key_a, self.sigma23(self.fusion.primed(space)))
         gb = transpose(self._pairing_via(key_b, self.sigma23(space)))
         if ga != gb:
             raise BundleError(f"pairing{space}",
@@ -172,8 +161,8 @@ class ChiralData:
 
         Returns M[j][i] = sum_m s23[m][i] * F[key6; m, j, 0, 0].
         """
-        b1, b5, b4, b2, b3, b6 = key6
-        fslice = [[self.f_entry(key6, (m, j, 0, 0)) for j in range(self.fusion.n(b2, b3, b5))]
+        dim = self.fusion.n(*self.fusion.key_spaces(key6)[1])
+        fslice = [[self.bundle.f_entry(key6, (m, j, 0, 0)) for j in range(dim)]
                   for m in range(len(s23))]
         return mat_mul(transpose(fslice), s23)
 
@@ -192,9 +181,10 @@ class ChiralData:
         """Invertibility of every pairing, dimension symmetry, and the
         left-inverse normalization identity with the canonical F weight."""
         out: list[CheckRecord] = []
-        for space in self.spaces():
-            pr = self.primed(space)
-            if self.dim(space) != self.dim(pr):
+        n = self.fusion.n
+        for space in self.fusion.spaces():
+            pr = self.fusion.primed(space)
+            if n(*space) != n(*pr):
                 out.append(CheckRecord("dimension-symmetry", space, "fail",
                                        message=f"N{space} != N{pr}"))
                 continue
@@ -219,7 +209,7 @@ class ChiralData:
         F1 = F1[0, 0, k, j] and F2 = F2[k, n, 0, 0]."""
         out: list[CheckRecord] = []
         zero = self.field.zero()
-        for space in self.spaces():
+        for space in self.fusion.spaces():
             # sigma123 = sigma12 . sigma23 on ``space``
             s23 = self.sigma23(space)
             s12 = self.sigma12(self.fusion.sigma23_space(space))
@@ -242,9 +232,9 @@ class ChiralData:
         """Symmetry of the pairing and its canonical values."""
         out: list[CheckRecord] = []
         one = self.field.one()
-        for space in self.spaces():
+        for space in self.fusion.spaces():
             g = self.pairing_matrix(space)
-            gp = self.pairing_matrix(self.primed(space))
+            gp = self.pairing_matrix(self.fusion.primed(space))
             ok = gp == transpose(g)
             out.append(CheckRecord("pairing-symmetry", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
@@ -263,11 +253,10 @@ class ChiralData:
         """Duality against the pairing and the canonical dual-basis values."""
         out: list[CheckRecord] = []
         one, zero = self.field.one(), self.field.zero()
-        for space in self.spaces():
+        for space in self.fusion.spaces():
             g = self.pairing_matrix(space)
             dm = self.dual_basis(space)
-            ident = identity(self.dim(space), one, zero)
-            ok = mat_mul(g, dm) == ident
+            ok = mat_mul(g, dm) == identity(self.fusion.n(*space), one, zero)
             out.append(CheckRecord("dual-delta", space, "pass" if ok else "fail"))
         for a in self.fusion.labels:
             fa = self.f_a(a)
@@ -340,13 +329,12 @@ class ChiralData:
     def _dual_primed_block(self, key6) -> list | None:
         """F on the primed labels of ``key6`` with all four slots moved to
         dual bases; indexed like the F block of the primed tuple."""
-        b1, b5, b4, b2, b3, b6 = key6
         raw = self.f_block(tuple(self.fusion.dual[b] for b in key6))
         if raw is None:
             return None
-        return change_basis4(raw, self.dual_basis((b1, b5, b4)), self.dual_basis((b2, b3, b5)),
-                             self.pairing_matrix((b6, b3, b4)),
-                             self.pairing_matrix((b1, b2, b6)), self.field.zero())
+        s1, s2, s3, s4 = self.fusion.key_spaces(key6)
+        return change_basis4(raw, self.dual_basis(s1), self.dual_basis(s2),
+                             self.pairing_matrix(s3), self.pairing_matrix(s4), self.field.zero())
 
     def verify_prop_fusing(self) -> list[CheckRecord]:
         """The delta-contraction of F against F-in-dual-bases, exactly."""
@@ -382,9 +370,8 @@ class ChiralData:
         out: list[CheckRecord] = []
         one, zero = self.field.one(), self.field.zero()
         t12, t23 = self.fusion.sigma12_space, self.fusion.sigma23_space
-        for space in self.spaces():
-            dim = self.dim(space)
-            ident = identity(dim, one, zero)
+        for space in self.fusion.spaces():
+            ident = identity(self.fusion.n(*space), one, zero)
             s12a = self.sigma12(space)
             s12b = self.sigma12(t12(space))
             ok = mat_mul(s12b, s12a) == ident
@@ -419,12 +406,12 @@ class ChiralData:
         """Invariance of the sqrt-modified form under sigma12 and sigma23,
         plus the unmodified-pairing rescaling factor under sigma23."""
         out: list[CheckRecord] = []
-        for space in self.spaces():
+        for space in self.fusion.spaces():
             form, path = self.modified_form(space)
             for name, tgt_map in (("sigma12", self.fusion.sigma12_space),
                                   ("sigma23", self.fusion.sigma23_space)):
                 smat = self.sigma12(space) if name == "sigma12" else self.sigma23(space)
-                pr = self.primed(space)
+                pr = self.fusion.primed(space)
                 smat_p = self.sigma12(pr) if name == "sigma12" else self.sigma23(pr)
                 tgt = tgt_map(space)
                 form_t, path_t = self.modified_form(tgt)
@@ -449,7 +436,7 @@ class ChiralData:
             g = self.pairing_matrix(space)
             gt = self.pairing_matrix(self.fusion.sigma23_space(space))
             s23 = self.sigma23(space)
-            s23p = self.sigma23(self.primed(space))
+            s23p = self.sigma23(self.fusion.primed(space))
             lhs = mat_mul(transpose(s23), mat_mul(gt, s23p))
             factor = self.f_a(a3) * self.f_a(a2).inverse()
             ok = lhs == mat_scale(g, factor)

@@ -2,7 +2,9 @@
 
 Exit status contract: 0 all verdicts pass, 1 at least one violation,
 2 usage or input errors.  All configuration is via flags; no environment
-variables are consulted.
+variables are consulted.  The suites come from ``suites.SUITES`` and the
+lattice checks from ``LATTICE_CHECKS``; ``cmd_lattice`` imports
+``fullfield.lattice`` itself, so that the exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,25 @@ from fullfield.suites import (
     run_suites,
 )
 
-LATTICE_CHECKS = ("assoc", "skew", "grading", "virasoro", "residue", "jacobi")
+# lattice check name -> (report identity header, runner); a runner takes the
+# ``fullfield.lattice`` package, the DiagonalFFA and the parsed flags
+LATTICE_CHECKS = {
+    "assoc": ("product/iterate agreement in the ordered region",
+              lambda lat, ffa, a: lat.check_associativity(ffa, samples=a.samples, tol=a.tol,
+                                                          seed=a.seed)),
+    "skew": ("two-variable skew symmetry",
+             lambda lat, ffa, a: lat.check_skew_symmetry(ffa, samples=a.samples, tol=a.tol,
+                                                         seed=a.seed + 1)),
+    "grading": ("identity, creation, grading and derivative bookkeeping",
+                lambda lat, ffa, a: lat.check_grading_axioms(ffa)),
+    "virasoro": ("Virasoro brackets at central charge 1",
+                 lambda lat, ffa, a: lat.check_virasoro(ffa)),
+    "residue": ("vacuum-channel residue extraction",
+                lambda lat, ffa, a: lat.check_residue_lemma(ffa)),
+    "jacobi": ("contour residue identity",
+               lambda lat, ffa, a: lat.check_jacobi_residues(ffa, tol=max(a.tol, 1e-5),
+                                                             seed=a.seed + 2)),
+}
 
 
 def _emit(reports, args, meta):
@@ -63,7 +83,7 @@ def cmd_pairing(args) -> int:
             return 2
         spaces = [labels]
     else:
-        spaces = chiral.spaces()
+        spaces = bundle.fusion.spaces()
     for space in spaces:
         mat = chiral.pairing_matrix(tuple(space))
         print(f"pairing {space}:")
@@ -75,7 +95,7 @@ def cmd_pairing(args) -> int:
 def cmd_dual(args) -> int:
     bundle = load_bundle(args.bundle)
     chiral = ChiralData(bundle)
-    for space in chiral.spaces():
+    for space in bundle.fusion.spaces():
         mat = chiral.dual_basis(space)
         print(f"dual coefficients {space}:")
         for row in mat:
@@ -105,20 +125,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    from fullfield.lattice import (
-        DiagonalFFA,
-        LatticeSpec,
-        check_associativity,
-        check_grading_axioms,
-        check_jacobi_residues,
-        check_residue_lemma,
-        check_skew_symmetry,
-        check_virasoro,
-        emit_bundle,
-    )
+    from fullfield import lattice
     from fullfield.solver import SolverError
 
-    spec = LatticeSpec(args.k, args.truncate)
+    spec = lattice.LatticeSpec(args.k, args.truncate)
     names = args.check.split(",") if args.check else list(LATTICE_CHECKS)
     for name in names:
         if name not in LATTICE_CHECKS:
@@ -126,7 +136,7 @@ def cmd_lattice(args) -> int:
                   file=sys.stderr)
             return 2
     try:
-        bundle = emit_bundle(spec, seed=args.seed)
+        bundle = lattice.emit_bundle(spec, seed=args.seed)
     except SolverError as exc:
         # the solvers cannot complete the lattice ring's data (k = 3)
         where = "" if exc.conflict is None else f" (conflict: {exc.conflict})"
@@ -135,30 +145,12 @@ def cmd_lattice(args) -> int:
     if args.emit_bundle:
         save_bundle(bundle, args.emit_bundle)
         print(f"emitted bundle to {args.emit_bundle}")
-    ffa = DiagonalFFA(spec, bundle=bundle)
+    ffa = lattice.DiagonalFFA(spec, bundle=bundle)
     reports = []
-    runners = {
-        "assoc": lambda: check_associativity(ffa, samples=args.samples, tol=args.tol,
-                                             seed=args.seed),
-        "skew": lambda: check_skew_symmetry(ffa, samples=args.samples, tol=args.tol,
-                                            seed=args.seed + 1),
-        "grading": lambda: check_grading_axioms(ffa),
-        "virasoro": lambda: check_virasoro(ffa),
-        "residue": lambda: check_residue_lemma(ffa),
-        "jacobi": lambda: check_jacobi_residues(ffa, tol=max(args.tol, 1e-5),
-                                                seed=args.seed + 2),
-    }
-    headers = {
-        "assoc": "product/iterate agreement in the ordered region",
-        "skew": "two-variable skew symmetry",
-        "grading": "identity, creation, grading and derivative bookkeeping",
-        "virasoro": "Virasoro brackets at central charge 1",
-        "residue": "vacuum-channel residue extraction",
-        "jacobi": "contour residue identity",
-    }
     for name in names:
-        rep = Report(suite=f"lattice-{name}", identity=headers[name])
-        rep.records = runners[name]()
+        header, runner = LATTICE_CHECKS[name]
+        rep = Report(suite=f"lattice-{name}", identity=header)
+        rep.records = runner(lattice, ffa, args)
         reports.append(rep)
     meta = {"k": args.k, "truncate": args.truncate, "samples": args.samples,
             "seed": args.seed, "tol": args.tol, "checks": names}

@@ -123,8 +123,8 @@ class CycField:
 
     # -- constructors ------------------------------------------------------
 
-    def scalar(self, coeffs: dict[int, Fraction | int] | None = None) -> "CycScalar":
-        fracs = [(e % self.order, Fraction(c)) for e, c in (coeffs or {}).items()]
+    def scalar(self, coeffs: dict[int, Fraction | int]) -> "CycScalar":
+        fracs = [(e % self.order, Fraction(c)) for e, c in coeffs.items()]
         den = lcm(*(c.denominator for _e, c in fracs))
         raw: dict[int, int] = {}
         for e, c in fracs:
@@ -551,9 +551,11 @@ class CycScalar:
 
 def scalar_from_literal(field: CycField, literal) -> CycScalar:
     """Parse the bundle scalar literal format; the empty list is zero."""
+    if type(literal) is not list:
+        raise ValueError(f"scalar literal must be a list of triples, got {literal!r}")
     for item in literal:
-        if len(item) != 3:
-            raise ValueError(f"scalar literal triple must have 3 entries, got {item!r}")
+        if type(item) is not list or len(item) != 3:
+            raise ValueError(f"scalar literal triple must be a list of 3 entries, got {item!r}")
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in item):
             raise ValueError(f"scalar literal entries must be integers, got {item!r}")
         e, _num, den = item

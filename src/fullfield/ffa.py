@@ -28,10 +28,8 @@ from itertools import product
 from fullfield.bundles import Bundle, BundleError
 from fullfield.chiral import CheckRecord, ChiralData
 from fullfield.cyclotomic import CycScalar
-from fullfield.fusion import FusionData
+from fullfield.fusion import FusionData, Space
 from fullfield.linalg import change_basis4, identity, mat_inv, mat_mul, mat_scale, transpose
-
-Space = tuple[str, str, str]
 
 
 def sectors(fusion: FusionData) -> list[tuple[str, str]]:
@@ -48,7 +46,7 @@ def construct(chiral: ChiralData) -> None:
     nonzero canonical weights.
     """
     try:
-        for space in chiral.spaces():
+        for space in chiral.fusion.spaces():
             chiral.dual_basis(space)
     except BundleError as exc:
         raise BundleError("construct", f"missing dual bases: {exc}") from None
@@ -68,7 +66,7 @@ def verify_skew_symmetry_structure(chiral: ChiralData) -> list[CheckRecord]:
     fusion = chiral.fusion
     field = chiral.field
     h = fusion.weights
-    for space in chiral.spaces():
+    for space in fusion.spaces():
         a1, a2, a3 = space
         delta = h[a3] - h[a1] - h[a2]
         delta_r = (h[fusion.dual[a3]] - h[fusion.dual[a1]] - h[fusion.dual[a2]])
@@ -109,7 +107,7 @@ def verify_invariance_structure(chiral: ChiralData) -> list[CheckRecord]:
     out: list[CheckRecord] = []
     fusion = chiral.fusion
     one, zero = chiral.field.one(), chiral.field.zero()
-    for space in chiral.spaces():
+    for space in fusion.spaces():
         _, a2, a3 = space
         v = chiral.sigma23(space)
         vp = chiral.sigma23(fusion.primed(space))
@@ -140,7 +138,7 @@ def ffa_section(chiral: ChiralData) -> dict:
         "sectors": [[a, ap] for a, ap in sectors(chiral.fusion)],
         "blocks": [{"space": list(space),
                     "right": [[v.literal() for v in row] for row in chiral.dual_basis(space)]}
-                   for space in chiral.spaces()],
+                   for space in chiral.fusion.spaces()],
         "form_weights": [{"sector": [a, ap], "value": chiral.f_a(a).literal()}
                          for a, ap in sectors(chiral.fusion)],
     }
@@ -180,8 +178,7 @@ def transport_bundle(bundle: Bundle, changes: dict[Space, list[list[CycScalar]]]
         blk = chiral.f_block(key6)
         if blk is None:
             continue
-        b1, b5, b4, b2, b3, b6 = key6
-        spaces = ((b1, b5, b4), (b2, b3, b5), (b6, b3, b4), (b1, b2, b6))
+        spaces = fusion.key_spaces(key6)
         dims = [fusion.n(*space) for space in spaces]
         moved = change_basis4(blk, bmat(spaces[0], dims[0]), bmat(spaces[1], dims[1]),
                               bmat_inv(spaces[2], dims[2]), bmat_inv(spaces[3], dims[3]), zero)

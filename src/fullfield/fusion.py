@@ -5,9 +5,13 @@ bundle must satisfy before any fusing tensor is loaded, and it enumerates the
 pentagon equations (``FusionData.pentagon_instances``), which both the exact
 checker (``ChiralData.verify_pentagon``) and the pentagon solver read.
 
-It also holds the S3 table: the spaces the generators sigma12 (skew
-symmetry) and sigma23 (contragredient) map a space to, the canonical spaces
-of a label, and the F keys of the vacuum-channel weight F_a, of the pairing
+It also holds the one table of index conventions.  ``key_spaces`` maps an F
+key to the four spaces of its multiplicity slots, and ``label_key`` sorts
+label tuples in declared label order; the bundle parser and writer, the
+exact checker, the pentagon solver and the gauge transport all read them.
+Its S3 part gives the spaces the generators sigma12 (skew symmetry) and
+sigma23 (contragredient) map a space to, the canonical spaces of a label,
+and the F keys of the vacuum-channel weight F_a, of the pairing
 contractions and of the left-inverse normalization.  The exact checker
 (``ChiralData``), the sigma solver (``solver.solve_sigma``), the algebra
 checks (``ffa``) and the bundle generators all read these methods.
@@ -19,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
+
+Space = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class FusionData:
     unit: str
     dual: dict[str, str]
     weights: dict[str, Fraction]
-    rules: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    rules: dict[Space, int] = field(default_factory=dict)
 
     def n(self, a1: str, a2: str, a3: str) -> int:
         return self.rules.get((a1, a2, a3), 0)
@@ -130,33 +136,35 @@ class FusionData:
 
     # -- enumeration --------------------------------------------------------
 
+    def label_key(self, labels) -> tuple[int, ...]:
+        """Sort key of a label tuple: lexicographic in declared label order."""
+        return tuple(map(self.labels.index, labels))
+
     def nonzero_spaces(self) -> list[tuple[str, str, str, int]]:
         """All (a1, a2, a3, N) with N > 0, lexicographic in declared order."""
-        order = {a: i for i, a in enumerate(self.labels)}
-        keys = [k for k, n in self.rules.items() if n > 0]
-        keys.sort(key=lambda k: (order[k[0]], order[k[1]], order[k[2]]))
+        keys = sorted((k for k, n in self.rules.items() if n > 0), key=self.label_key)
         return [(a1, a2, a3, self.rules[(a1, a2, a3)]) for a1, a2, a3 in keys]
 
-    def spaces(self) -> list[tuple[str, str, str]]:
+    def spaces(self) -> list[Space]:
         return [(a1, a2, a3) for a1, a2, a3, _ in self.nonzero_spaces()]
 
-    def primed(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
+    def primed(self, space: Space) -> Space:
         a1, a2, a3 = space
         return (self.dual[a1], self.dual[a2], self.dual[a3])
 
     # -- the S3 table -------------------------------------------------------
 
-    def sigma12_space(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
+    def sigma12_space(self, space: Space) -> Space:
         """The space sigma12 (skew symmetry) maps ``space`` to."""
         a1, a2, a3 = space
         return (a2, a1, a3)
 
-    def sigma23_space(self, space: tuple[str, str, str]) -> tuple[str, str, str]:
+    def sigma23_space(self, space: Space) -> Space:
         """The space sigma23 (contragredient) maps ``space`` to."""
         a1, a2, a3 = space
         return (a1, self.dual[a3], self.dual[a2])
 
-    def canonical_spaces(self, a: str) -> tuple[tuple[str, str, str], ...]:
+    def canonical_spaces(self, a: str) -> tuple[Space, ...]:
         """The spaces of label ``a`` with a canonical basis, in order: the
         module map (e, a, a), its skew image (a, e, a) and the vacuum
         channel (a, a', e)."""
@@ -168,7 +176,15 @@ class FusionData:
         e = self.unit
         return (a, e, a, self.dual[a], a, e)
 
-    def pairing_keys(self, space: tuple[str, str, str]) -> tuple[tuple[str, ...], ...]:
+    def key_spaces(self, key6: tuple[str, ...]) -> tuple[Space, ...]:
+        """The four spaces of the F key (b1, b5, b4, b2, b3, b6), in the order
+        of its multiplicity slots (i, j, l, k): F[i, j, l, k] relates the
+        (b1, b5; b4) x (b2, b3; b5) basis to the (b6, b3; b4) x (b1, b2; b6)
+        basis."""
+        b1, b5, b4, b2, b3, b6 = key6
+        return ((b1, b5, b4), (b2, b3, b5), (b6, b3, b4), (b1, b2, b6))
+
+    def pairing_keys(self, space: Space) -> tuple[tuple[str, ...], ...]:
         """The F keys of the two fusing expressions for the pairing of
         ``space`` with its primed space: the first is contracted with
         sigma23 of the primed space, the second with sigma23 of ``space``."""
@@ -176,7 +192,7 @@ class FusionData:
         d, e = self.dual, self.unit
         return ((d[a1], a3, a2, a1, a2, e), (a1, d[a3], d[a2], d[a1], d[a2], e))
 
-    def normalization_keys(self, space: tuple[str, str, str]) -> tuple[tuple[str, ...], ...]:
+    def normalization_keys(self, space: Space) -> tuple[tuple[str, ...], ...]:
         """The F keys F1, F2 of the left-inverse identity on ``space`` = (x, y, z):
         sum_{k, n} F1[0, 0, k, j] * F2[k, n, 0, 0] * (sigma12 sigma23)[n][i]
         = delta_ij F_x, with k running over the intermediate space (z, y', x)."""

@@ -265,11 +265,9 @@ def _exp_series(mat: np.ndarray, step) -> np.ndarray:
         out += term
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray, mask=None) -> float:
-    diff = np.abs(a - b)
+def _rel_err(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
+    diff = np.where(mask, np.abs(a - b), 0.0)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-300)
-    if mask is not None:
-        diff = np.where(mask, diff, 0.0)
     return float(diff.max(initial=0.0) / scale)
 
 

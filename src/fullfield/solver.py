@@ -56,9 +56,7 @@ from __future__ import annotations
 from itertools import product
 
 from fullfield.cyclotomic import CycField, CycScalar
-from fullfield.fusion import FusionData
-
-Space = tuple[str, str, str]
+from fullfield.fusion import FusionData, Space
 
 
 class SolverError(RuntimeError):
@@ -377,10 +375,8 @@ def _noncanonical_spaces(fusion: FusionData) -> list[Space]:
 
 def _entry_scaling(fusion: FusionData, key6, noncanon: set):
     """Gauge-scaling exponents of an F entry over the non-canonical spaces."""
-    b1, b5, b4, b2, b3, b6 = key6
     vec: dict[Space, int] = {}
-    for space, sgn in (((b1, b5, b4), 1), ((b2, b3, b5), 1),
-                       ((b6, b3, b4), -1), ((b1, b2, b6), -1)):
+    for space, sgn in zip(fusion.key_spaces(key6), (1, 1, -1, -1)):
         if space in noncanon:
             vec[space] = vec.get(space, 0) + sgn
     return {s: v for s, v in vec.items() if v}

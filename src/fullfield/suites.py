@@ -114,7 +114,8 @@ def _on_ffa(check):
     return run
 
 
-# suite name -> (identity header, prerequisites, runner)
+# suite name -> (identity header, prerequisites, runner), in run order: each
+# suite comes after its prerequisites
 SUITES: dict[str, tuple[str, tuple[str, ...], object]] = {
     "validate": ("fusion-ring invariants", (), _on_chiral(_suite_validate)),
     "pentagon": ("reassociation consistency of the fusing tensor", (),
@@ -141,9 +142,7 @@ SUITES: dict[str, tuple[str, tuple[str, ...], object]] = {
              ("nondegeneracy",), _on_ffa(ffa_mod.verify_unit_blocks)),
 }
 
-DEFAULT_SUITES = ("validate", "pentagon", "pairing", "nondegeneracy", "dual",
-                  "fusing", "s3", "ffa-assoc", "skew", "single-valued",
-                  "invariance", "unit")
+DEFAULT_SUITES = tuple(SUITES)
 
 
 class UnknownSuiteError(ValueError):
@@ -151,7 +150,7 @@ class UnknownSuiteError(ValueError):
 
 
 def resolve_suites(names) -> list[str]:
-    """Requested suites plus prerequisites, in dependency order."""
+    """Requested suites plus prerequisites, in ``SUITES`` order."""
     for name in names:
         if name not in SUITES:
             raise UnknownSuiteError(
@@ -167,7 +166,7 @@ def resolve_suites(names) -> list[str]:
 
     for name in names:
         add(name)
-    return [name for name in DEFAULT_SUITES if name in wanted]
+    return [name for name in SUITES if name in wanted]
 
 
 def run_suites(bundle: Bundle, names=None) -> list[Report]:
@@ -188,10 +187,10 @@ def run_suites(bundle: Bundle, names=None) -> list[Report]:
 REPORT_FORMAT = "ffa-report-v1"
 
 
-def reports_to_obj(reports: list[Report], meta: dict | None = None) -> dict:
+def reports_to_obj(reports: list[Report], meta: dict) -> dict:
     return {
         "format": REPORT_FORMAT,
-        "meta": meta or {},
+        "meta": meta,
         "verdict": "pass" if all(r.verdict == "pass" for r in reports) else "fail",
         "reports": [r.to_obj() for r in reports],
     }

@@ -56,8 +56,9 @@ def test_criterion_2_nondegeneracy_and_normalization():
         chiral = get_chiral(name)
         if fails(chiral.verify_nondegeneracy()):
             ok = False
-        for space in chiral.spaces():
-            if chiral.dim(space) != chiral.dim(chiral.primed(space)):
+        fusion = chiral.fusion
+        for space in fusion.spaces():
+            if fusion.n(*space) != fusion.n(*fusion.primed(space)):
                 ok = False
     _line("2 nondegenerate pairing, dimension symmetry, left-inverse identity", ok)
 

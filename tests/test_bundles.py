@@ -1,5 +1,7 @@
+import copy
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -144,6 +146,35 @@ class TestParsing:
         *(pytest.param(lambda o, i=index: o["chiral"]["canonical"][0].update(index=i),
                        "chiral.canonical[0]", "not a basis index", id=f"canonical-index-{index!r}")
           for index in (1, -1, "0", True, 0.0)),
+        # a field of the wrong JSON type is located, not a TypeError or AttributeError
+        pytest.param(lambda o: o["chiral"].update(f=[1]), "chiral.f[0]",
+                     "must be an object", id="f-record-not-object"),
+        pytest.param(lambda o: o["chiral"].update(f={"a": 1}), "chiral.f",
+                     "must be a list", id="f-not-list"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(labels=5), "chiral.f[0].labels",
+                     "must be a list", id="f-labels-not-list"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(value=5), "chiral.f[0].value",
+                     "list of triples", id="f-value-not-list"),
+        pytest.param(lambda o: o["chiral"]["f"][0].update(value=[5]), "chiral.f[0].value",
+                     "list of 3 entries", id="f-value-triple-not-list"),
+        pytest.param(lambda o: o["chiral"]["sigma12"].__setitem__(0, [1]), "chiral.sigma12[0]",
+                     "must be an object", id="sigma-record-not-object"),
+        pytest.param(lambda o: o["chiral"]["sigma12"][0].update(matrix=[5]),
+                     "chiral.sigma12[0]", "matrix must be 1x1", id="sigma-row-not-list"),
+        pytest.param(lambda o: o["chiral"].update(canonical=[1]), "chiral.canonical[0]",
+                     "must be an object", id="canonical-record-not-object"),
+        pytest.param(lambda o: o["fusion"].update(rules=[5]), "fusion.rules[0]",
+                     "rule record", id="rule-not-list"),
+        pytest.param(lambda o: o["fusion"].update(weights="e"), "fusion.weights",
+                     "must be an object", id="weights-string"),
+        pytest.param(lambda o: o["fusion"]["weights"].update(e=0), "fusion.weights.e",
+                     "must be a string", id="weight-not-string"),
+        pytest.param(lambda o: o["fusion"].update(dual="e"), "fusion.dual",
+                     "must be a list", id="dual-string"),
+        pytest.param(lambda o: o["fusion"].update(dual=[["e"]]), "fusion.dual[0]",
+                     "must be a string", id="dual-not-string"),
+        pytest.param(lambda o: o["fusion"].update(unit=["e"]), "fusion.unit",
+                     "must be a string", id="unit-not-string"),
     ])
     def test_error_names_the_location(self, edit, where, match):
         obj = _trivial_obj()
@@ -151,6 +182,10 @@ class TestParsing:
         with pytest.raises(BundleError, match=match) as info:
             bundle_from_obj(obj)
         assert info.value.where == where
+
+    def test_top_level_not_object(self):
+        with pytest.raises(BundleError, match="expected 'ffa-bundle-v1', got None"):
+            bundle_from_obj([_trivial_obj()])
 
     def test_nonstrict_load_keeps_violations(self):
         bundle = load_fixture("mut_validate", strict=False)
@@ -191,3 +226,34 @@ def test_ffa_output_section_roundtrip(tmp_path, trivial):
     assert again.ffa == bundle.ffa
     bundle.ffa = None
     assert pathlib.Path(path).exists()
+
+
+@pytest.mark.parametrize("name", REGULAR + MUTATIONS + ("rep_a4",))
+def test_key_spaces_give_block_shape_and_parser_bounds(name):
+    # F[i, j, l, k] runs over the bases of the four key_spaces of its key, in
+    # ChiralData's dense blocks and in the parser's bounds alike
+    from fullfield.chiral import ChiralData
+    from fullfield.cyclotomic import CycField
+    from tests.test_chiral import random_f_bundle, rep_a4_fusion
+
+    if name == "rep_a4":  # N(3,3;3) = 2 exercises every multiplicity slot
+        bundle = random_f_bundle(rep_a4_fusion(), CycField(4), seed=7)
+    else:
+        bundle = load_fixture(name, strict=False)
+    fusion, chiral = bundle.fusion, ChiralData(bundle)
+    obj = bundle_to_obj(bundle)
+    first = {}
+    for i, rec in enumerate(obj["chiral"]["f"]):
+        key6 = tuple(rec["labels"])
+        dims = tuple(fusion.n(*space) for space in fusion.key_spaces(key6))
+        blk = chiral.f_block(key6)
+        assert (len(blk), len(blk[0]), len(blk[0][0]), len(blk[0][0][0])) == dims
+        assert all(m < d for m, d in zip(rec["mults"], dims))
+        first.setdefault(dims, i)
+    for dims, i in first.items():
+        for slot in range(4):
+            edited = copy.deepcopy(obj)
+            edited["chiral"]["f"][i]["mults"] = [d if s == slot else 0
+                                                 for s, d in enumerate(dims)]
+            with pytest.raises(BundleError, match=re.escape(f"multiplicity bounds {dims}")):
+                bundle_from_obj(edited, strict=False)

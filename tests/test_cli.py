@@ -1,9 +1,12 @@
 import collections
 import hashlib
 import json
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,15 @@ class TestVerify:
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["verify", str(path)]) == 2
         assert "chiral.canonical[0]" in capsys.readouterr().err
+
+    def test_record_of_wrong_json_type_is_input_error(self, fixture_dir, tmp_path, capsys):
+        obj = json.loads((fixture_dir / "trivial.json").read_text(encoding="utf-8"))
+        obj["chiral"]["f"] = [1]
+        path = tmp_path / "bad_record.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: chiral.f[0]: must be an object, got 1\n"
 
     def test_json_and_text_verdicts_agree(self, fixture_dir, capsys):
         main(["verify", str(fixture_dir / "mut_fusing.json"), "--suite", "fusing",
@@ -197,6 +209,26 @@ class TestLattice:
 
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2
+
+    def test_unknown_check_names_every_check(self, capsys):
+        names = "assoc, skew, grading, virasoro, residue, jacobi"
+        assert main(["lattice", "--k", "1", "--check", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"unknown lattice check 'nope'; known: {names}\n"
+        assert captured.out == ""
+        with pytest.raises(SystemExit):
+            main(["lattice", "--help"])
+        assert f"comma-separated ({names})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_import_loads_neither_numpy_nor_the_lattice_package():
+    # the exact commands start without numpy; only cmd_lattice imports it
+    code = ("import sys, fullfield.cli; "
+            "print(sorted({'numpy', 'fullfield.lattice'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestReportCommand:

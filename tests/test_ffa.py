@@ -10,7 +10,7 @@ from fullfield.chiral import ChiralData, fails
 from fullfield.cyclotomic import CycField
 from fullfield.fixtures import MUTATIONS, REGULAR, load_fixture
 from fullfield.linalg import change_basis4, mat_mul, transpose
-from fullfield.suites import run_suites
+from fullfield.suites import DEFAULT_SUITES, SUITES, resolve_suites, run_suites
 from tests.conftest import get_chiral
 
 
@@ -38,7 +38,7 @@ class TestConstruct:
         chiral = ChiralData(load_fixture("ising"))
         assert chiral._dual == {}
         ffa_mod.construct(chiral)
-        assert set(chiral._dual) == set(chiral.spaces())
+        assert set(chiral._dual) == set(chiral.fusion.spaces())
         section = ffa_mod.ffa_section(chiral)
         assert len(section["sectors"]) == 3
         assert len(section["blocks"]) == 10
@@ -112,6 +112,16 @@ def test_run_suites_evaluates_fusing_delta_once(monkeypatch):
     assert {"fusing", "ffa-assoc"} <= {r.suite for r in reports}
     # every primed block is moved to dual bases once, by one contraction
     assert len(calls) == once == len(set(calls))
+
+
+def test_suites_come_after_their_prerequisites():
+    # resolve_suites runs the wanted suites in SUITES order
+    seen = set()
+    for name, (_identity, deps, _runner) in SUITES.items():
+        assert set(deps) <= seen, name
+        seen.add(name)
+    assert DEFAULT_SUITES == tuple(SUITES)
+    assert resolve_suites(["unit", "dual"]) == ["validate", "nondegeneracy", "dual", "unit"]
 
 
 def test_run_suites_constructs_once(monkeypatch):
@@ -304,10 +314,10 @@ class TestBasisIndependence:
         ffa_mod.construct(chiral)
         rng = random.Random(20260808)
         changes = {}
-        for space in chiral.spaces():
+        for space in bundle.fusion.spaces():
             if space in bundle.canonical:
                 continue
-            dim = chiral.dim(space)
+            dim = bundle.fusion.n(*space)
             scale = bundle.field.rational(Fraction(rng.choice((1, 2, 3, -2)),
                                                    rng.choice((1, 2))))
             changes[space] = [[scale if i == j else bundle.field.zero()
@@ -322,7 +332,7 @@ class TestBasisIndependence:
         for space, b in changes.items():
             d_old = chiral.dual_basis(space)
             d_new = chiral2.dual_basis(space)
-            pr = chiral.primed(space)
+            pr = bundle.fusion.primed(space)
             bpr = changes.get(pr)
             # mult-free fixtures: scalars; D' = D / (b * bpr)
             got = d_new[0][0] * b[0][0] * bpr[0][0]

@@ -258,3 +258,5 @@ class TestS3Table:
             assert (b2, b3, b5) == fusion.canonical_spaces(fusion.dual[a])[2]
             assert (b6, b3, b4) == module
             assert (b1, b2, b6) == vacuum
+            assert fusion.key_spaces(fusion.weight_key(a)) == (
+                skew, fusion.canonical_spaces(fusion.dual[a])[2], module, vacuum)
