@@ -236,7 +236,8 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         canonical[space] = index
 
     return Bundle(field=field, fusion=fusion, f=f, sigma12=sigma12, sigma23=sigma23,
-                  canonical=canonical, provenance=obj.get("provenance", {}),
+                  canonical=canonical,
+                  provenance=_json(obj.get("provenance", {}), dict, "provenance"),
                   ffa=obj.get("ffa"))
 
 

@@ -175,6 +175,8 @@ class TestParsing:
                      "must be a string", id="dual-not-string"),
         pytest.param(lambda o: o["fusion"].update(unit=["e"]), "fusion.unit",
                      "must be a string", id="unit-not-string"),
+        pytest.param(lambda o: o.update(provenance=[1]), "provenance",
+                     "must be an object", id="provenance-not-object"),
     ])
     def test_error_names_the_location(self, edit, where, match):
         obj = _trivial_obj()
