@@ -118,7 +118,8 @@ def _strings(value, where: str) -> list:
 def _records(section: dict, name: str, where: str):
     """(location, record) for each object in the list ``section[name]``."""
     for i, rec in enumerate(_json(section.get(name, []), list, where)):
-        yield f"{where}[{i}]", _json(rec, dict, f"{where}[{i}]")
+        at = f"{where}[{i}]"
+        yield at, _json(rec, dict, at)
 
 
 def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
@@ -199,7 +200,7 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
         if len(mults) != 4 or not all(type(m) is int and m >= 0 for m in mults):
             raise BundleError(where, f"bad multiplicity indices {mults!r}")
         val = parse_scalar(rec.get("value", []), where + ".value")
-        bounds = tuple(fusion.n(*space) for space in fusion.key_spaces(key6))
+        bounds = tuple([fusion.n(*space) for space in fusion.key_spaces(key6)])
         if any(m >= bound for m, bound in zip(mults, bounds)):
             raise BundleError(where, f"indices {mults} outside multiplicity bounds {bounds}")
         if (key6, mults) in f:
