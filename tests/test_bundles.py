@@ -13,6 +13,8 @@ from fullfield.bundles import (
     load_bundle,
     save_bundle,
 )
+from fullfield.chiral import ChiralData
+from fullfield.cyclotomic import CycField
 from fullfield.fixtures import MUTATIONS, REGULAR, fixture_bytes, load_fixture
 
 
@@ -234,8 +236,6 @@ def test_ffa_output_section_roundtrip(tmp_path, trivial):
 def test_key_spaces_give_block_shape_and_parser_bounds(name):
     # F[i, j, l, k] runs over the bases of the four key_spaces of its key, in
     # ChiralData's dense blocks and in the parser's bounds alike
-    from fullfield.chiral import ChiralData
-    from fullfield.cyclotomic import CycField
     from tests.test_chiral import random_f_bundle, rep_a4_fusion
 
     if name == "rep_a4":  # N(3,3;3) = 2 exercises every multiplicity slot
