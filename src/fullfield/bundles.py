@@ -2,8 +2,13 @@
 
 A bundle is a canonical-JSON document.  All rationals are strings "p/q" or
 scalar literals (lists of [exponent, numerator, denominator] triples), never
-floats.  ``canonical_bytes`` defines the byte-level canonical form; saving a
-loaded canonical file reproduces it byte for byte.
+floats.  ``canonical_bytes`` defines the byte-level canonical form, which
+reports share: object keys sorted, each member and element on its own line
+indented one space per level, "," after every member or element but the
+last, ": " after each key, strings with ASCII escapes, and a trailing
+newline.  It is the form ``json.dumps(obj, sort_keys=True, indent=1)`` writes,
+plus that newline.  Saving a loaded canonical file reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class Bundle:
     ffa: dict | None = None
 
     def f_entry(self, key6: Key6, mults: Mults) -> CycScalar:
-        return self.f.get((key6, mults), self.field.zero())
+        val = self.f.get((key6, mults))
+        return self.field.zero() if val is None else val
 
 
 def _fraction_from_string(s: str, where: str) -> Fraction:
@@ -242,8 +248,64 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
                   ffa=obj.get("ffa"))
 
 
+_quote = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode
+
+
 def canonical_bytes(obj: dict) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    """The canonical JSON form of ``obj``, equal to
+    ``(json.dumps(obj, sort_keys=True, indent=1) + "\\n").encode("utf-8")``.
+
+    Object keys are sorted.  Every member and element starts a new line
+    indented one space per level; all but the last end in ",", and a key is
+    followed by ": ".  Empty containers are written "{}" and "[]".  Strings
+    use ASCII escapes, other scalars are written as ``json`` writes them (NaN
+    and infinities included), and the text ends in a newline.  Dicts, lists
+    and tuples and their subclasses are containers.  A key that is not a
+    string, or a value JSON cannot hold, is a ``TypeError``; ``json`` would
+    turn a number key into a string, which this form never needs.
+
+    ``json.dumps`` with an indent runs its pure-Python encoder; this writer
+    quotes with the C ``encode_basestring_ascii`` instead.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the canonical fragments of ``o`` at the line start ``nl``."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(o[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif o is None or isinstance(o, (int, float)):
+        out.append(_scalar(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def save_bundle(bundle: Bundle, path) -> None:

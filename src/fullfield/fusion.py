@@ -218,34 +218,36 @@ class FusionData:
         equation order depends on.
         """
         labels = self.labels
-        n = self.n
+        n = self.rules.get
         ys: dict[tuple[str, str], list[str]] = {}
         xs: dict[tuple[str, str], list[str]] = {}
         for x, y, z in product(labels, repeat=3):
-            if n(x, y, z) > 0:
+            if n((x, y, z), 0) > 0:
                 ys.setdefault((x, z), []).append(y)
                 xs.setdefault((y, z), []).append(x)
         for a1, a2, a3, a4, d in product(labels, repeat=5):
             lefts = [(b, c) for b in ys.get((a1, d), ()) for c in ys.get((a2, b), ())
-                     if n(a3, a4, c)]
+                     if n((a3, a4, c), 0)]
+            if not lefts:
+                continue
             rights = [(v, s) for v in xs.get((a4, d), ()) for s in xs.get((a3, v), ())
-                      if n(a1, a2, s)]
+                      if n((a1, a2, s), 0)]
             for b, c in lefts:
-                mids = [u for u in xs.get((a4, b), ()) if n(a2, a3, u)]
-                for i, j, k in product(range(n(a1, b, d)), range(n(a2, c, b)),
-                                       range(n(a3, a4, c))):
+                mids = [u for u in xs.get((a4, b), ()) if n((a2, a3, u), 0)]
+                for i, j, k in product(range(n((a1, b, d), 0)), range(n((a2, c, b), 0)),
+                                       range(n((a3, a4, c), 0))):
                     for v, s in rights:
-                        for p, r, t in product(range(n(v, a4, d)), range(n(s, a3, v)),
-                                               range(n(a1, a2, s))):
+                        for p, r, t in product(range(n((v, a4, d), 0)), range(n((s, a3, v), 0)),
+                                               range(n((a1, a2, s), 0))):
                             lhs = [(((a2, c, b, a3, a4, u), (j, k, mm, nn)),
                                     ((a1, b, d, u, a4, v), (i, mm, p, q)),
                                     ((a1, u, v, a2, a3, s), (q, nn, r, t)))
                                    for u in mids
-                                   for mm, nn, q in product(range(n(u, a4, b)),
-                                                            range(n(a2, a3, u)),
-                                                            range(n(a1, u, v)))]
+                                   for mm, nn, q in product(range(n((u, a4, b), 0)),
+                                                            range(n((a2, a3, u), 0)),
+                                                            range(n((a1, u, v), 0)))]
                             rhs = [(((a1, b, d, a2, c, s), (i, j, l1, t)),
                                     ((s, c, d, a3, a4, v), (l1, k, p, r)))
-                                   for l1 in range(n(s, c, d))]
+                                   for l1 in range(n((s, c, d), 0))]
                             yield ((a1, a2, a3, a4, d), (b, c, i, j, k, v, s, p, r, t),
                                    lhs, rhs)

@@ -69,6 +69,7 @@ class LatticeModel:
         self.two_k = 2 * k
         self._comp_cache: dict = {}
         self._tables: dict = {}
+        self._denominators: dict = {}
 
     # -- sectors and weights -------------------------------------------------
 
@@ -237,9 +238,14 @@ class LatticeModel:
 
     def _denominator(self, q: int, T) -> tuple[int, int]:
         """(B, D) of charge q at cutoff T: the largest weight offset
-        B = floor(T - q^2/(4k)) and the common denominator D = (2k)^B B!."""
-        top = (4 * self.k * T - q * q) // (4 * self.k)
-        return top, self.two_k ** max(top, 0) * factorial(max(top, 0))
+        B = floor(T - q^2/(4k)) and the common denominator D = (2k)^B B!,
+        tabled per (q^2, T)."""
+        ck = (q * q, T)
+        hit = self._denominators.get(ck)
+        if hit is None:
+            top = (4 * self.k * T - q * q) // (4 * self.k)
+            hit = self._denominators[ck] = top, self.two_k ** max(top, 0) * factorial(max(top, 0))
+        return hit
 
     def _partition_table(self, budget: int) -> list:
         """(lam, |lam|, l(lam), z_lam) for each of ``_partitions(budget)``."""

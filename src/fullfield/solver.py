@@ -91,7 +91,7 @@ def _expand_mono(coeff, vars, state, depth: int = 0):
             coeff = coeff * got
         else:
             c2, vs2 = got
-            if any(w in state for w in vs2):
+            if not state.keys().isdisjoint(vs2):
                 c2, vs2 = _expand_mono(c2, vs2, state, depth + 1)
                 state[v] = (c2, vs2) if vs2 else c2
             coeff = coeff * c2
@@ -184,7 +184,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
             progress = False
             for i, eq in enumerate(equations):
                 hit = cache[i]
-                if hit is not None and not any(v in state for v in hit[1]):
+                if hit is not None and state.keys().isdisjoint(hit[1]):
                     continue  # still valid: its last visit took no action
                 terms, _ = cache[i] = _normalize_terms(eq, state)
                 varset = {v for _, vs in terms for v in vs}

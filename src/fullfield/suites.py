@@ -2,8 +2,10 @@
 
 Each suite wraps one family of identity checks; ``run_suites`` resolves the
 declared prerequisites, executes in dependency order, and assembles
-deterministic reports (their JSON rendering, ``bundles.canonical_bytes``,
-is byte-stable for a fixed bundle, seed and flag set).
+deterministic reports.  Their JSON rendering is ``bundles.canonical_bytes``:
+sorted keys, one-space indent, ASCII escapes and a trailing newline, the
+bytes ``json.dumps(obj, sort_keys=True, indent=1)`` gives plus that newline.
+It is byte-stable for a fixed bundle, seed and flag set.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
+import collections
 import copy
 import json
+import math
 import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fullfield import cli
 from fullfield.bundles import (
     BundleError,
     bundle_from_obj,
@@ -215,7 +219,7 @@ def test_fixture_files_are_canonical():
     for name in REGULAR + MUTATIONS:
         raw = fixture_bytes(name)
         obj = json.loads(raw.decode("utf-8"))
-        assert canonical_bytes(obj) == raw
+        assert canonical_bytes(obj) == _json_reference(obj) == raw
 
 
 def test_ffa_output_section_roundtrip(tmp_path, trivial):
@@ -259,3 +263,76 @@ def test_key_spaces_give_block_shape_and_parser_bounds(name):
                                                  for s, d in enumerate(dims)]
             with pytest.raises(BundleError, match=re.escape(f"multiplicity bounds {dims}")):
                 bundle_from_obj(edited, strict=False)
+
+
+
+def _json_reference(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+class _Items(list):
+    pass
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é€😀'),
+                max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2 ** 64, max_value=2 ** 200) | st.floats()
+            | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]) | _TEXT)
+# JSON values as the program and ``json`` take them: tuples and subclasses
+# of list and dict are containers too
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(inner, max_size=4).map(_Items)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(_TEXT, inner, max_size=4).map(collections.OrderedDict)),
+    max_leaves=24)
+
+
+def _emitted(argv, monkeypatch, capsys) -> dict:
+    """The object ``fullfield.cli.main(argv)`` writes as JSON."""
+    seen = []
+    monkeypatch.setattr(cli, "canonical_bytes",
+                        lambda obj: seen.append(obj) or canonical_bytes(obj))
+    cli.main(argv)
+    capsys.readouterr()
+    (obj,) = seen
+    return obj
+
+
+class TestCanonicalWriter:
+    """``canonical_bytes`` against the ``json`` form that defines it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_on_json_values(self, obj):
+        assert canonical_bytes(obj) == _json_reference(obj)
+
+    @pytest.mark.parametrize("name", [n for n in REGULAR + MUTATIONS if n != "mut_validate"])
+    def test_matches_json_on_verify_reports(self, name, tmp_path, monkeypatch, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(fixture_bytes(name))
+        obj = _emitted(["verify", str(path), "--format", "json"], monkeypatch, capsys)
+        assert canonical_bytes(obj) == _json_reference(obj)
+
+    def test_matches_json_on_a_lattice_report(self, monkeypatch, capsys):
+        obj = _emitted(["lattice", "--k", "1", "--truncate", "6", "--format", "json",
+                        "--seed", "5"], monkeypatch, capsys)
+        assert any(type(x) is float for rep in obj["reports"] for rec in rep["records"]
+                   for x in rec["index"])
+        assert canonical_bytes(obj) == _json_reference(obj)
+
+    def test_subclasses_are_containers(self):
+        obj = collections.OrderedDict([("b", _Items([1, (2.5, None)])), ("a", {})])
+        assert canonical_bytes(obj) == _json_reference(obj) == \
+            b'{\n "a": {},\n "b": [\n  1,\n  [\n   2.5,\n   null\n  ]\n ]\n}\n'
+
+    @pytest.mark.parametrize("obj, match", [
+        ({1: "one"}, "keys must be str"),
+        ({"a": [{"b": {1, 2}}]}, "set is not JSON serializable"),
+    ], ids=["int-key", "set-value"])
+    def test_refuses_what_json_would_rewrite_or_refuse(self, obj, match):
+        with pytest.raises(TypeError, match=match):
+            canonical_bytes(obj)

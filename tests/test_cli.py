@@ -243,6 +243,18 @@ class TestReportCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["verdict"] == "pass"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["verify", "{dir}/ising.json"], id="verify"),
+        pytest.param(["lattice", "--k", "1", "--truncate", "6", "--seed", "5"], id="lattice-k1"),
+    ])
+    def test_json_output_is_the_report_file(self, argv, fixture_dir, tmp_path, capsys):
+        # --format json writes the canonical bytes of the report it read
+        path = tmp_path / "rep.json"
+        main([a.format(dir=fixture_dir) for a in argv] + ["--report", str(path)])
+        capsys.readouterr()
+        main(["report", str(path), "--format", "json"])
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
     @pytest.mark.parametrize("edit, where", [
         pytest.param(lambda o: [1], "format", id="list"),
         pytest.param(lambda o: {"reports": 3}, "format", id="no-format"),
