@@ -265,7 +265,6 @@ def test_key_spaces_give_block_shape_and_parser_bounds(name):
                 bundle_from_obj(edited, strict=False)
 
 
-
 def _json_reference(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
