@@ -249,7 +249,27 @@ def bundle_from_obj(obj: dict, strict: bool = True) -> Bundle:
 
 
 _quote = json.encoder.encode_basestring_ascii
-_scalar = json.JSONEncoder().encode
+_INF = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# exact scalar type -> its canonical text; subclasses go through ``_write``
+_LEAF_TEXT = {
+    str: _quote,
+    type(None): lambda o: "null",
+    bool: lambda o: "true" if o else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
 
 
 def canonical_bytes(obj: dict) -> bytes:
@@ -265,8 +285,12 @@ def canonical_bytes(obj: dict) -> bytes:
     string, or a value JSON cannot hold, is a ``TypeError``; ``json`` would
     turn a number key into a string, which this form never needs.
 
-    ``json.dumps`` with an indent runs its pure-Python encoder; this writer
-    quotes with the C ``encode_basestring_ascii`` instead.
+    ``json.dumps`` with an indent runs its pure-Python encoder.  This writer
+    looks up the text of each scalar of an exact JSON type (str, None, bool,
+    int, float) in the leaf table ``_LEAF_TEXT``, which quotes strings with
+    the C ``encode_basestring_ascii``: a dict writes such values without a
+    recursive call, and a list of them is written with one join.  Subclasses
+    take the ``isinstance`` path of ``_write``.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -276,19 +300,24 @@ def canonical_bytes(obj: dict) -> bytes:
 
 def _write(o, nl: str, out: list) -> None:
     """Append the canonical fragments of ``o`` at the line start ``nl``."""
-    if isinstance(o, str):
-        out.append(_quote(o))
+    leaf = _LEAF_TEXT.get(type(o))
+    if leaf is not None:
+        out.append(leaf(o))
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner = nl + " "
         sep = "{" + inner
-        for key in sorted(o):
+        for key, value in sorted(o.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write(o[key], inner, out)
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is None:
+                out.append(sep + _quote(key) + ": ")
+                _write(value, inner, out)
+            else:
+                out.append(sep + _quote(key) + ": " + leaf(value))
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)):
@@ -296,14 +325,24 @@ def _write(o, nl: str, out: list) -> None:
             out.append("[]")
             return
         inner = nl + " "
+        try:
+            out.append("[" + inner + ("," + inner).join([_LEAF_TEXT[type(item)](item) for item in o])
+                       + nl + "]")
+            return
+        except KeyError:  # an element is a container or a subclass
+            pass
         sep = "[" + inner
         for item in o:
             out.append(sep)
             _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif o is None or isinstance(o, (int, float)):
-        out.append(_scalar(o))
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

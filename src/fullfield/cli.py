@@ -2,9 +2,12 @@
 
 Exit status contract: 0 all verdicts pass, 1 at least one violation,
 2 usage or input errors.  All configuration is via flags; no environment
-variables are consulted.  The suites come from ``suites.SUITES`` and the
-lattice checks from ``LATTICE_CHECKS``; ``cmd_lattice`` imports
-``fullfield.lattice`` itself, so that the exact commands never load numpy.
+variables are consulted.  ``main`` builds the parser of the dispatched
+command of ``COMMANDS`` alone, and the full tree only when the first argument
+names no command, so each message is the full tree's.  The suites come from
+``suites.SUITES`` and the lattice checks from ``LATTICE_CHECKS``;
+``cmd_lattice`` imports ``fullfield.lattice`` itself, so that the exact
+commands never load numpy.
 """
 
 from __future__ import annotations
@@ -199,63 +202,59 @@ def cmd_report(args) -> int:
     return 0 if obj["verdict"] == "pass" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="fullfield",
-        description="Construct the diagonal sector-sum algebra from chiral "
-                    "fusing data and verify its identities.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _arg(*flags, **keywords):
+    return flags, keywords
 
-    sp = sub.add_parser("validate", help="check the fusion-ring invariants of a bundle")
-    sp.add_argument("bundle")
-    sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("pairing", help="print pairing matrices")
-    sp.add_argument("bundle")
-    sp.add_argument("--triple", help="a1,a2,a3 label triple")
-    sp.set_defaults(fn=cmd_pairing)
+_BUNDLE = _arg("bundle")
+_REPORT = _arg("--report", help="write the machine-readable report here")
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+_VERBOSE = _arg("--verbose", action="store_true")
 
-    sp = sub.add_parser("dual", help="print dual-basis coefficient matrices")
-    sp.add_argument("bundle")
-    sp.set_defaults(fn=cmd_dual)
+# command name -> (help, handler, arguments as (flags, keywords) pairs)
+COMMANDS = {
+    "validate": ("check the fusion-ring invariants of a bundle", cmd_validate, [_BUNDLE]),
+    "pairing": ("print pairing matrices", cmd_pairing,
+                [_BUNDLE, _arg("--triple", help="a1,a2,a3 label triple")]),
+    "dual": ("print dual-basis coefficient matrices", cmd_dual, [_BUNDLE]),
+    "construct": ("assemble the sector-sum structure tensor", cmd_construct,
+                  [_BUNDLE, _arg("-o", "--output", required=True)]),
+    "verify": ("run verification suites on a bundle", cmd_verify,
+               [_BUNDLE, _arg("--suite", help="comma-separated suite names "
+                                              f"({', '.join(DEFAULT_SUITES)})"),
+                _REPORT, _FORMAT, _VERBOSE]),
+    "lattice": ("run the rank-1 lattice backend checks", cmd_lattice,
+                [_arg("--k", type=int, required=True), _arg("--truncate", type=int, default=8),
+                 _arg("--samples", type=int, default=5), _arg("--seed", type=int, default=1),
+                 _arg("--tol", type=float, default=1e-6),
+                 _arg("--check", help=f"comma-separated ({', '.join(LATTICE_CHECKS)})"),
+                 _arg("--emit-bundle", help="write the derived bundle here"),
+                 _REPORT, _FORMAT, _VERBOSE]),
+    "report": ("render a saved report", cmd_report, [_arg("path"), _FORMAT]),
+}
 
-    sp = sub.add_parser("construct", help="assemble the sector-sum structure tensor")
-    sp.add_argument("bundle")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(fn=cmd_construct)
 
-    sp = sub.add_parser("verify", help="run verification suites on a bundle")
-    sp.add_argument("bundle")
-    sp.add_argument("--suite", help="comma-separated suite names "
-                                    f"({', '.join(DEFAULT_SUITES)})")
-    sp.add_argument("--report", help="write the machine-readable report here")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("lattice", help="run the rank-1 lattice backend checks")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--truncate", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--check", help=f"comma-separated ({', '.join(LATTICE_CHECKS)})")
-    sp.add_argument("--emit-bundle", help="write the derived bundle here")
-    sp.add_argument("--report", help="write the machine-readable report here")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_lattice)
-
-    sp = sub.add_parser("report", help="render a saved report")
-    sp.add_argument("path")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(fn=cmd_report)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  The usage line
+    lists every command either way; the full tree keeps argparse's default
+    metavar, since a metavar also renames ``command`` in its errors."""
+    p = argparse.ArgumentParser(prog="fullfield", description="Construct the diagonal sector-sum "
+                                "algebra from chiral fusing data and verify its identities.")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, fn, arguments) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, keywords in arguments:
+                sp.add_argument(*flags, **keywords)
+            sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (BundleError, FieldOrderError, UnknownSuiteError, FileNotFoundError,

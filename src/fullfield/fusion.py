@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -140,13 +141,18 @@ class FusionData:
         """Sort key of a label tuple: lexicographic in declared label order."""
         return tuple(map(self.labels.index, labels))
 
+    @cached_property
+    def _nonzero(self) -> tuple[tuple[str, str, str, int], ...]:
+        # sorted once per instance: ``rules`` is not changed after the first read
+        keys = sorted((k for k, n in self.rules.items() if n > 0), key=self.label_key)
+        return tuple((a1, a2, a3, self.rules[(a1, a2, a3)]) for a1, a2, a3 in keys)
+
     def nonzero_spaces(self) -> list[tuple[str, str, str, int]]:
         """All (a1, a2, a3, N) with N > 0, lexicographic in declared order."""
-        keys = sorted((k for k, n in self.rules.items() if n > 0), key=self.label_key)
-        return [(a1, a2, a3, self.rules[(a1, a2, a3)]) for a1, a2, a3 in keys]
+        return list(self._nonzero)
 
     def spaces(self) -> list[Space]:
-        return [(a1, a2, a3) for a1, a2, a3, _ in self.nonzero_spaces()]
+        return [(a1, a2, a3) for a1, a2, a3, _ in self._nonzero]
 
     def primed(self, space: Space) -> Space:
         a1, a2, a3 = space

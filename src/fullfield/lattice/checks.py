@@ -346,7 +346,9 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
       truncated computation has converged.)
     * convergence: the iterate-side truncation increment |value_T -
       value_{T+2}| must shrink by a factor >= 4 from T to T+2, which pins
-      the expansion parameter |z1 - z2| / |z2| of the iterate.
+      the expansion parameter |z1 - z2| / |z2| of the iterate.  A sample
+      whose increment from T - 2 to T is exactly 0 (k = 1 at truncation 3
+      and 4, k = 2 at 3) has no ratio to read and is a ``ValueError``.
     """
     _require_samples(samples)
     T = ffa.spec.truncation
@@ -387,6 +389,10 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
         # at truncation T is the last increment |value(T-2) - value(T)|
         r_prev = float(np.abs(its[T - 2] - _restrict_grid(ffa, its[T], out_pair, T - 2)
                               ).max() / scale)
+        if r_prev == 0:
+            raise ValueError(f"associativity sample {idx} at T = {T}: the backward increment "
+                             f"|value(T-2) - value(T)| of the iterate is exactly 0, so the T "
+                             f"to T+2 ratio cannot pin its convergence; use a larger truncation")
         r_t = float(di.max() / scale)
         ratio = r_prev / r_t if r_t > 1e-15 else math.inf
         ok = defect <= tol and ratio >= 4 and n_stable > 0

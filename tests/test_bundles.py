@@ -1,5 +1,6 @@
 import collections
 import copy
+import enum
 import json
 import math
 import pathlib
@@ -273,15 +274,40 @@ class _Items(list):
     pass
 
 
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2 ** 70
+
+
+class _Real(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
 _TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é€😀'),
                 max_size=6)
-_SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.integers(min_value=2 ** 64, max_value=2 ** 200) | st.floats()
-            | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]) | _TEXT)
+_EDGE_FLOATS = st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
+# scalars of exact JSON types, which the writer looks up in its leaf table
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2 ** 64, max_value=2 ** 200) | st.floats() | _EDGE_FLOATS
+           | _TEXT)
+# and subclasses of them, which it tests with ``isinstance`` as ``json`` does
+_SCALARS = (_LEAVES | st.sampled_from(_Level) | (st.floats() | _EDGE_FLOATS).map(_Real)
+            | _TEXT.map(_Text))
+# a list of leaves only is written with one join; a list that mixes leaves
+# and containers element by element
+_LEAF_LISTS = st.lists(st.booleans() | _EDGE_FLOATS | _LEAVES, min_size=1, max_size=6)
+_MIXED_LISTS = st.tuples(
+    st.lists(_SCALARS, max_size=3),
+    st.lists(_SCALARS, max_size=3) | st.dictionaries(_TEXT, _SCALARS, max_size=3),
+    st.lists(_SCALARS, max_size=3)).map(lambda parts: [*parts[0], parts[1], *parts[2]])
 # JSON values as the program and ``json`` take them: tuples and subclasses
 # of list and dict are containers too
 _JSON_VALUES = st.recursive(
-    _SCALARS,
+    _SCALARS | _LEAF_LISTS | _MIXED_LISTS,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.lists(inner, max_size=4).map(_Items)
@@ -327,6 +353,13 @@ class TestCanonicalWriter:
         obj = collections.OrderedDict([("b", _Items([1, (2.5, None)])), ("a", {})])
         assert canonical_bytes(obj) == _json_reference(obj) == \
             b'{\n "a": {},\n "b": [\n  1,\n  [\n   2.5,\n   null\n  ]\n ]\n}\n'
+
+    def test_subclassed_scalars_are_written_as_json_writes_them(self):
+        obj = {"e": _Level.HIGH, "f": _Real(math.nan), "s": _Text("x"),
+               "l": [_Level.LOW, _Real(-0.0), _Real(-math.inf), _Text("y"), True, None]}
+        assert canonical_bytes(obj) == _json_reference(obj) == (
+            b'{\n "e": 1180591620717411303424,\n "f": NaN,\n "l": [\n  -1,\n  -0.0,\n'
+            b'  -Infinity,\n  "y",\n  true,\n  null\n ],\n "s": "x"\n}\n')
 
     @pytest.mark.parametrize("obj, match", [
         ({1: "one"}, "keys must be str"),

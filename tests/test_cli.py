@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from fullfield import cli
 from fullfield.cli import main
 from fullfield.fixtures import fixture_bytes
 
@@ -189,6 +190,17 @@ class TestLattice:
         assert main(["lattice", "--k", "1", "--truncate", truncate, "--check", "assoc"]) == 2
         assert "needs truncation >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, truncate", [("1", "3"), ("1", "4"), ("2", "3")])
+    def test_vanishing_increment_assoc_is_usage_error(self, k, truncate, capsys):
+        # the iterate does not move from T - 2 to T here, so its convergence
+        # ratio would read 0 and fail every record of the correct model
+        assert main(["lattice", "--k", k, "--truncate", truncate, "--check", "assoc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: associativity sample 0 at T = {truncate}: "
+                                       "the backward increment |value(T-2) - value(T)| of the "
+                                       "iterate is exactly 0")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_no_samples_is_usage_error(self, samples, capsys):
         # no sample means no record, which used to read "0/0 checks passed"
@@ -219,6 +231,60 @@ class TestLattice:
         with pytest.raises(SystemExit):
             main(["lattice", "--help"])
         assert f"comma-separated ({names})" in " ".join(capsys.readouterr().out.split())
+
+
+def _outcome(argv, capsys):
+    """(exit status, stdout, stderr) of ``main(argv)``, argparse exits included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds the dispatched command's parser alone; every outcome
+    must be the one the parser of every command gives."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["nope"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        ["verify"], ["lattice"], ["construct", "x.json"],
+        ["verify", "x.json", "--format", "yaml"], ["report", "r.json", "--format", "xml"],
+        ["verify", "x.json", "--bogus"], ["lattice", "--k", "1", "--check", "nope"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_outcome_is_the_full_tree_outcome(self, argv, monkeypatch, capsys):
+        got = _outcome(argv, capsys)
+        full_tree = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+        assert got == _outcome(argv, capsys)
+
+    def test_usage_lists_every_command(self, capsys):
+        status, out, err = _outcome(["verify", "x.json", "--bogus"], capsys)
+        assert status == 2 and out == ""
+        # argparse wraps the usage line at the terminal width
+        assert " ".join(err.split()) == ("usage: fullfield [-h] {" + ",".join(cli.COMMANDS) + "} "
+                                         "... fullfield: error: unrecognized arguments: --bogus")
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ])
+    def test_errors_name_the_command_argument(self, argv, error, capsys):
+        # a metavar on the full tree would rename "command" in these errors
+        status, out, err = _outcome(argv, capsys)
+        assert status == 2 and out == "" and f"fullfield: error: {error}" in err
+
+    def test_main_reads_sys_argv(self, fixture_dir, monkeypatch, capsys):
+        argv = ["verify", str(fixture_dir / "trivial.json"), "--format", "json"]
+        want = _outcome(argv, capsys)
+        assert want[0] == 0 and want[1].startswith("{")
+        monkeypatch.setattr(sys, "argv", ["fullfield", *argv])
+        assert _outcome(None, capsys) == want
+        monkeypatch.setattr(sys, "argv", ["fullfield", "nope"])
+        status, out, err = _outcome(None, capsys)
+        assert status == 2 and out == "" and "invalid choice: 'nope'" in err
 
 
 def test_import_loads_neither_numpy_nor_the_lattice_package():
