@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit status contract: 0 all verdicts pass, 1 at least one violation,
-2 usage or input errors.  All configuration is via flags; no environment
-variables are consulted.  ``main`` builds the parser of the dispatched
-command of ``COMMANDS`` alone, and the full tree only when the first argument
-names no command, so each message is the full tree's.  The suites come from
+2 usage or input errors.  Commands raise on bad input, and ``main`` alone
+turns a ``ValueError`` or ``OSError`` into one "error: ..." line on stderr
+and exit 2.  All configuration is via flags; no environment variables are
+consulted.  ``main`` builds the parser of the dispatched command of
+``COMMANDS`` alone, and the full tree only when the first argument names no
+command, so each message is the full tree's.  The suites come from
 ``suites.SUITES`` and the lattice checks from ``LATTICE_CHECKS``;
 ``cmd_lattice`` imports ``fullfield.lattice`` itself, so that the exact
 commands never load numpy.
@@ -16,14 +18,12 @@ import argparse
 import json
 import sys
 
-from fullfield.bundles import BundleError, canonical_bytes, load_bundle, save_bundle
+from fullfield.bundles import canonical_bytes, load_bundle, save_bundle
 from fullfield.chiral import ChiralData
-from fullfield.cyclotomic import FieldOrderError
 from fullfield.suites import (
     DEFAULT_SUITES,
     REPORT_FORMAT,
     Report,
-    UnknownSuiteError,
     reports_to_obj,
     reports_to_text,
     run_suites,
@@ -76,34 +76,29 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def cmd_pairing(args) -> int:
-    bundle = load_bundle(args.bundle)
-    chiral = ChiralData(bundle)
-    if args.triple:
-        labels = tuple(args.triple.split(","))
-        if len(labels) != 3:
-            print("--triple wants a1,a2,a3", file=sys.stderr)
-            return 2
-        spaces = [labels]
-    else:
-        spaces = bundle.fusion.spaces()
+def _print_matrices(title, matrix_of, spaces) -> int:
     for space in spaces:
-        mat = chiral.pairing_matrix(tuple(space))
-        print(f"pairing {space}:")
-        for row in mat:
+        print(f"{title} {space}:")
+        for row in matrix_of(space):
             print("  [" + ", ".join(str(v) for v in row) + "]")
     return 0
+
+
+def cmd_pairing(args) -> int:
+    bundle = load_bundle(args.bundle)
+    spaces = bundle.fusion.spaces()
+    if args.triple:
+        triple = tuple(args.triple.split(","))
+        if triple not in spaces:
+            raise ValueError(f"--triple {args.triple!r} names no nonzero space of the bundle")
+        spaces = [triple]
+    return _print_matrices("pairing", ChiralData(bundle).pairing_matrix, spaces)
 
 
 def cmd_dual(args) -> int:
     bundle = load_bundle(args.bundle)
-    chiral = ChiralData(bundle)
-    for space in bundle.fusion.spaces():
-        mat = chiral.dual_basis(space)
-        print(f"dual coefficients {space}:")
-        for row in mat:
-            print("  [" + ", ".join(str(v) for v in row) + "]")
-    return 0
+    return _print_matrices("dual coefficients", ChiralData(bundle).dual_basis,
+                           bundle.fusion.spaces())
 
 
 def cmd_construct(args) -> int:
@@ -129,22 +124,14 @@ def cmd_verify(args) -> int:
 
 def cmd_lattice(args) -> int:
     from fullfield import lattice
-    from fullfield.solver import SolverError
 
     spec = lattice.LatticeSpec(args.k, args.truncate)
-    names = args.check.split(",") if args.check else list(LATTICE_CHECKS)
+    # each named check once, in the order given
+    names = list(dict.fromkeys(args.check.split(","))) if args.check else list(LATTICE_CHECKS)
     for name in names:
         if name not in LATTICE_CHECKS:
-            print(f"unknown lattice check {name!r}; known: {', '.join(LATTICE_CHECKS)}",
-                  file=sys.stderr)
-            return 2
-    try:
-        bundle = lattice.emit_bundle(spec, seed=args.seed)
-    except SolverError as exc:
-        # the solvers cannot complete the lattice ring's data (k = 3)
-        where = "" if exc.conflict is None else f" (conflict: {exc.conflict})"
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return 2
+            raise ValueError(f"unknown lattice check {name!r}; known: {', '.join(LATTICE_CHECKS)}")
+    bundle = lattice.emit_bundle(spec, seed=args.seed)
     if args.emit_bundle:
         save_bundle(bundle, args.emit_bundle)
         print(f"emitted bundle to {args.emit_bundle}")
@@ -257,8 +244,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
-    except (BundleError, FieldOrderError, UnknownSuiteError, FileNotFoundError,
-            ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

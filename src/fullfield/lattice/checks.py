@@ -364,18 +364,17 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
         wpair, wstate = states[(idx + 2) % len(states)]
         prods = {}
         its = {}
-        out_pair = None
-        for tt in (T - 2, T, T + 2):
+        # the product side is read at T and T + 2 only; sector pairs do not
+        # depend on the truncation, so each iterate meets the product's pair
+        for tt in (T, T + 2):
             xp, xm = ffa.apply(vpair, vstate,
                                *ffa.tensor_state_from_dict(wpair, wstate, tt), z2, tt)
-            prod_pair, prod = ffa.apply(pair, ustate, xp, xm, z1, tt)
+            out_pair, prods[tt] = ffa.apply(pair, ustate, xp, xm, z1, tt)
+        for tt in (T - 2, T, T + 2):
             ip, imat = ffa.apply(pair, ustate,
                                  *ffa.tensor_state_from_dict(vpair, vstate, tt), z1 - z2, tt)
-            it_pair, it = ffa.apply_first(ip, imat, wpair, wstate, z2, tt)
-            _require_same_pair(prod_pair, it_pair, f"associativity sample {idx} at T = {tt}")
-            out_pair = prod_pair
-            prods[tt] = prod
-            its[tt] = it
+            it_pair, its[tt] = ffa.apply_first(ip, imat, wpair, wstate, z2, tt)
+            _require_same_pair(out_pair, it_pair, f"associativity sample {idx} at T = {tt}")
         scale = max(np.abs(prods[T]).max(), np.abs(its[T]).max(), 1e-300)
         dp = np.abs(prods[T] - _restrict_grid(ffa, prods[T + 2], out_pair, T))
         di = np.abs(its[T] - _restrict_grid(ffa, its[T + 2], out_pair, T))

@@ -32,8 +32,10 @@ from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, _acc
 MIN_MATCHES = 3
 
 
-class OracleError(RuntimeError):
-    """A derived ratio was absent or unstable across matrix elements."""
+class OracleError(ValueError):
+    """An input error: a derived ratio was absent or unstable across matrix
+    elements, so the level or truncation lies outside what the oracle's fits
+    support."""
 
 
 def _stable_ratio(ratios: list[Fraction], what: str) -> Fraction:
@@ -72,8 +74,6 @@ class CanonicalGauge:
         for i in range(two_k):
             for j in range(two_k):
                 self.g.setdefault((i, j), Fraction(1))
-        if self.g[(0, 0)] != 1:
-            raise OracleError("vacuum gauge is not 1")
 
     def gauge(self, i: int, j: int) -> Fraction:
         return self.g[(i % self.model.two_k, j % self.model.two_k)]

@@ -59,12 +59,13 @@ from fullfield.cyclotomic import CycField, CycScalar
 from fullfield.fusion import FusionData, Space
 
 
-class SolverError(RuntimeError):
-    """A solver failure; ``conflict`` names the first contradicted equation
-    when the constraint system has no solution, else it is None."""
+class SolverError(ValueError):
+    """An input error: data the solvers cannot complete.  ``conflict`` names
+    the first contradicted equation when the constraint system has no
+    solution, and the message ends with it; else it is None."""
 
     def __init__(self, message: str, conflict: dict | None = None):
-        super().__init__(message)
+        super().__init__(message if conflict is None else f"{message} (conflict: {conflict})")
         self.conflict = conflict
 
 

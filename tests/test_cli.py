@@ -1,4 +1,5 @@
 import collections
+import errno
 import hashlib
 import json
 import os
@@ -124,6 +125,14 @@ class TestInspection:
                      "--triple", "sigma,sigma,eps"]) == 0
         assert "pairing" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("triple", ["nope,sigma,eps", "sigma,sigma,sigma", "sigma,sigma"])
+    def test_pairing_triple_must_name_a_nonzero_space(self, fixture_dir, triple, capsys):
+        assert main(["pairing", str(fixture_dir / "ising.json"), "--triple", triple]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --triple {triple!r} names no nonzero space "
+                                "of the bundle\n")
+        assert captured.out == ""
+
     def test_dual(self, fixture_dir, capsys):
         assert main(["dual", str(fixture_dir / "trivial.json")]) == 0
         assert "dual coefficients" in capsys.readouterr().out
@@ -222,15 +231,45 @@ class TestLattice:
     def test_unknown_check_is_usage_error(self):
         assert main(["lattice", "--k", "1", "--check", "bogus"]) == 2
 
+    def test_level_outside_the_oracle_envelope_is_usage_error(self, capsys):
+        # the oracle's four-point fits at the default truncation find too few
+        # matches at k = 5; an input error, not a violation
+        assert main(["lattice", "--k", "5", "--check", "grading"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "sectors (0,3,6)" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_repeated_check_runs_once(self, capsys):
+        assert main(["lattice", "--k", "1", "--truncate", "6", "--check", "grading,grading",
+                     "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [rep["suite"] for rep in obj["reports"]] == ["lattice-grading"]
+        assert obj["meta"]["checks"] == ["grading"]
+
     def test_unknown_check_names_every_check(self, capsys):
         names = "assoc, skew, grading, virasoro, residue, jacobi"
         assert main(["lattice", "--k", "1", "--check", "nope"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"unknown lattice check 'nope'; known: {names}\n"
+        assert captured.err == f"error: unknown lattice check 'nope'; known: {names}\n"
         assert captured.out == ""
         with pytest.raises(SystemExit):
             main(["lattice", "--help"])
         assert f"comma-separated ({names})" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "{dir}"], id="verify"),
+    pytest.param(["report", "{dir}"], id="report"),
+    pytest.param(["construct", "{dir}/z2k1.json", "-o", "{dir}"], id="construct"),
+    pytest.param(["verify", "{dir}/trivial.json", "--report", "{dir}"], id="verify-report"),
+])
+def test_directory_is_input_error(argv, fixture_dir, capsys):
+    # an OSError other than a missing file is an input error too, not a crash
+    assert main([a.format(dir=fixture_dir) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno {errno.EISDIR}] Is a directory: '{fixture_dir}'\n"
+    assert captured.out == ""
 
 
 def _outcome(argv, capsys):

@@ -94,6 +94,18 @@ def test_ffa_assoc_records_repeat_fusing(name):
     assert [replace(r, identity="fusing-delta") for r in assoc.records] == fusing.records
 
 
+@pytest.mark.parametrize("name", STRICT)
+def test_unit_records_repeat_dual_canonical(name):
+    # the unit suite reads the same dual bases as the "dual of the module
+    # map" records of the dual suite: index for index, status for status
+    reports = {r.suite: r for r in run_suites(load_fixture(name), ("dual", "unit"))}
+    dual, unit = reports["dual"], reports["unit"]
+    assert bool(dual.error) == bool(unit.error)
+    module_maps = [r for r in dual.records if r.message == "dual of the module map"]
+    assert [(r.index, r.status) for r in unit.records] == \
+        [(r.index, r.status) for r in module_maps]
+
+
 def test_run_suites_evaluates_fusing_delta_once(monkeypatch):
     calls = []
     real = ChiralData._dual_primed_block

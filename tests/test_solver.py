@@ -117,6 +117,7 @@ class TestSigmaSolver:
             solve_sigma(field, fusion, f)
         assert info.value.conflict["kind"] in SIGMA_KINDS
         assert info.value.conflict["space"] in fusion.spaces()
+        assert str(info.value).endswith(f" (conflict: {info.value.conflict})")
 
     @pytest.mark.parametrize("name", ["z2k1", "z4k2", "ising", "fibonacci"])
     def test_lattice_bundles_sigma_from_solver(self, name):
