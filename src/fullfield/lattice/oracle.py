@@ -192,7 +192,7 @@ def raw_f_ratio(model: LatticeModel, b1: int, b2: int, b3: int, T: int) -> Fract
             if got is not None:
                 ratios.append(got)
                 break
-    return _stable_ratio(ratios, f"fusing ratio for sectors ({b1},{b2},{b3})")
+    return _stable_ratio(ratios, f"fusing ratio for sectors ({b1},{b2},{b3}) at T = {T}")
 
 
 def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction | None:
@@ -311,13 +311,16 @@ def lattice_fusion(k: int) -> FusionData:
 def emit_bundle(spec: LatticeSpec, seed: int | None = None) -> Bundle:
     """The complete Z/2k chiral-data bundle in the canonical gauge.
 
-    The fusing tensor comes from the four-point oracle; the S3 action comes
-    from the constraint solver pinned to the canonical bases.
+    The fusing tensor comes from the four-point oracle, fitted at truncation
+    T = max(spec.truncation, 8): a lower truncation is raised to the floor
+    8, at which the shipped lattice fixtures are fitted, and a higher one is
+    used as given.  The S3 action comes from the constraint solver pinned to
+    the canonical bases.
     """
     from fullfield.solver import admissible_tuples, solve_sigma
 
     field = CycField(8 * spec.k)
-    T = max(min(spec.truncation, 10), 8)
+    T = max(spec.truncation, 8)
     gauge = CanonicalGauge(LatticeModel(spec.k))
     fusion = lattice_fusion(spec.k)
     f = {(key6, (0, 0, 0, 0)): field.rational(derive_f_entry(gauge, tuple(map(int, key6)), T))

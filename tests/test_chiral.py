@@ -2,14 +2,13 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
-from fullfield.bundles import Bundle, BundleError
+from fullfield.bundles import Bundle
 from fullfield.chiral import CheckRecord, ChiralData, fails
 from fullfield.cyclotomic import CycField
 from fullfield.fixtures import load_fixture
 from fullfield.fusion import FusionData
 from fullfield.linalg import identity, mat_mul, transpose
+from fullfield.suites import reports_to_obj, run_suites
 from tests.conftest import get_chiral
 
 
@@ -177,15 +176,20 @@ class TestPairing:
 
     def test_two_expressions_disagreement_rejected(self):
         # needs a space distinct from its primed partner, so the two fusing
-        # expressions see different adjoint matrices
+        # expressions see different adjoint matrices; the pairing-symmetry
+        # records compare the two, at the space and at its primed partner
         bundle = load_fixture("z4k2")
         space = ("1", "1", "2")
         mat = bundle.sigma23[space]
         bundle.sigma23 = dict(bundle.sigma23)
         bundle.sigma23[space] = [[3 * v for v in row] for row in mat]
-        chiral = ChiralData(bundle)
-        with pytest.raises(BundleError, match="disagree"):
-            chiral.pairing_matrix(space)
+        assert ChiralData(bundle).pairing_matrix(space)
+        reports = run_suites(bundle)
+        assert not any(r.error for r in reports)
+        pairing = next(r for r in reports if r.suite == "pairing")
+        assert [(r.identity, r.index) for r in fails(pairing.records)] == [
+            ("pairing-symmetry", ("1", "1", "2")), ("pairing-symmetry", ("3", "3", "2"))]
+        assert reports_to_obj(reports, {})["verdict"] == "fail"
 
     def test_zero_space_empty_matrix(self, ising):
         assert ising.pairing_matrix(("sigma", "sigma", "sigma")) == []

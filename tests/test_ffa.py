@@ -106,6 +106,41 @@ def test_unit_records_repeat_dual_canonical(name):
         [(r.index, r.status) for r in module_maps]
 
 
+@pytest.mark.parametrize("name", STRICT)
+def test_invariance_records_repeat_pairing_factor(name):
+    # with d = G^-1 an invariance record is the sigma23 pairing factor of its
+    # space: one decision feeds both suites wherever construct accepts
+    reports = {r.suite: r for r in run_suites(load_fixture(name), ("s3", "invariance"))}
+    s3, invariance = reports["s3"], reports["invariance"]
+    factors = [(r.index, r.status) for r in s3.records
+               if r.identity == "sigma23-pairing-factor"]
+    assert not s3.error and factors
+    if name == "mut_pairing":
+        # a singular pairing: construct refuses, the factor is still decided
+        assert invariance.error
+    else:
+        assert not invariance.error
+        assert [(r.index, r.status) for r in invariance.records] == factors
+
+
+def test_pairing_contracts_once_per_space(monkeypatch):
+    calls = []
+    real = ChiralData._pairing_via
+
+    def counting(chiral, key6, s23):
+        calls.append(key6)
+        return real(chiral, key6, s23)
+
+    monkeypatch.setattr(ChiralData, "_pairing_via", counting)
+    bundle = load_fixture("ising")
+    reports = run_suites(bundle)
+    assert all(r.verdict == "pass" for r in reports)
+    # one fusing expression per space; pairing-symmetry reads the other one
+    # as the primed space's pairing
+    assert sorted(calls) == sorted(bundle.fusion.pairing_keys(space)[0]
+                                   for space in bundle.fusion.spaces())
+
+
 def test_run_suites_evaluates_fusing_delta_once(monkeypatch):
     calls = []
     real = ChiralData._dual_primed_block
