@@ -16,8 +16,8 @@ the basis pairs whose charges sum to the key's, adds their numerators (as
 integers when the input coefficients are integers) and divides by D once.
 ``DiagonalFFA._column`` (:mod:`fullfield.lattice.checks`) compiles one input
 column of a vertex operator from them as floats.  The oracle's four-point
-fit ``_fit_f`` reads its inner series from them as integers, takes the outer
-entry through ``coefficient`` and divides only the fitted leads by D.
+fit ``_fit_f`` sums its inner series by level and length on the integers,
+reads the outer entry in closed form and divides only the fitted leads by D.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class LatticeModel:
         self._comp_cache: dict = {}
         self._tables: dict = {}
         self._denominators: dict = {}
+        self._profiles: dict = {}  # the oracle's inner length profiles
 
     # -- sectors and weights -------------------------------------------------
 

@@ -3,7 +3,8 @@
 Derives, exactly:
 
 * the fusing-tensor entry relating product and iterate expansions of abelian
-  four-point functions (``derive_f_entry``),
+  four-point functions (``derive_f_entry``): the Fock engine expands each
+  inner operator, and the outer one is read in closed form (``_fit_f``),
 * the canonical-basis gauge: module maps, their skew images on (a, e)
   spaces, and vacuum-channel bases normalized by the residue extraction
   identity (the z^-1 coefficient of the dressed two-point insertion equals
@@ -14,15 +15,13 @@ Derives, exactly:
 
 All comparisons are series-level with exact coefficients; a ratio is accepted
 only when it is stable across at least ``MIN_MATCHES`` independent entries
-(``_stable_ratio``).  Everything here is exact over Q: the gauge and the
-fusing-tensor entries are Fractions, and the cyclotomic field enters only in
-``emit_bundle``, which assembles the bundle.
+(``_stable_ratio``).  Everything here is exact over Q: the gauge and the F
+entries are Fractions, and only ``emit_bundle`` enters the cyclotomic field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField
@@ -198,52 +197,67 @@ def raw_f_ratio(model: LatticeModel, b1: int, b2: int, b3: int, T: int) -> Fract
 def _fit_f(model: LatticeModel, q1: int, q2: int, q3: int, T: int) -> Fraction | None:
     """Fitted product/iterate normalization ratio at lattice points q1, q2, q3.
 
-    Only the oscillator-free output ((), q1+q2+q3) is read, so each side
-    expands its inner operator in full up to T, as integer numerators over
-    its denominator D_in, and reads that output from the outer operator with
-    ``LatticeModel.coefficient`` cut at the ceiling of its weight: every
-    other output of charge q1+q2+q3 lies a whole number of levels above it.
-    Each grid is keyed by the inner level offset t.  Write C1 = q1 q3/2k,
-    C2 = q2 q3/2k and C3 = q1 q2/2k for the prefactor exponents.  On the
-    product side the inner state Y(v)w sits t levels above ((), q2+q3), and
-    since (q1+q2+q3)^2 - q1^2 - (q2+q3)^2 = 2 q1 (q2+q3), the exponents are
-    z1^(C1+C3-t) z2^(C2+t): the t-th term of (1 - z2/z1)^C3.  The iterate
-    side is the same with Y(u)v, x^(C3+t) z2^(C1+C2-t) and (1 + x/z2)^C1.
-    Both grids share the outer denominator, which ``_fit_pattern``
-    cross-multiplies away on integers, so only the fitted leads are divided
-    by their D_in.  None when a weight does not fit below T - 2, or
-    when an intermediate state ((), q1+q2) or ((), q2+q3) lies above T,
-    where its side's grid would be empty.
+    Only the oscillator-free output ((), q1+q2+q3) is read, and the outer
+    operator gives it in closed form on an inner state (nu, q) of level
+    t = |nu| and length l = l(nu).  Y(e^q1, z) gives eps(q1, q) (-q1)^l, as
+    ``_components_exp`` conjugates each annihilation mode by -q1.
+    Y((nu, q), z) on e^q3 gives eps(q, q3) prod_{n in nu} (-1)^(n-1) q3 =
+    eps(q, q3) (-1)^(t-l) q3^l, as only the alpha(0) term of
+    ``_components_dressed`` keeps the level.  So each grid is a polynomial in
+    one charge over the inner ``_length_profile``, over that side's D_in.
+    With C_ij = qi qj/2k, the product side's inner state Y(v)w sits t levels
+    above ((), q2+q3); since (q1+q2+q3)^2 - q1^2 - (q2+q3)^2 = 2 q1 (q2+q3),
+    the exponents are z1^(C13+C12-t) z2^(C23+t): the t-th term of
+    (1 - z2/z1)^C12.  The iterate side is the same with Y(u)v,
+    x^(C12+t) z2^(C13+C23-t) and (1 + x/z2)^C13.  None when a weight q^2/4k
+    does not fit below T - 2, or when ((), q1+q2) or ((), q2+q3) lies above
+    T, where its side's grid would be empty.
     """
-    two_k = model.two_k
-    out_key = ((), q1 + q2 + q3)
-    m_out = model.state_weight(out_key)
-    if max(model.state_weight(((), q)) for q in (q1, q2, q3, q1 + q2 + q3)) > T - 2:
+    bound = 4 * model.k
+    if (max(q * q for q in (q1, q2, q3, q1 + q2 + q3)) > bound * (T - 2)
+            or max((q1 + q2) ** 2, (q2 + q3) ** 2) > bound * T):
         return None
-    if max(model.state_weight(((), q1 + q2)), model.state_weight(((), q2 + q3))) > T:
-        return None
-    t_out = ceil(m_out)
-    # integer basis vectors keep the outer sums in integers
-    u, w = {((), q1): 1}, {((), q3): 1}
 
-    prod = {t: model.coefficient(u, vec, out_key, t_out)
-            for t, vec in model._components_basis((), q2, (), q3, T).items()}
-    cp = _fit_pattern(prod, gamma=Fraction(q1 * q2, two_k), alternating=True)
+    prod = {t: _exp_outer(model, q1, q2 + q3, lengths)
+            for t, lengths in _length_profile(model, q2, q3, T).items()}
+    cp = _fit_pattern(prod, gamma=Fraction(q1 * q2, model.two_k), alternating=True)
     if cp is None:
         raise OracleError(
             f"product grid does not match the prefactor pattern at q=({q1},{q2},{q3})")
 
-    iterate = {t: model.coefficient(vec, w, out_key, t_out)
-               for t, vec in model._components_basis((), q1, (), q2, T).items()}
-    ci = _fit_pattern(iterate, gamma=Fraction(q1 * q3, two_k), alternating=False)
+    iterate = {t: _dressed_outer(model, q1 + q2, q3, t, lengths)
+               for t, lengths in _length_profile(model, q1, q2, T).items()}
+    ci = _fit_pattern(iterate, gamma=Fraction(q1 * q3, model.two_k), alternating=False)
     if ci is None:
         raise OracleError(
             f"iterate grid does not match the prefactor pattern at q=({q1},{q2},{q3})")
-    return (cp / model._denominator(q2 + q3, T)[1]) / (ci / model._denominator(q1 + q2, T)[1])
+    return Fraction(cp * model._denominator(q1 + q2, T)[1], ci * model._denominator(q2 + q3, T)[1])
 
 
-def _fit_pattern(grid: dict[int, Fraction], gamma: Fraction,
-                 alternating: bool) -> Fraction | None:
+def _length_profile(model: LatticeModel, qa: int, qb: int, T: int) -> dict[int, dict[int, int]]:
+    """{t: {l: summed n}} over the level-t, length-l states of Y(e^qa) e^qb, memoised."""
+    hit = model._profiles.get((qa, qb, T))
+    if hit is None:
+        hit = model._profiles[(qa, qb, T)] = {}
+        for t, vec in model._components_basis((), qa, (), qb, T).items():
+            lengths = hit[t] = {}
+            for (parts, _q), n in vec.items():
+                lengths[len(parts)] = lengths.get(len(parts), 0) + n
+    return hit
+
+
+def _exp_outer(model: LatticeModel, q1: int, q: int, lengths: dict[int, int]) -> int:
+    """((), q1+q) of Y(e^q1, z) on the states (nu, q), lengths[l] of length l."""
+    return model.eps(q1, q) * sum(n * (-q1) ** ell for ell, n in lengths.items())
+
+
+def _dressed_outer(model: LatticeModel, q: int, q3: int, t: int, lengths: dict[int, int]) -> int:
+    """((), q+q3) of Y((nu, q), z) e^q3 on the states of level t, lengths[l] of length l."""
+    return model.eps(q, q3) * sum(n * (-1) ** (t - ell) * q3 ** ell for ell, n in lengths.items())
+
+
+def _fit_pattern(grid: dict[int, int | Fraction], gamma: Fraction,
+                 alternating: bool) -> int | Fraction | None:
     """The lead c of grid[t] == c * binom(gamma, t) * (-1 if alternating)^t.
 
     Every level t from 0 to the grid's top must match, a missing one reading

@@ -27,7 +27,7 @@ from fullfield.lattice import (
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
-from fullfield.lattice import checks
+from fullfield.lattice import checks, oracle
 from fullfield.lattice.checks import (SectorBasis, _commutator_holds, _laurent_slice,
                                       _paired_exponents_integral, seeded_states, zpow)
 from fullfield.lattice.model import _acc, _clean, _partitions, _z, vec_add, vec_scale
@@ -299,12 +299,49 @@ def _exp_components_by_every_pick(model, qu, nu, qv, top, den):
     return _clean(out)
 
 
+# keyed by (k, T).  Each digest pins what the oracle derives, not that the
+# F is right: at k = 6 (T = 12) the emitted bundle fails `fusing` and
+# `ffa-assoc`, and whether this F is the one to blame is still open
+# (ROADMAP item 16)
 F_TABLE_SHA256 = {
-    1: "cc265a86d09a1b6a9af38c47046e9e74c82f5028a5dbd24d3afe44077cd86879",
-    2: "bbaf107e981422740a214d6aad9707a57734786a02a1291898c83a72512de9a6",
-    3: "2bf82919e7d47405b2dc95042e65682dd56085aab563e5f51885d9467e05d8db",
-    4: "c8dcbb426ed30dbe2acbd5d00acef96de9e47bf321e134067fde5b66fb37f012",
+    (1, 8): "cc265a86d09a1b6a9af38c47046e9e74c82f5028a5dbd24d3afe44077cd86879",
+    (2, 8): "bbaf107e981422740a214d6aad9707a57734786a02a1291898c83a72512de9a6",
+    (3, 8): "2bf82919e7d47405b2dc95042e65682dd56085aab563e5f51885d9467e05d8db",
+    (4, 8): "c8dcbb426ed30dbe2acbd5d00acef96de9e47bf321e134067fde5b66fb37f012",
+    (6, 12): "921de2bd7af6934de2106ceaba29d689a84597bdfeedec38ef49de67e990b871",
 }
+
+
+def _fit_calls(k: int, T: int, monkeypatch) -> tuple[LatticeModel, set]:
+    """The model and the distinct (q1, q2, q3) at which ``raw_f_ratio`` reads
+    both grids, over every sector triple at level k."""
+    model, calls = LatticeModel(k), set()
+    fit = oracle._fit_f
+
+    def recording(m, q1, q2, q3, t):
+        got = fit(m, q1, q2, q3, t)
+        if got is not None:
+            calls.add((q1, q2, q3))
+        return got
+
+    monkeypatch.setattr(oracle, "_fit_f", recording)
+    for b in itertools.product(range(2 * k), repeat=3):
+        raw_f_ratio(model, *b, T)
+    return model, calls
+
+
+def _perturbed_inner(model: LatticeModel, qa: int, qb: int, monkeypatch) -> None:
+    """Double level 1 of the inner expansion Y(e^qa) e^qb on ``model``."""
+    basis = model._components_basis
+
+    def perturbed(mu, qu, nu, qv, T):
+        got = basis(mu, qu, nu, qv, T)
+        if (mu, qu, nu, qv) != ((), qa, (), qb):
+            return got
+        return {t: {key: 2 * n for key, n in vec.items()} if t == 1 else vec
+                for t, vec in got.items()}
+
+    monkeypatch.setattr(model, "_components_basis", perturbed)
 
 
 class TestOracle:
@@ -336,10 +373,11 @@ class TestOracle:
         assert g == {(i, j): Fraction(-1 if (i, j) in minus else 1)
                      for i in range(2 * k) for j in range(2 * k)}
 
-    @pytest.mark.parametrize("k", sorted(F_TABLE_SHA256))
-    def test_f_table_pinned(self, k):
-        # every channel-consistent entry at T = 8, k = 3 and 4 included,
-        # which no fixture holds
+    @pytest.mark.parametrize("k, T", sorted(F_TABLE_SHA256),
+                             ids=[str(k) for k, _ in sorted(F_TABLE_SHA256)])
+    def test_f_table_pinned(self, k, T):
+        # every channel-consistent entry, k = 3, 4 and 6 included, which no
+        # fixture holds
         gauge = CanonicalGauge(LatticeModel(k))
         n = 2 * k
         rows = []
@@ -347,9 +385,42 @@ class TestOracle:
             for b2 in range(n):
                 for b3 in range(n):
                     key = (b1, (b2 + b3) % n, (b1 + b2 + b3) % n, b2, b3, (b1 + b2) % n)
-                    rows.append((key, derive_f_entry(gauge, key, 8)))
+                    rows.append((key, derive_f_entry(gauge, key, T)))
         text = "\n".join(f"{key} {val}" for key, val in sorted(rows))
-        assert hashlib.sha256(text.encode()).hexdigest() == F_TABLE_SHA256[k]
+        assert hashlib.sha256(text.encode()).hexdigest() == F_TABLE_SHA256[(k, T)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_outer_closed_forms_are_the_coefficient(self, k, monkeypatch):
+        # on every inner state of every grid the fits read, the closed forms
+        # equal the outer operator's coefficient at the ceiling of the
+        # output weight, on the product side and on the iterate side
+        T = 8
+        model, calls = _fit_calls(k, T, monkeypatch)
+        assert calls
+        for q1, q2, q3 in sorted(calls):
+            out_key = ((), q1 + q2 + q3)
+            t_out = math.ceil(model.state_weight(out_key))
+            for vec in model._components_basis((), q2, (), q3, T).values():
+                for parts, q in vec:
+                    want = model.coefficient({((), q1): 1}, {(parts, q): 1}, out_key, t_out)
+                    assert oracle._exp_outer(model, q1, q, {len(parts): 1}) == want, \
+                        (q1, parts, q)
+            for vec in model._components_basis((), q1, (), q2, T).values():
+                for parts, q in vec:
+                    want = model.coefficient({(parts, q): 1}, {((), q3): 1}, out_key, t_out)
+                    got = oracle._dressed_outer(model, q, q3, sum(parts), {len(parts): 1})
+                    assert got == want, (parts, q, q3)
+
+    @pytest.mark.parametrize("side, inner", [("product", (1, -1)), ("iterate", (1, 1))])
+    def test_grid_off_the_pattern_is_located(self, side, inner, monkeypatch):
+        # q = (1, 1, -1) at k = 1: the product side expands Y(e^1) e^-1 and
+        # the iterate side Y(e^1) e^1, and both prefactor exponents are
+        # nonzero, so doubling level 1 of either breaks its binomial pattern
+        model = LatticeModel(1)
+        _perturbed_inner(model, *inner, monkeypatch)
+        with pytest.raises(OracleError, match=rf"^{side} grid does not match the "
+                           r"prefactor pattern at q=\(1,1,-1\)$"):
+            oracle._fit_f(model, 1, 1, -1, 8)
 
     def test_fit_pattern_can_fail(self):
         # exact binomial grids fit, for fractional and integer gamma (whose
