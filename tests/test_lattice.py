@@ -312,38 +312,6 @@ F_TABLE_SHA256 = {
 }
 
 
-def _fit_calls(k: int, T: int, monkeypatch) -> tuple[LatticeModel, set]:
-    """The model and the distinct (q1, q2, q3) at which ``raw_f_ratio`` reads
-    both grids, over every sector triple at level k."""
-    model, calls = LatticeModel(k), set()
-    fit = oracle._fit_f
-
-    def recording(m, q1, q2, q3, t):
-        got = fit(m, q1, q2, q3, t)
-        if got is not None:
-            calls.add((q1, q2, q3))
-        return got
-
-    monkeypatch.setattr(oracle, "_fit_f", recording)
-    for b in itertools.product(range(2 * k), repeat=3):
-        raw_f_ratio(model, *b, T)
-    return model, calls
-
-
-def _perturbed_inner(model: LatticeModel, qa: int, qb: int, monkeypatch) -> None:
-    """Double level 1 of the inner expansion Y(e^qa) e^qb on ``model``."""
-    basis = model._components_basis
-
-    def perturbed(mu, qu, nu, qv, T):
-        got = basis(mu, qu, nu, qv, T)
-        if (mu, qu, nu, qv) != ((), qa, (), qb):
-            return got
-        return {t: {key: 2 * n for key, n in vec.items()} if t == 1 else vec
-                for t, vec in got.items()}
-
-    monkeypatch.setattr(model, "_components_basis", perturbed)
-
-
 class TestOracle:
     def test_vacuum_labels_give_one(self):
         assert derive_f_entry(CanonicalGauge(M1), (0, 0, 0, 0, 0, 0), 8) == 1
@@ -395,7 +363,18 @@ class TestOracle:
         # equal the outer operator's coefficient at the ceiling of the
         # output weight, on the product side and on the iterate side
         T = 8
-        model, calls = _fit_calls(k, T, monkeypatch)
+        model, calls = LatticeModel(k), set()
+        fit = oracle._fit_f
+
+        def recording(m, q1, q2, q3, t):
+            got = fit(m, q1, q2, q3, t)
+            if got is not None:
+                calls.add((q1, q2, q3))
+            return got
+
+        monkeypatch.setattr(oracle, "_fit_f", recording)
+        for b in itertools.product(range(2 * k), repeat=3):
+            raw_f_ratio(model, *b, T)
         assert calls
         for q1, q2, q3 in sorted(calls):
             out_key = ((), q1 + q2 + q3)
@@ -417,7 +396,16 @@ class TestOracle:
         # the iterate side Y(e^1) e^1, and both prefactor exponents are
         # nonzero, so doubling level 1 of either breaks its binomial pattern
         model = LatticeModel(1)
-        _perturbed_inner(model, *inner, monkeypatch)
+        basis = model._components_basis
+
+        def perturbed(mu, qu, nu, qv, T):
+            got = basis(mu, qu, nu, qv, T)
+            if (mu, qu, nu, qv) != ((), inner[0], (), inner[1]):
+                return got
+            return {t: {key: 2 * n for key, n in vec.items()} if t == 1 else vec
+                    for t, vec in got.items()}
+
+        monkeypatch.setattr(model, "_components_basis", perturbed)
         with pytest.raises(OracleError, match=rf"^{side} grid does not match the "
                            r"prefactor pattern at q=\(1,1,-1\)$"):
             oracle._fit_f(model, 1, 1, -1, 8)
