@@ -48,11 +48,6 @@ class CheckRecord:
     residual: float | None = None
     message: str = ""
 
-    def __str__(self) -> str:
-        res = "" if self.residual is None else f" residual={self.residual:.3e}"
-        msg = f" {self.message}" if self.message else ""
-        return f"{self.status.upper():4s} {self.identity} {self.index}{res}{msg}"
-
 
 def fails(records: list[CheckRecord]) -> list[CheckRecord]:
     return [r for r in records if r.status == "fail"]

@@ -8,8 +8,8 @@ consulted.  ``main`` builds the parser of the dispatched command of
 ``COMMANDS`` alone, and the full tree only when the first argument names no
 command, so each message is the full tree's.  The suites come from
 ``suites.SUITES`` and the lattice checks from ``LATTICE_CHECKS``;
-``cmd_lattice`` imports ``fullfield.lattice`` itself, so that the exact
-commands never load numpy.
+``cmd_lattice`` alone imports ``fullfield.lattice.checks``, the one module
+that loads numpy.  ``report_text`` writes every text report.
 """
 
 from __future__ import annotations
@@ -20,34 +20,54 @@ import sys
 
 from fullfield.bundles import canonical_bytes, load_bundle, save_bundle
 from fullfield.chiral import ChiralData
-from fullfield.suites import (
-    DEFAULT_SUITES,
-    REPORT_FORMAT,
-    Report,
-    reports_to_obj,
-    reports_to_text,
-    run_suites,
-)
+from fullfield.suites import DEFAULT_SUITES, REPORT_FORMAT, Report, reports_to_obj, run_suites
 
 # lattice check name -> (report identity header, runner); a runner takes the
-# ``fullfield.lattice`` package, the DiagonalFFA and the parsed flags
+# ``fullfield.lattice.checks`` module, the DiagonalFFA and the parsed flags
 LATTICE_CHECKS = {
     "assoc": ("product/iterate agreement in the ordered region",
-              lambda lat, ffa, a: lat.check_associativity(ffa, samples=a.samples, tol=a.tol,
+              lambda chk, ffa, a: chk.check_associativity(ffa, samples=a.samples, tol=a.tol,
                                                           seed=a.seed)),
     "skew": ("two-variable skew symmetry",
-             lambda lat, ffa, a: lat.check_skew_symmetry(ffa, samples=a.samples, tol=a.tol,
+             lambda chk, ffa, a: chk.check_skew_symmetry(ffa, samples=a.samples, tol=a.tol,
                                                          seed=a.seed + 1)),
     "grading": ("identity, creation, grading and derivative bookkeeping",
-                lambda lat, ffa, a: lat.check_grading_axioms(ffa)),
+                lambda chk, ffa, a: chk.check_grading_axioms(ffa)),
     "virasoro": ("Virasoro brackets at central charge 1",
-                 lambda lat, ffa, a: lat.check_virasoro(ffa)),
+                 lambda chk, ffa, a: chk.check_virasoro(ffa)),
     "residue": ("vacuum-channel residue extraction",
-                lambda lat, ffa, a: lat.check_residue_lemma(ffa)),
+                lambda chk, ffa, a: chk.check_residue_lemma(ffa)),
     "jacobi": ("contour residue identity",
-               lambda lat, ffa, a: lat.check_jacobi_residues(ffa, tol=max(a.tol, 1e-5),
+               lambda chk, ffa, a: chk.check_jacobi_residues(ffa, tol=max(a.tol, 1e-5),
                                                              seed=a.seed + 2)),
 }
+
+# the most records the text lists per suite; the JSON report holds every one
+TEXT_RECORDS = 200
+
+
+def report_text(obj: dict, verbose: bool = False) -> str:
+    """A report object as text: each suite's verdict, error, failing records
+    (every record if ``verbose``) and pass count, then the overall verdict."""
+    lines = []
+    for rep in obj["reports"]:
+        lines.append(f"suite {rep['suite']} [{rep['identity']}]: {rep['verdict'].upper()}")
+        if rep["error"]:
+            lines.append(f"  error: {rep['error']}")
+        records = rep["records"]
+        shown = records if verbose else [r for r in records if r["status"] == "fail"]
+        for r in shown[:TEXT_RECORDS]:
+            res = "" if r["residual"] is None else f" residual={float(r['residual']):.3e}"
+            msg = f" {r['message']}" if r["message"] else ""
+            lines.append(f"  {r['status'].upper():4s} {r['identity']} {tuple(r['index'])}"
+                         f"{res}{msg}")
+        if len(shown) > TEXT_RECORDS:
+            lines.append(f"  ... {len(shown) - TEXT_RECORDS} more records left out; "
+                         "--format json holds them all")
+        passed = sum(r["status"] == "pass" for r in records)
+        lines.append(f"  {passed}/{len(records)} checks passed")
+    lines.append(f"overall: {obj['verdict'].upper()}")
+    return "\n".join(lines)
 
 
 def _emit(reports, args, meta):
@@ -61,7 +81,7 @@ def _emit(reports, args, meta):
     if json_out:
         sys.stdout.write(data.decode("utf-8"))
     else:
-        print(reports_to_text(reports, verbose=getattr(args, "verbose", False)))
+        print(report_text(obj, verbose=getattr(args, "verbose", False)))
     return 0 if obj["verdict"] == "pass" else 1
 
 
@@ -123,24 +143,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    from fullfield import lattice
+    from fullfield.lattice import LatticeSpec, checks, emit_bundle
 
-    spec = lattice.LatticeSpec(args.k, args.truncate)
+    spec = LatticeSpec(args.k, args.truncate)
     # each named check once, in the order given
     names = list(dict.fromkeys(args.check.split(","))) if args.check else list(LATTICE_CHECKS)
     for name in names:
         if name not in LATTICE_CHECKS:
             raise ValueError(f"unknown lattice check {name!r}; known: {', '.join(LATTICE_CHECKS)}")
-    bundle = lattice.emit_bundle(spec, seed=args.seed)
+    checks._require_tol(args.tol)
+    bundle = emit_bundle(spec, seed=args.seed)
     if args.emit_bundle:
         save_bundle(bundle, args.emit_bundle)
         print(f"emitted bundle to {args.emit_bundle}")
-    ffa = lattice.DiagonalFFA(spec, bundle=bundle)
+    ffa = checks.DiagonalFFA(spec, bundle=bundle)
     reports = []
     for name in names:
         header, runner = LATTICE_CHECKS[name]
         rep = Report(suite=f"lattice-{name}", identity=header)
-        rep.records = runner(lattice, ffa, args)
+        rep.records = runner(checks, ffa, args)
         reports.append(rep)
     meta = {"k": args.k, "truncate": args.truncate, "samples": args.samples,
             "seed": args.seed, "tol": args.tol, "checks": names}
@@ -148,7 +169,7 @@ def cmd_lattice(args) -> int:
 
 
 def _check_report(obj) -> None:
-    """Raise ValueError naming the first field ``report`` cannot read."""
+    """Raise ValueError naming the first field ``report_text`` cannot read."""
     def need(ok, where, what):
         if not ok:
             raise ValueError(f"not a report: {where} {what}")
@@ -160,17 +181,23 @@ def _check_report(obj) -> None:
     for i, rep in enumerate(obj["reports"]):
         where = f"reports[{i}]"
         need(isinstance(rep, dict), where, "must be an object")
-        for key in ("suite", "identity", "verdict"):
+        for key in ("suite", "identity", "verdict", "error"):
             need(isinstance(rep.get(key), str), f"{where}.{key}", "must be a string")
-        need(isinstance(rep.get("records", []), list), f"{where}.records", "must be a list")
-        for j, rec in enumerate(rep.get("records", [])):
+        need(isinstance(rep.get("records"), list), f"{where}.records", "must be a list")
+        for j, rec in enumerate(rep["records"]):
+            at = f"{where}.records[{j}]"
             need(isinstance(rec, dict) and isinstance(rec.get("status"), str),
-                 f"{where}.records[{j}].status", "must be a string")
+                 f"{at}.status", "must be a string")
             if rec["status"] == "fail":
                 for key, kind, what in (("identity", str, "a string"), ("index", list, "a list"),
                                         ("message", str, "a string")):
-                    need(isinstance(rec.get(key), kind), f"{where}.records[{j}].{key}",
-                         f"must be {what}")
+                    need(isinstance(rec.get(key), kind), f"{at}.{key}", f"must be {what}")
+                res = rec.get("residual", "")  # null, or a string float() reads
+                try:
+                    ok = res is None or type(res) is str and float(res) is not None
+                except ValueError:
+                    ok = False
+                need(ok, f"{at}.residual", "must be null or a number string")
 
 
 def cmd_report(args) -> int:
@@ -180,12 +207,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_bytes(obj).decode("utf-8"))
     else:
-        for rep in obj["reports"]:
-            print(f"suite {rep['suite']} [{rep['identity']}]: {rep['verdict'].upper()}")
-            for rec in rep.get("records", []):
-                if rec["status"] == "fail":
-                    print(f"  FAIL {rec['identity']} {tuple(rec['index'])} {rec['message']}")
-        print(f"overall: {obj['verdict'].upper()}")
+        print(report_text(obj))
     return 0 if obj["verdict"] == "pass" else 1
 
 

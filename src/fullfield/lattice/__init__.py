@@ -7,9 +7,11 @@ of intertwining operators as integer numerators over one denominator per
 charge and cutoff (read back as Fractions by ``components``); the oracle
 (:mod:`fullfield.lattice.oracle`) derives fusing-tensor entries and normalizes
 the canonical bases exactly over Q, and emits a self-consistent data bundle
-(the cyclotomic field enters only there, in ``emit_bundle``); the checks
-(:mod:`fullfield.lattice.checks`) drive the diagonal algebra built on top of
-it, exactly where decidable and numerically at sample points otherwise.
+(the cyclotomic field enters only there, in ``emit_bundle``).  The package
+exports these exact names alone.  The checks (:mod:`fullfield.lattice.checks`,
+imported by that path, the one module that loads numpy) drive the diagonal
+algebra built on top of it, exactly where decidable and numerically at
+sample points otherwise.
 """
 
 from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec
@@ -21,29 +23,13 @@ from fullfield.lattice.oracle import (
     lattice_fusion,
     raw_f_ratio,
 )
-from fullfield.lattice.checks import (
-    DiagonalFFA,
-    check_associativity,
-    check_grading_axioms,
-    check_jacobi_residues,
-    check_residue_lemma,
-    check_skew_symmetry,
-    check_virasoro,
-)
 
 __all__ = [
     "CanonicalGauge",
-    "DiagonalFFA",
     "FockVector",
     "LatticeModel",
     "LatticeSpec",
     "OracleError",
-    "check_associativity",
-    "check_grading_axioms",
-    "check_jacobi_residues",
-    "check_residue_lemma",
-    "check_skew_symmetry",
-    "check_virasoro",
     "derive_f_entry",
     "emit_bundle",
     "lattice_fusion",

@@ -326,6 +326,13 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
 
 
+def _require_tol(tol: float) -> None:
+    """A tol of 1 or more passes every contour record, whose defect lies in
+    [0, 1], and inf every sampled one; nan, 0 or less fails a correct model."""
+    if not 0 < tol < 1:
+        raise ValueError(f"a numeric check needs a finite tol with 0 < tol < 1, got {tol}")
+
+
 def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                         seed: int = 1) -> list[CheckRecord]:
     """Product equals iterate inside the ordered region.
@@ -344,6 +351,7 @@ def check_associativity(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
       and 4, k = 2 at 3) has no ratio to read and is a ``ValueError``.
     """
     _require_samples(samples)
+    _require_tol(tol)
     T = ffa.spec.truncation
     if T < 3:
         raise ValueError(f"associativity evaluates at truncation T - 2 and needs "
@@ -398,6 +406,7 @@ def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
                         seed: int = 2) -> list[CheckRecord]:
     """Y(u; z)v = exp(z D^L + zbar D^R) Y(v; -z)u on every component."""
     _require_samples(samples)
+    _require_tol(tol)
     T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
@@ -664,6 +673,7 @@ def check_jacobi_residues(ffa: DiagonalFFA, tol: float = 1e-5,
     The coefficients are read from one output entry (il, ir) of each
     ordering; see ``_jacobi_series``.
     """
+    _require_tol(tol)
     T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []

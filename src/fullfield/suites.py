@@ -5,7 +5,8 @@ declared prerequisites, executes in dependency order, and assembles
 deterministic reports.  Their JSON rendering is ``bundles.canonical_bytes``:
 sorted keys, one-space indent, ASCII escapes and a trailing newline, the
 bytes ``json.dumps(obj, sort_keys=True, indent=1)`` gives plus that newline.
-It is byte-stable for a fixed bundle, seed and flag set.
+It is byte-stable for a fixed bundle, seed and flag set.  The text form,
+``cli.report_text``, is read from that JSON object.
 """
 
 from __future__ import annotations
@@ -50,17 +51,6 @@ class Report:
                 for r in self.records
             ],
         }
-
-    def to_text(self, verbose: bool = False) -> str:
-        lines = [f"suite {self.suite} [{self.identity}]: {self.verdict.upper()}"]
-        if self.error:
-            lines.append(f"  error: {self.error}")
-        shown = self.records if verbose else [r for r in self.records if r.status == "fail"]
-        for r in shown[:200]:
-            lines.append("  " + str(r))
-        passed = sum(1 for r in self.records if r.status == "pass")
-        lines.append(f"  {passed}/{len(self.records)} checks passed")
-        return "\n".join(lines)
 
 
 def _records_from_violations(violations: list[Violation]) -> list[CheckRecord]:
@@ -196,9 +186,3 @@ def reports_to_obj(reports: list[Report], meta: dict) -> dict:
         "verdict": "pass" if all(r.verdict == "pass" for r in reports) else "fail",
         "reports": [r.to_obj() for r in reports],
     }
-
-
-def reports_to_text(reports: list[Report], verbose: bool = False) -> str:
-    body = "\n".join(r.to_text(verbose=verbose) for r in reports)
-    verdict = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
-    return f"{body}\noverall: {verdict.upper()}"

@@ -13,17 +13,15 @@ import pytest
 from fullfield import ffa as ffa_mod
 from fullfield.chiral import ChiralData, fails
 from fullfield.fixtures import MUTATION_TARGETS, MUTATIONS, REGULAR, load_fixture
-from fullfield.lattice import (
+from fullfield.lattice import LatticeSpec
+from fullfield.lattice.checks import (
     DiagonalFFA,
-    LatticeModel,
-    LatticeSpec,
     check_associativity,
     check_grading_axioms,
     check_jacobi_residues,
     check_residue_lemma,
     check_skew_symmetry,
     check_virasoro,
-    emit_bundle,
 )
 from fullfield.suites import run_suites
 from tests.conftest import get_bundle, get_chiral

@@ -12,8 +12,11 @@ import sys
 import pytest
 
 from fullfield import cli
+from fullfield.bundles import canonical_bytes
+from fullfield.chiral import CheckRecord
 from fullfield.cli import main
 from fullfield.fixtures import fixture_bytes
+from fullfield.suites import Report, reports_to_obj
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the benchmark's references for the exact layer and one lattice seed,
@@ -32,7 +35,7 @@ LATTICE_POOL_SHA256 = {
 
 @pytest.fixture()
 def fixture_dir(tmp_path):
-    for name in ("trivial", "z2k1", "ising", "mut_fusing", "mut_validate"):
+    for name in ("trivial", "z2k1", "ising", "mut_fusing", "mut_pairing", "mut_validate"):
         (tmp_path / f"{name}.json").write_bytes(fixture_bytes(name))
     return tmp_path
 
@@ -210,6 +213,20 @@ class TestLattice:
                                        "iterate is exactly 0")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("check, tol", [
+        *(("skew,jacobi", tol) for tol in ("inf", "-inf", "nan", "0", "-1", "1")),
+        ("grading", "inf"),
+    ])
+    def test_tol_outside_the_open_unit_interval_is_usage_error(self, check, tol, capsys):
+        # inf and 1 pass every numeric record, while nan, 0 and -1 fail the
+        # correct model; every check list refuses them, before any work
+        assert main(["lattice", "--k", "1", "--truncate", "6", "--check", check,
+                     f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a numeric check needs a finite tol with 0 < tol < 1, "
+                                f"got {float(tol)}\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_no_samples_is_usage_error(self, samples, capsys):
         # no sample means no record, which used to read "0/0 checks passed"
@@ -336,6 +353,26 @@ def test_import_loads_neither_numpy_nor_the_lattice_package():
     assert out == "[]\n"
 
 
+def test_the_oracle_and_the_fixture_script_leave_numpy_unloaded():
+    # the lattice package exports its exact half alone; only the numeric
+    # checks in fullfield.lattice.checks load numpy
+    script = ROOT / "scripts" / "make_fixtures.py"
+    steps = [
+        "import fullfield.lattice",
+        "from fullfield.lattice import LatticeSpec, emit_bundle; emit_bundle(LatticeSpec(1, 8))",
+        "emit_bundle(LatticeSpec(2, 8))",
+        "from fullfield.lattice import lattice_fusion; import fullfield.solver as solver; "
+        "solver.solve_pentagon(lattice_fusion(2), 16)",
+        "import importlib.util; spec = importlib.util.spec_from_file_location('make_fixtures', "
+        f"{str(script)!r}); spec.loader.exec_module(importlib.util.module_from_spec(spec))",
+    ]
+    code = "import sys\n" + "".join(f"{step}\nprint('numpy' in sys.modules)\n" for step in steps)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n" * len(steps)
+
+
 class TestReportCommand:
     def test_roundtrip(self, fixture_dir, tmp_path, capsys):
         path = tmp_path / "rep.json"
@@ -360,6 +397,32 @@ class TestReportCommand:
         main(["report", str(path), "--format", "json"])
         assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
+    @pytest.mark.parametrize("argv, shown", [
+        pytest.param(["verify", "{dir}/mut_pairing.json"], "  error: pairing(", id="verify"),
+        pytest.param(["lattice", "--k", "1", "--truncate", "6", "--seed", "17",
+                      "--check", "jacobi,grading"], " residual=", id="lattice-k1"),
+    ])
+    def test_text_is_the_text_the_command_printed(self, argv, shown, fixture_dir, tmp_path,
+                                                  capsys):
+        # errors, residuals and pass counts included
+        path = tmp_path / "rep.json"
+        assert main([a.format(dir=fixture_dir) for a in argv] + ["--report", str(path)]) == 1
+        printed = capsys.readouterr().out
+        assert shown in printed and "checks passed" in printed
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().out == printed
+
+    def test_text_counts_the_records_it_leaves_out(self, tmp_path, capsys):
+        rep = Report(suite="many", identity="more failing records than the text lists",
+                     records=[CheckRecord("x", (i,), "fail") for i in range(203)])
+        path = tmp_path / "rep.json"
+        path.write_bytes(canonical_bytes(reports_to_obj([rep], meta={})))
+        assert main(["report", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [*(f"  FAIL x ({i},)" for i in range(200)),
+                             "  ... 3 more records left out; --format json holds them all",
+                             "  0/203 checks passed", "overall: FAIL"]
+
     @pytest.mark.parametrize("edit, where", [
         pytest.param(lambda o: [1], "format", id="list"),
         pytest.param(lambda o: {"reports": 3}, "format", id="no-format"),
@@ -369,6 +432,13 @@ class TestReportCommand:
                      id="no-identity"),
         pytest.param(lambda o: o["reports"][1]["records"][0].pop("status") and o,
                      "reports[1].records[0].status", id="no-status"),
+        pytest.param(lambda o: o["reports"][2].update(error=None) or o, "reports[2].error",
+                     id="error-not-string"),
+        pytest.param(lambda o: o["reports"][1].pop("records") and o, "reports[1].records",
+                     id="no-records"),
+        *(pytest.param(lambda o, res=res: o["reports"][1]["records"][0].update(
+            status="fail", residual=res) or o, "reports[1].records[0].residual",
+            id=f"residual-{res}") for res in ("x", 0.5, [])),
         pytest.param(lambda o: json.loads(fixture_bytes("trivial")), "format", id="bundle"),
     ])
     @pytest.mark.parametrize("fmt", ["text", "json"])

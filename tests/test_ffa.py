@@ -354,11 +354,11 @@ class TestBasisIndependence:
     @pytest.mark.parametrize("name", ["ising", "fibonacci", "z4k2"])
     def test_randomized_basis_change(self, name):
         # the canonical element is basis independent: transporting the bundle
-        # by an invertible change on non-canonical spaces transports the
-        # structure tensor by the same change and keeps every suite green
+        # by an invertible change on non-canonical spaces transports the dual
+        # bases by the same change (test_covariance.py checks that every
+        # suite outcome stays the same)
         bundle = load_fixture(name)
         chiral = ChiralData(bundle)
-        ffa_mod.construct(chiral)
         rng = random.Random(20260808)
         changes = {}
         for space in bundle.fusion.spaces():
@@ -369,12 +369,7 @@ class TestBasisIndependence:
                                                    rng.choice((1, 2))))
             changes[space] = [[scale if i == j else bundle.field.zero()
                                for j in range(dim)] for i in range(dim)]
-        moved = ffa_mod.transport_bundle(bundle, changes)
-        chiral2 = ChiralData(moved)
-        ffa_mod.construct(chiral2)
-        assert not fails(ffa_mod.verify_associativity_structure(chiral2))
-        assert not fails(ffa_mod.verify_skew_symmetry_structure(chiral2))
-        assert not fails(ffa_mod.verify_invariance_structure(chiral2))
+        chiral2 = ChiralData(ffa_mod.transport_bundle(bundle, changes))
         # the canonical element transports covariantly: D' = B^-1-weighted D
         for space, b in changes.items():
             d_old = chiral.dual_basis(space)

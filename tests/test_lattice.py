@@ -11,16 +11,9 @@ from fullfield.bundles import bundle_to_obj, canonical_bytes
 from fullfield.chiral import ChiralData, fails
 from fullfield.lattice import (
     CanonicalGauge,
-    DiagonalFFA,
     LatticeModel,
     LatticeSpec,
     OracleError,
-    check_associativity,
-    check_grading_axioms,
-    check_jacobi_residues,
-    check_residue_lemma,
-    check_skew_symmetry,
-    check_virasoro,
     derive_f_entry,
     emit_bundle,
     lattice_fusion,
@@ -28,8 +21,21 @@ from fullfield.lattice import (
 )
 from fullfield.fixtures import fixture_bytes
 from fullfield.lattice import checks, oracle
-from fullfield.lattice.checks import (SectorBasis, _commutator_holds, _laurent_slice,
-                                      _paired_exponents_integral, seeded_states, zpow)
+from fullfield.lattice.checks import (
+    DiagonalFFA,
+    SectorBasis,
+    _commutator_holds,
+    _laurent_slice,
+    _paired_exponents_integral,
+    check_associativity,
+    check_grading_axioms,
+    check_jacobi_residues,
+    check_residue_lemma,
+    check_skew_symmetry,
+    check_virasoro,
+    seeded_states,
+    zpow,
+)
 from fullfield.lattice.model import _acc, _clean, _partitions, _z, vec_add, vec_scale
 from fullfield.lattice.oracle import _fit_pattern, residue_extraction
 from fullfield.solver import SolverError
@@ -583,6 +589,15 @@ class TestExactChecks:
         recs = check_jacobi_residues(z2_ffa(6), seed=seed)
         assert len(recs) == 12 and all(r.status == "fail" for r in recs)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0, 1.0])
+    def test_numeric_checks_refuse_a_tol_that_cannot_decide(self, tol):
+        # at tol >= 1 no contour record can fail; at nan or tol <= 0 a
+        # correct model fails
+        ffa = z2_ffa(6)
+        for check in (check_associativity, check_skew_symmetry, check_jacobi_residues):
+            with pytest.raises(ValueError, match=r"finite tol with 0 < tol < 1"):
+                check(ffa, tol=tol)
+
     def test_jacobi_vacuous_record_fails(self, monkeypatch):
         # at T = 1 the f = 1 sums have no term; such a record proves nothing
         recs = check_jacobi_residues(z2_ffa(1), seed=3)
@@ -591,7 +606,7 @@ class TestExactChecks:
         assert all(r.status == "fail" and r.residual == 1.0 for r in vacuous)
         # with no series at all every record is vacuous, whatever the tolerance
         monkeypatch.setattr(checks, "_jacobi_series", lambda *args: ({}, {}, {}))
-        recs = check_jacobi_residues(z2_ffa(6), tol=1.0, seed=3)
+        recs = check_jacobi_residues(z2_ffa(6), tol=0.999, seed=3)
         assert all(r.status == "fail" and r.residual == 1.0 and "vacuous" in r.message
                    for r in recs)
 
