@@ -429,9 +429,24 @@ def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
     return out
 
 
+def _require_two_levels(ffa: DiagonalFFA, check: str) -> None:
+    """The component engine and ``exp_virasoro`` drop what lies above the
+    truncation, so a check that reads states two levels above each lowest
+    weight h_a needs T >= max_a h_a + 2 = k/4 + 2; below it the correct
+    model fails."""
+    need = math.ceil(ffa.model.sector_weight(ffa.model.k)) + 2
+    if ffa.spec.truncation < need:
+        raise ValueError(f"{check} reads states two levels above each sector's lowest weight "
+                         f"and needs truncation >= {need} at k = {ffa.model.k}, "
+                         f"got {ffa.spec.truncation}")
+
+
 def check_grading_axioms(ffa: DiagonalFFA) -> list[CheckRecord]:
     """Identity/creation, exponent bookkeeping, derivative properties and
-    single-valuedness, all exact on the graded components."""
+    single-valuedness, all exact on the graded components.  The creation
+    property reads alpha(-2) e^q, two levels above h_a, so this needs
+    T >= max_a h_a + 2 (``_require_two_levels``)."""
+    _require_two_levels(ffa, "the grading check")
     T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
@@ -618,8 +633,13 @@ def _commutator_holds(model: LatticeModel, m: int, u: FockVector, v: FockVector,
 
 
 def check_residue_lemma(ffa: DiagonalFFA) -> list[CheckRecord]:
-    """The z^-1 extraction of the dressed vacuum-channel insertion equals the
-    contragredient pairing, exactly, on states beyond the normalizing set."""
+    """The z^-1 extraction of the dressed vacuum-channel insertion, times the
+    (a', a) gauge, equals the contragredient pairing, exactly, on four state
+    pairs per sector a; at a != 0 each nonzero pairing tests the gauge's
+    closed form against the Fock space.  Dressing "dressed-mixed" by exp(-L(1))
+    reads states two levels above h_a, so this needs T >= max_a h_a + 2
+    (``_require_two_levels``)."""
+    _require_two_levels(ffa, "the residue check")
     T = ffa.spec.truncation
     model = ffa.model
     gauge = ffa.gauge

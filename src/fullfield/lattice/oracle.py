@@ -5,18 +5,19 @@ Derives, exactly:
 * the fusing-tensor entry relating product and iterate expansions of abelian
   four-point functions (``derive_f_entry``): the Fock engine expands each
   inner operator, and the outer one is read in closed form (``_fit_f``),
-* the canonical-basis gauge: module maps, their skew images on (a, e)
-  spaces, and vacuum-channel bases normalized by the residue extraction
-  identity (the z^-1 coefficient of the dressed two-point insertion equals
-  the contragredient pairing),
+* the canonical-basis gauge in closed form (``CanonicalGauge``): module
+  maps, their skew images on (a, e) spaces, and vacuum-channel bases
+  normalized by the residue extraction identity (the z^-1 coefficient of the
+  dressed two-point insertion equals the contragredient pairing),
 * a complete self-consistent Z/2k data bundle (``emit_bundle``), whose
   S3-action matrices are produced by the constraint solver seeded with the
   derived fusing tensor.
 
-All comparisons are series-level with exact coefficients; a ratio is accepted
-only when it is stable across at least ``MIN_MATCHES`` independent entries
-(``_stable_ratio``).  Everything here is exact over Q: the gauge and the F
-entries are Fractions, and only ``emit_bundle`` enters the cyclotomic field.
+The four-point fits are series-level with exact coefficients; a ratio is
+accepted only when it is stable across at least ``MIN_MATCHES`` independent
+entries (``_stable_ratio``).  Everything here is exact over Q: the gauge and
+the F entries are Fractions, and only ``emit_bundle`` enters the cyclotomic
+field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from fullfield.bundles import Bundle
 from fullfield.cyclotomic import CycField
 from fullfield.fusion import FusionData
-from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec, _acc
+from fullfield.lattice.model import FockVector, LatticeModel, LatticeSpec
 
 MIN_MATCHES = 3
 
@@ -48,93 +49,31 @@ def _stable_ratio(ratios: list[Fraction], what: str) -> Fraction:
 
 
 class CanonicalGauge:
-    """Canonical-basis scalars on top of the raw exponential operators.
+    """Canonical-basis scalars g[(i, j)] on the raw exponential operators, in
+    closed form: Fractions +-1 read off the lowest term eps(q1, q2)
+    x^(q1 q2/2k) e^(q1+q2) of Y(e^q1, x) e^q2 (Frenkel-Lepowsky-Meurman 1988).
 
-    * (e, a) spaces carry the module maps themselves,
-    * (a, e) spaces carry the skew image e^{xL(-1)} Y(., -x) of the module
-      map (weight shift zero, so no branch phase is involved),
-    * (a, a') spaces are normalized by the residue extraction identity,
-    * all other spaces keep the raw exponential basis.
+    * (0, i), the module maps, and (i, 0), their skew images
+      e^{xL(-1)} Y(., -x): g = 1, as the V-side states have charge 0, where
+      eps(q, 0) = eps(0, q) = 1 and the exponent is an integer.
+    * (-a, a), a != 0, normalized by the residue extraction identity:
+      g = eps(-q, q) pair_norm(q), q = ``min_rep(a)``.  exp(-L(1)) fixes
+      e^{+-q}, Y(e^-q, z) e^q has vacuum coefficient eps(-q, q), and
+      <e^-q, e^q> = pair_norm(q); g is their ratio, a sign.
+    * every other space: g = 1.
     """
-
-    T = 6  # weight cutoff of the normalizing series
 
     def __init__(self, model: LatticeModel):
         self.model = model
-        self.g: dict[tuple[int, int], Fraction] = {}
         two_k = model.two_k
-        for i in range(two_k):
-            self.g[(0, i)] = Fraction(1)
-        for i in range(1, two_k):
-            self.g[(i, 0)] = self._skew_of_module_map(i)
-        for i in range(1, two_k):
-            jp = (-i) % two_k
-            self.g[(i, jp)] = 1 / self.residue_normalizer(jp)
-        for i in range(two_k):
-            for j in range(two_k):
-                self.g.setdefault((i, j), Fraction(1))
+        self.g: dict[tuple[int, int], Fraction] = {
+            (i, j): Fraction(1) for i in range(two_k) for j in range(two_k)}
+        for a in range(1, two_k):
+            q = model.min_rep(a)
+            self.g[(-a % two_k, a)] = Fraction(model.eps(-q, q) * model.pair_norm(q))
 
     def gauge(self, i: int, j: int) -> Fraction:
         return self.g[(i % self.model.two_k, j % self.model.two_k)]
-
-    def _skew_of_module_map(self, i: int) -> Fraction:
-        """Scalar with e^{xL(-1)} Y_W(., e^{pi i} x)|swapped = scalar * raw_(i,0).
-
-        The (i, 0) space has integer operator exponents, so the half
-        monodromy is the plain sign (-1)^exponent.
-        """
-        m, T = self.model, self.T
-        num: dict = {}
-        den: dict = {}
-        pairs = [(m.lowest(i), m.vacuum()),
-                 (m.lowest(i), {((2,), 0): Fraction(1)}),
-                 (m.alpha(-1, m.lowest(i)), m.vacuum())]
-        for tag, (w1, w2) in enumerate(pairs):
-            wt = m.vec_weight(w1) + m.vec_weight(w2)
-            comps = m.components(w2, w1, T)  # module map acts with the V side first
-            for mm, vec in comps.items():
-                gamma = mm - wt
-                if gamma != int(gamma):
-                    raise OracleError(
-                        f"skew image of the module map of sector {i}: exponent {gamma} "
-                        f"at weight {mm} is not an integer")
-                sign = Fraction(-1) ** int(gamma)
-                # the x^ell term of e^{xL(-1)} sits ell levels up, at x^(gamma + ell)
-                for key, c in m.exp_virasoro(-1, Fraction(1), vec, T).items():
-                    _acc(num, (tag, m.state_weight(key) - wt, key), c * sign)
-            comps2 = m.components(w1, w2, T)
-            for mm, vec in comps2.items():
-                for key, c in vec.items():
-                    _acc(den, (tag, mm - wt, key), c)
-        cap = Fraction(T) - m.sector_weight(i) - 3
-        num = {k: v for k, v in num.items() if k[1] <= cap}
-        den = {k: v for k, v in den.items() if k[1] <= cap}
-        what = f"skew image of the module map of sector {i}"
-        if set(num) != set(den):
-            extra = (set(num) - set(den)) or (set(den) - set(num))
-            raise OracleError(f"{what}: series supports differ, extra {extra}")
-        return _stable_ratio([num[key] / den[key] for key in den], what)
-
-    def residue_normalizer(self, a: int) -> Fraction:
-        """Scalar lam with the raw (a', a) extraction equal to lam * <w', w>.
-
-        The canonical vacuum-channel basis is raw/lam; stability is required
-        across three independent state pairs.
-        """
-        m, T = self.model, self.T + 2
-        q = m.min_rep(a)
-        ratios = []
-        for dress in ((), (1,), (2,), (1, 1)):
-            w, wp = m.charged(q), m.charged(-q)
-            for mode in dress:
-                w, wp = m.alpha(-mode, w), m.alpha(-mode, wp)
-            expect = m.pair(wp, w)
-            if expect:
-                ratios.append(Fraction(residue_extraction(m, a, wp, w, T), expect))
-        lam = _stable_ratio(ratios, f"residue normalization for sector {a}")
-        if lam == 0:
-            raise OracleError(f"vanishing residue normalization for sector {a}")
-        return lam
 
 
 def residue_extraction(model: LatticeModel, a: int, wp: FockVector, w: FockVector,

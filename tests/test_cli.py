@@ -236,6 +236,20 @@ class TestLattice:
         assert f"needs samples >= 1, got {samples}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("check", ["grading", "residue"])
+    @pytest.mark.parametrize("k, T", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_truncation_below_two_levels_is_usage_error(self, check, k, T, capsys):
+        # both checks read states two levels above each lowest weight
+        # h_a <= k/4; at T = 1 and 2 the correct model failed identity,
+        # creation and dressed-mixed records, and at T = 3 it passes
+        assert main(["lattice", "--k", str(k), "--truncate", str(T), "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: the {check} check reads states two levels above each "
+                                f"sector's lowest weight and needs truncation >= 3 at k = {k}, "
+                                f"got {T}\n")
+        assert captured.out == ""
+        assert main(["lattice", "--k", str(k), "--truncate", "3", "--check", check]) == 0
+
     def test_unsolvable_level_is_reported(self, capsys):
         # at k = 3 the sigma constraints contradict each other; the error
         # names the first contradicted constraint instead of a traceback
