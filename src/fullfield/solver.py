@@ -15,6 +15,15 @@ repeats until nothing changes:
 Whatever is still free is then guessed from a short list of units, first
 unknown first.
 
+The search runs on an interned copy of the problem that lasts one call.
+Each unknown becomes an int, numbered in the ``sorted()`` order of the
+caller's names, so every sorted monomial and every merge, substitution and
+branch order is the one the names give.  Each scalar becomes an index into a
+value table of the call, ``_Scalars``, which memoizes products and sums by
+index pair and computes a miss by ``CycScalar`` arithmetic; roots and
+substitution coefficients are computed in the field and interned.  The
+solutions map back to the caller's names and scalars.
+
 Propagation is incremental.  Each search frame caches every equation's
 normalized term list with the variables it watches; a child frame starts
 from a copy of its parent's cache, and an equation is visited and normalized
@@ -72,14 +81,65 @@ class SolverError(ValueError):
 # -- the search -----------------------------------------------------------------
 
 
-def _expand_mono(coeff, vars, state, depth: int = 0):
+class _Scalars:
+    """The scalars of one ``_search`` call, each named by its index in
+    ``values``.
+
+    A scalar is stored once per stored form: the key is its denominator and
+    its numerators in their stored order, so an index stands for exactly the
+    object the field arithmetic builds, and ``complex()`` of a solution reads
+    the same bits as without the table.  Index 0 is zero and index 1 is one,
+    so an index is truthy iff its scalar is.  Products and sums are memoized
+    by index pair and computed by ``CycScalar`` arithmetic on a miss; a
+    product with 1, like a sum with 0, is the other operand, as in the field.
+    """
+
+    def __init__(self, field: CycField):
+        self.values: list[CycScalar] = []
+        self._index: dict = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._sums: dict[tuple[int, int], int] = {}
+        self.intern(field.zero())
+        self.intern(field.one())
+
+    def intern(self, x: CycScalar) -> int:
+        key = (x.den, tuple(x.num.items()))
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.values)
+            self.values.append(x)
+        return i
+
+    def mul(self, i: int, j: int) -> int:
+        if i == 1:
+            return j
+        if j == 1:
+            return i
+        got = self._products.get((i, j))
+        if got is None:
+            got = self._products[i, j] = self.intern(self.values[i] * self.values[j])
+        return got
+
+    def add(self, i: int, j: int) -> int:
+        if not i:
+            return j
+        if not j:
+            return i
+        got = self._sums.get((i, j))
+        if got is None:
+            got = self._sums[i, j] = self.intern(self.values[i] + self.values[j])
+        return got
+
+
+def _expand_mono(coeff: int, vars: tuple, state: dict, scalars: _Scalars, depth: int = 0):
     """Expand a scalar-times-monomial through the current state.
 
     Returns (coeff, sorted tuple of unresolved variables).  ``state`` maps
     solved variables to scalars and substituted variables to (coeff, vars)
-    monomial expressions.  A substitution read here whose variables have
-    since been resolved is rewritten in place to its resolved form, a scalar
-    or a monomial over unresolved variables, so later reads skip the chain.
+    monomial expressions; every scalar is an index into ``scalars``.  A
+    substitution read here whose variables have since been resolved is
+    rewritten in place to its resolved form, a scalar or a monomial over
+    unresolved variables, so later reads skip the chain.
     """
     if depth > len(state):  # a chain longer than the state revisits an entry
         raise SolverError("substitution expansion did not terminate")
@@ -88,19 +148,19 @@ def _expand_mono(coeff, vars, state, depth: int = 0):
         got = state.get(v)
         if got is None:
             out_vars.append(v)
-        elif isinstance(got, CycScalar):
-            coeff = coeff * got
+        elif type(got) is int:
+            coeff = scalars.mul(coeff, got)
         else:
             c2, vs2 = got
             if not state.keys().isdisjoint(vs2):
-                c2, vs2 = _expand_mono(c2, vs2, state, depth + 1)
+                c2, vs2 = _expand_mono(c2, vs2, state, scalars, depth + 1)
                 state[v] = (c2, vs2) if vs2 else c2
-            coeff = coeff * c2
+            coeff = scalars.mul(coeff, c2)
             out_vars.extend(vs2)
     return coeff, tuple(sorted(out_vars))
 
 
-def _normalize_terms(eq, state):
+def _normalize_terms(eq, state, scalars: _Scalars):
     """Term list of ``eq`` expanded through ``state``, like monomials merged.
 
     Also returns the variables to watch: while none of them enters
@@ -110,13 +170,13 @@ def _normalize_terms(eq, state):
     to keep and changes only once one of its own variables is resolved, so it
     watches just those.
     """
-    merged: dict[tuple, CycScalar] = {}
+    merged: dict[tuple, int] = {}
     seen: set = set()
     for coeff, vars in eq:
-        coeff, vars = _expand_mono(coeff, vars, state)
+        coeff, vars = _expand_mono(coeff, vars, state, scalars)
         seen.update(vars)
         cur = merged.get(vars)
-        tot = coeff if cur is None else cur + coeff
+        tot = coeff if cur is None else scalars.add(cur, coeff)
         if tot:
             merged[vars] = tot
         elif cur is not None:
@@ -126,30 +186,32 @@ def _normalize_terms(eq, state):
     return [(c, v) for v, c in merged.items()], seen
 
 
-def _single_var_solve(terms, field):
-    """Nonzero roots of sum c_t x^d_t = 0 in one variable.
+def _single_var_solve(terms, field: CycField, scalars: _Scalars):
+    """Nonzero roots of sum c_t x^d_t = 0 in one variable, as indices.
 
-    None if the equation is vacuous or of degree above 2.
+    None if the equation is vacuous or of degree above 2.  The roots are
+    computed in the field and interned.
     """
-    deg_coeff: dict[int, CycScalar] = {}
+    deg_coeff: dict[int, int] = {}
     for coeff, vars in terms:
-        deg_coeff[len(vars)] = deg_coeff.get(len(vars), field.zero()) + coeff
+        deg_coeff[len(vars)] = scalars.add(deg_coeff.get(len(vars), 0), coeff)
     degs = sorted(dg for dg, cf in deg_coeff.items() if cf)
     if not degs or degs[-1] > 2:
         return None
     if len(degs) == 1:
         return []  # c * x^d = 0
+    values = scalars.values
     if degs in ([0, 1], [1, 2]):
-        return [(-deg_coeff[degs[0]]) / deg_coeff[degs[1]]]
+        return [scalars.intern((-values[deg_coeff[degs[0]]]) / values[deg_coeff[degs[1]]])]
     if degs == [0, 2]:
-        root = field.sqrt((-deg_coeff[0]) / deg_coeff[2])
-        return [] if root is None else [root, -root]
-    a, b, c = deg_coeff[2], deg_coeff[1], deg_coeff[0]
+        root = field.sqrt((-values[deg_coeff[0]]) / values[deg_coeff[2]])
+        return [] if root is None else [scalars.intern(root), scalars.intern(-root)]
+    a, b, c = (values[deg_coeff[dg]] for dg in (2, 1, 0))
     root = field.sqrt(b * b - 4 * a * c)
     if root is None:
         return []
     r1, r2 = ((-b) + root) / (2 * a), ((-b) - root) / (2 * a)
-    return [r1] if r1 == r2 else [r1, r2]
+    return [scalars.intern(r1)] if r1 == r2 else [scalars.intern(r1), scalars.intern(r2)]
 
 
 def _search(equations, state: dict, unknowns: list, field: CycField, guesses: list,
@@ -166,6 +228,13 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
     Every branch resolves one more unknown, so the recursion is at most as
     deep as ``unknowns`` is long.
 
+    The search runs on an interned copy of the problem, built here and
+    dropped on return.  Each variable becomes an int, numbered in the
+    ``sorted()`` order of the names, so every sorted monomial, merge order,
+    substitution and branch is the one the names would give.  Each scalar
+    becomes an index into a ``_Scalars`` table of this call.  The solutions
+    map back to the caller's names and scalars.
+
     A sweep skips an equation whose cached entry is still valid (no watched
     variable in ``state``): a visit reads only the cached list, and each
     action it can take returns (a branch, dead end or conflict) or puts one of
@@ -173,7 +242,15 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
     entry took no action on its last visit, in this frame or in the parent
     frame whose cache this one copied, and would take none now.
     """
-    solutions: list[dict] = []
+    names = sorted({*state, *unknowns, *(v for eq in equations for _, vs in eq for v in vs)})
+    var_of = {name: i for i, name in enumerate(names)}
+    scalars = _Scalars(field)
+    intern, values = scalars.intern, scalars.values
+    equations = [[(intern(c), tuple(var_of[v] for v in vs)) for c, vs in eq]
+                 for eq in equations]
+    unknowns = [var_of[k] for k in unknowns]
+    guesses = [intern(g) for g in guesses]
+    solutions: list[list[int]] = []  # value indices in ``unknowns`` order
     conflict = None
 
     def dfs(state: dict, cache: list) -> None:
@@ -187,7 +264,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                 hit = cache[i]
                 if hit is not None and state.keys().isdisjoint(hit[1]):
                     continue  # still valid: its last visit took no action
-                terms, _ = cache[i] = _normalize_terms(eq, state)
+                terms, _ = cache[i] = _normalize_terms(eq, state, scalars)
                 varset = {v for _, vs in terms for v in vs}
                 if len(terms) == 2 and len(varset) > 1:
                     # cancel the common factor (unknowns are nonzero)
@@ -206,7 +283,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                         conflict = i
                     return  # nonzero constant = 0
                 if len(varset) == 1:
-                    roots = _single_var_solve(terms, field)
+                    roots = _single_var_solve(terms, field, scalars)
                     if roots is None:
                         continue
                     (var,) = varset
@@ -223,7 +300,7 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
                     if len(bare) != 1:
                         (co, other), (cb, bare) = terms
                     if len(bare) == 1:
-                        state[bare[0]] = ((-co) / cb, other)
+                        state[bare[0]] = (intern((-values[co]) / values[cb]), other)
                         progress = True
         free = [k for k in unknowns if k not in state]
         if free:
@@ -233,10 +310,10 @@ def _search(equations, state: dict, unknowns: list, field: CycField, guesses: li
         # the last sweep changed nothing, so the cache holds every equation
         # normalized through the final state
         if not any(terms for terms, _ in cache):
-            solutions.append({k: _expand_mono(field.one(), (k,), state)[0] for k in unknowns})
+            solutions.append([_expand_mono(1, (k,), state, scalars)[0] for k in unknowns])
 
-    dfs(dict(state), [None] * len(equations))
-    return solutions, conflict
+    dfs({var_of[k]: intern(v) for k, v in state.items()}, [None] * len(equations))
+    return [{names[k]: values[c] for k, c in zip(unknowns, sol)} for sol in solutions], conflict
 
 
 # -- sigma solver ---------------------------------------------------------------
@@ -408,11 +485,17 @@ def solve_pentagon(fusion: FusionData, field_order: int):
 
     The unit-slot entries are pinned to their delta patterns; one entry per
     non-canonical space is normalized to 1 (basis rescaling freedom); the
-    rest comes from ``_search``, guessing 1 and -1, for at most 40
-    solutions.  Returns a list of
+    rest comes from ``_search``, guessing 1 and -1.  Returns a list of
     assignments {key6: CycScalar} (gauge representatives, distinct because
-    each search branch gives one unknown distinct values); empty if the
-    system has no solution over Q(zeta_N).
+    each search branch gives one unknown distinct values).
+
+    The search stops at 40 solutions and does not say so: Z/4 over
+    Q(zeta_16) returns exactly 40 of its 128.  An empty list does not prove
+    that the system has no solution over Q(zeta_N): the greedy
+    normalization follows the declared label order and may pin entries only
+    up to a root of unity, and on the ising ring over Q(zeta_16) it leaves 4
+    solutions with the labels declared (1, eps, sigma) and none with
+    (1, sigma, eps) (ROADMAP item 3 (e)).
     """
     for _, n in fusion.rules.items():
         if n > 1:

@@ -16,7 +16,6 @@ from fullfield.lattice import (
     OracleError,
     derive_f_entry,
     emit_bundle,
-    lattice_fusion,
     raw_f_ratio,
 )
 from fullfield.fixtures import fixture_bytes
@@ -40,7 +39,6 @@ from fullfield.lattice.model import _acc, _clean, _partitions, _z, vec_add, vec_
 from fullfield.lattice.oracle import _fit_pattern, residue_extraction
 from fullfield.solver import SolverError
 from tests.conftest import get_bundle
-from tests.test_solver import SIGMA_KINDS
 
 M1 = LatticeModel(1)
 M2 = LatticeModel(2)
@@ -539,14 +537,21 @@ class TestOracle:
             assert all(r.verdict == "pass" for r in reports), [
                 (k, r.suite, r.verdict) for r in reports]
 
+    @staticmethod
+    def _conflict(k, truncation):
+        with pytest.raises(SolverError, match="no S3 action") as info:
+            emit_bundle(LatticeSpec(k, truncation))
+        return info.value.conflict
+
     def test_k3_has_no_s3_action(self):
         # the k = 3 tensor passes the pentagon suite, but its sigma
-        # constraints contradict each other (ROADMAP item 4); fail loudly
-        with pytest.raises(SolverError, match="no S3 action") as info:
-            emit_bundle(LatticeSpec(3, 8))
-        # the first contradicted equation, in search order, is named
-        assert info.value.conflict["kind"] in SIGMA_KINDS
-        assert info.value.conflict["space"] in lattice_fusion(3).spaces()
+        # constraints contradict each other (ROADMAP item 3); fail loudly and
+        # name the first contradicted equation in search order
+        assert self._conflict(3, 8) == {"kind": "pairing", "space": ("2", "2", "4")}
+
+    def test_k5_has_no_s3_action(self):
+        # the same conflict at (2, k-1, k+1) one odd level up
+        assert self._conflict(5, 10) == {"kind": "pairing", "space": ("2", "4", "6")}
 
 
 def z2_ffa(truncation: int) -> DiagonalFFA:
