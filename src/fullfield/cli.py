@@ -152,6 +152,7 @@ def cmd_lattice(args) -> int:
         if name not in LATTICE_CHECKS:
             raise ValueError(f"unknown lattice check {name!r}; known: {', '.join(LATTICE_CHECKS)}")
     checks._require_tol(args.tol)
+    checks._require_samples(args.samples)
     bundle = emit_bundle(spec, seed=args.seed)
     if args.emit_bundle:
         save_bundle(bundle, args.emit_bundle)

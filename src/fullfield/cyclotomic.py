@@ -282,11 +282,11 @@ class CycField:
         size = sum(abs(c) for c in a.num.values()) // den
         dps = max(60, len(str(den * (size + 1))) + 30)
         with mpmath.workdps(dps):
-            conj_a = {j: self._embed_conj(a, j) for j in units}
-            # Solve M c = v for each admissible sign pattern on the free
-            # conjugate-pair representatives; sign at j=1 fixed to principal.
+            # Solve M c = v for each sign pattern on the conjugate-pair
+            # representatives j != 1; flipping v[1] would negate every candidate.
             reps = [j for j in units if j <= self.order - j]
             frees = [j for j in reps if j != 1]
+            root_conj = {j: mpmath.sqrt(self._embed_conj(a, j)) for j in reps}
             if self._embed_inverse is None or self._embed_inverse[0] < dps:
                 # M[j][e] = z^(je) has M^H M = G with G[e][f] = c_N(f - e), a
                 # Ramanujan sum (the trace of z^(f-e)), so M^-1 = G^-1 M^H
@@ -304,10 +304,10 @@ class CycField:
             minv = self._embed_inverse[1]
             for bits in range(1 << len(frees)):
                 v: dict[int, mpmath.mpc] = {}
-                v[1] = _principal_sqrt(conj_a[1])
+                v[1] = root_conj[1]
                 for t, j in enumerate(frees):
                     s = 1 if (bits >> t) & 1 == 0 else -1
-                    v[j] = s * _principal_sqrt(conj_a[j])
+                    v[j] = s * root_conj[j]
                 for j in reps:
                     other = (self.order - j) % self.order
                     if other in units and other not in v:
@@ -316,8 +316,8 @@ class CycField:
                 ints = [int(mpmath.nint(den * sol[e].real)) for e in range(self.degree)]
                 cand = self._lowest({e: n for e, n in enumerate(ints) if n}, den)
                 if cand * cand == a:
-                    # v[1] took its sign from a numeric value whose imaginary
-                    # part may be only rounding: fix it on the exact root
+                    # the roots of a are +-cand: take the principal one,
+                    # arg in [0, pi), by its exact embedding at j = 1
                     val = self._embed_conj(cand, 1)
                     real = cand.conjugate() == cand
                     if (mpmath.re(val) if real else mpmath.im(val)) < 0:
@@ -341,13 +341,6 @@ class CycField:
 
     def __hash__(self) -> int:
         return hash(("CycField", self.order))
-
-
-def _principal_sqrt(w: mpmath.mpc) -> mpmath.mpc:
-    s = mpmath.sqrt(w)
-    if mpmath.arg(s) < 0:
-        s = -s
-    return s
 
 
 class CycScalar:

@@ -13,8 +13,9 @@ Its S3 part gives the spaces the generators sigma12 (skew symmetry) and
 sigma23 (contragredient) map a space to, the canonical spaces of a label,
 and the F keys of the vacuum-channel weight F_a, of the pairing
 contractions and of the left-inverse normalization.  The exact checker
-(``ChiralData``), the sigma solver (``solver.solve_sigma``), the algebra
-checks (``ffa``) and the bundle generators all read these methods.
+(``ChiralData``), the solvers (``solve_sigma``; ``_gauge_fix`` frees the
+spaces outside ``canonical_spaces``), the algebra checks (``ffa``) and the
+bundle generators all read these methods.
 """
 
 from __future__ import annotations
@@ -142,17 +143,13 @@ class FusionData:
         return tuple(map(self.labels.index, labels))
 
     @cached_property
-    def _nonzero(self) -> tuple[tuple[str, str, str, int], ...]:
+    def _nonzero(self) -> tuple[Space, ...]:
         # sorted once per instance: ``rules`` is not changed after the first read
-        keys = sorted((k for k, n in self.rules.items() if n > 0), key=self.label_key)
-        return tuple((a1, a2, a3, self.rules[(a1, a2, a3)]) for a1, a2, a3 in keys)
-
-    def nonzero_spaces(self) -> list[tuple[str, str, str, int]]:
-        """All (a1, a2, a3, N) with N > 0, lexicographic in declared order."""
-        return list(self._nonzero)
+        return tuple(sorted((k for k, n in self.rules.items() if n > 0), key=self.label_key))
 
     def spaces(self) -> list[Space]:
-        return [(a1, a2, a3) for a1, a2, a3, _ in self._nonzero]
+        """All (a1, a2, a3) with N > 0, lexicographic in declared order."""
+        return list(self._nonzero)
 
     def primed(self, space: Space) -> Space:
         a1, a2, a3 = space

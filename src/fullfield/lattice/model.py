@@ -161,6 +161,7 @@ class LatticeModel:
                     if cap is not None and self.state_weight(k2) > cap:
                         continue
                     _acc(out, k2, c2 * quarter * mult)
+        # no zero is stored (_acc): this copies; kept until its peak-RSS effect is settled
         return {k2: v for k2, v in out.items() if v}
 
     def exp_virasoro(self, n: int, scale: Fraction, vec: FockVector,
@@ -353,6 +354,7 @@ def _acc(d: dict, key, val) -> None:
 
 
 def _clean(comps: dict) -> dict:
+    # no zero is stored (_acc): this copies; kept until its peak-RSS effect is settled
     return {m: {k: c for k, c in vec.items() if c}
             for m, vec in comps.items() if any(vec.values())}
 

@@ -6,9 +6,9 @@ Derives, exactly:
   four-point functions (``derive_f_entry``): the Fock engine expands each
   inner operator, and the outer one is read in closed form (``_fit_f``),
 * the canonical-basis gauge in closed form (``CanonicalGauge``): module
-  maps, their skew images on (a, e) spaces, and vacuum-channel bases
-  normalized by the residue extraction identity (the z^-1 coefficient of the
-  dressed two-point insertion equals the contragredient pairing),
+  maps, their skew images on (a, e) spaces, and vacuum-channel signs from
+  the cocycle and the pairing norm; only the residue check and the tests
+  compute the residue extraction identity (``residue_extraction``),
 * a complete self-consistent Z/2k data bundle (``emit_bundle``), whose
   S3-action matrices are produced by the constraint solver seeded with the
   derived fusing tensor.

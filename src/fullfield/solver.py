@@ -440,17 +440,6 @@ def with_pins(fusion: FusionData, field: CycField, assignment: dict) -> dict:
     return {**assignment, **pins}
 
 
-def _noncanonical_spaces(fusion: FusionData) -> list[Space]:
-    e = fusion.unit
-    d = fusion.dual
-    out = []
-    for a1, a2, a3, _n in fusion.nonzero_spaces():
-        if e in (a1, a2) or (a3 == e and a2 == d[a1]):
-            continue
-        out.append((a1, a2, a3))
-    return out
-
-
 def _entry_scaling(fusion: FusionData, key6, noncanon: set):
     """Gauge-scaling exponents of an F entry over the non-canonical spaces."""
     vec: dict[Space, int] = {}
@@ -461,8 +450,8 @@ def _entry_scaling(fusion: FusionData, key6, noncanon: set):
 
 
 def _gauge_fix(fusion: FusionData, unknowns: list, field: CycField) -> dict:
-    """Greedy basis normalization: one unknown entry set to 1 per free space."""
-    noncanon = set(_noncanonical_spaces(fusion))
+    """Greedy normalization: one unknown set to 1 per space not in ``canonical_spaces``."""
+    noncanon = set(fusion.spaces()).difference(*map(fusion.canonical_spaces, fusion.labels))
     fixed: set = set()
     chosen: dict = {}
     progress = True

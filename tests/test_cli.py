@@ -236,6 +236,20 @@ class TestLattice:
         assert f"needs samples >= 1, got {samples}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("check", ["grading", "assoc,skew"])
+    def test_no_samples_is_refused_before_any_work(self, check, monkeypatch, capsys):
+        # every check list refuses samples < 1 before the bundle is emitted;
+        # --check grading, which takes no sample, used to exit 0
+        def no_emit(*args, **kwargs):
+            raise AssertionError("emit_bundle was called")
+
+        monkeypatch.setattr("fullfield.lattice.emit_bundle", no_emit)
+        assert main(["lattice", "--k", "6", "--truncate", "12", "--samples", "0",
+                     "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a sampled check needs samples >= 1, got 0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("check", ["grading", "residue"])
     @pytest.mark.parametrize("k, T", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_truncation_below_two_levels_is_usage_error(self, check, k, T, capsys):
