@@ -117,7 +117,7 @@ class CycField:
             self._reduce_pow[k] = tuple((b, c) for b, c in enumerate(rep) if c)
         self._units = tuple(j for j in range(1, order) if gcd(j, order) == 1)
         self._split_primes = _split_primes(order, 8)
-        self._embed_inverse = None
+        self._trace_inverse = None
         self._inverse_cache: dict = {}
         self._sqrt_cache: dict = {}
 
@@ -223,10 +223,12 @@ class CycField:
         2. a residue proof: if a reduction of ``a`` at a split prime
            p = 1 (mod N) and some primitive N-th root of unity mod p is a
            quadratic non-residue, ``a`` is no square in the field: None;
-        3. a numeric search over the sign patterns of the conjugate roots,
-           each read back as integers over the lcm of the denominators of
-           ``a`` and checked by squaring, at a precision that grows with
-           that lcm and the size of ``a``.
+        3. a search over the sign patterns of the conjugate roots: each
+           gives the integer traces w_f = Tr(den * b * z^-f) of a candidate
+           root b (den the denominator of ``a``) at the digits of the bound
+           |w_f| <= phi(N) * den * (sum |a_e| + 1) plus 30, at least 60;
+           they are rounded, solved exactly against the integer trace form,
+           and the candidate is checked by squaring.
         """
         self._check(a)
         if not a.num:
@@ -272,49 +274,48 @@ class CycField:
         return False
 
     def _sqrt_search(self, a: "CycScalar") -> "CycScalar | None":
-        # With den the denominator of a, den^2 * a is integral, so a root
-        # den * sqrt(a) in the field lies in Z[z], whose power basis is a
-        # Z-basis: each sign pattern's solve is rounded to integers over den
-        # and checked by squaring.  The digits cover
-        # |den * sqrt(a)| <= den * (sum |a_e| + 1) with 30 to spare.
-        units = self._units
-        den = a.den
+        # With den the denominator of a, a root b makes c = den * b an element
+        # of Z[z], so its traces w_f = Tr(c z^-f) are integers with G c = w,
+        # G[e][f] = c_N(f - e).  Each sign pattern of the conjugate roots gives
+        # w_f = sum over units j of +-den sqrt(sigma_j(a)) z^(-jf); w is
+        # rounded, c = (q G^-1) w / q read back if q divides every entry, and
+        # c / den checked by squaring.  The digits cover |w_f| <= phi(N) * den
+        # * (sum |a_e| + 1) with 30 to spare, and the principal sign of the
+        # root found is read at them too, so they never drop below 60.
+        n, deg, den = self.order, self.degree, a.den
         size = sum(abs(c) for c in a.num.values()) // den
-        dps = max(60, len(str(den * (size + 1))) + 30)
+        dps = max(60, len(str(deg * den * (size + 1))) + 30)
+        if self._trace_inverse is None:  # G^-1 is exact, q its denominators' lcm
+            trace = [sum((self.zeta(j * d) for j in self._units), self.zero()).num.get(0, 0)
+                     for d in range(deg)]
+            ginv = mat_inv([[trace[abs(f - e)] for f in range(deg)] for e in range(deg)],
+                           Fraction(1), Fraction(0))
+            q = lcm(*(x.denominator for row in ginv for x in row))
+            self._trace_inverse = q, [[x.numerator * (q // x.denominator) for x in row]
+                                      for row in ginv]
+        q, qginv = self._trace_inverse
         with mpmath.workdps(dps):
-            # Solve M c = v for each sign pattern on the conjugate-pair
-            # representatives j != 1; flipping v[1] would negate every candidate.
-            reps = [j for j in units if j <= self.order - j]
-            frees = [j for j in reps if j != 1]
-            root_conj = {j: mpmath.sqrt(self._embed_conj(a, j)) for j in reps}
-            if self._embed_inverse is None or self._embed_inverse[0] < dps:
-                # M[j][e] = z^(je) has M^H M = G with G[e][f] = c_N(f - e), a
-                # Ramanujan sum (the trace of z^(f-e)), so M^-1 = G^-1 M^H
-                # with G^-1 exact; G = (N/2) I when N is a power of two
-                n, deg = self.order, self.degree
-                trace = [sum((self.zeta(j * d) for j in units), self.zero()).num.get(0, 0)
-                         for d in range(deg)]
-                ginv = mat_inv([[trace[abs(f - e)] for f in range(deg)] for e in range(deg)],
-                               Fraction(1), Fraction(0))
-                roots = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
-                m_h = mpmath.matrix([[roots[-j * e % n] for j in units] for e in range(deg)])
-                g = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
-                                   for row in ginv])
-                self._embed_inverse = (dps, g * m_h)
-            minv = self._embed_inverse[1]
-            for bits in range(1 << len(frees)):
-                v: dict[int, mpmath.mpc] = {}
-                v[1] = root_conj[1]
-                for t, j in enumerate(frees):
-                    s = 1 if (bits >> t) & 1 == 0 else -1
-                    v[j] = s * root_conj[j]
-                for j in reps:
-                    other = (self.order - j) % self.order
-                    if other in units and other not in v:
-                        v[other] = mpmath.conj(v[j])
-                sol = minv * mpmath.matrix([v[j] for j in units])
-                ints = [int(mpmath.nint(den * sol[e].real)) for e in range(self.degree)]
-                cand = self._lowest({e: n for e, n in enumerate(ints) if n}, den)
+            # one row of terms per conjugate pair j, N - j, as twice the real
+            # part (j alone at N = 2, where j = N - j), with 100 fraction bits;
+            # the patterns sign the rows after the first, as flipping every
+            # row would negate the candidate
+            rows = []
+            for j in self._units:
+                if j <= n - j:
+                    r = den * mpmath.sqrt(self._embed_conj(a, j)) * (2 if 2 * j < n else 1)
+                    rows.append([int(mpmath.nint(mpmath.re(
+                        r * mpmath.expjpi(mpmath.mpf(-2 * j * f) / n)) * 2 ** 100))
+                        for f in range(deg)])
+            for bits in range(1 << (len(rows) - 1)):
+                w = rows[0]
+                for t, row in enumerate(rows[1:]):
+                    s = -1 if bits >> t & 1 else 1
+                    w = [x + s * y for x, y in zip(w, row)]
+                w = [(x + 2 ** 99) >> 100 for x in w]
+                qc = [sum(g * x for g, x in zip(grow, w)) for grow in qginv]
+                if any(x % q for x in qc):
+                    continue
+                cand = self._lowest({e: x // q for e, x in enumerate(qc) if x}, den)
                 if cand * cand == a:
                     # the roots of a are +-cand: take the principal one,
                     # arg in [0, pi), by its exact embedding at j = 1

@@ -242,13 +242,13 @@ class DiagonalFFA:
         left = _exp_series(mat, lambda term, ell: (zl / ell) * (ll @ term))
         return _exp_series(left, lambda term, ell: (zr / ell) * (term @ lr.T))
 
-    def weight_mask(self, pair, T: int, cap: Fraction) -> np.ndarray:
-        """Boolean mask of tensor entries with total weight <= cap."""
-        bl = self.basis(pair[0], T)
-        br = self.basis(pair[1], T)
-        wl = np.array([float(self.model.state_weight(k)) for k in bl.keys])
-        wr = np.array([float(self.model.state_weight(k)) for k in br.keys])
-        return (wl[:, None] + wr[None, :]) <= float(cap) + 1e-9
+    def weight_mask(self, pair, T: int) -> np.ndarray:
+        """Boolean mask of tensor entries with total weight <= T, compared
+        as the integers 4k * weight = q^2 + 4k * |parts|."""
+        four_k = 4 * self.model.k
+        wl = np.array([q * q + four_k * sum(parts) for parts, q in self.basis(pair[0], T).keys])
+        wr = np.array([q * q + four_k * sum(parts) for parts, q in self.basis(pair[1], T).keys])
+        return (wl[:, None] + wr[None, :]) <= four_k * T
 
 
 def _exp_series(mat: np.ndarray, step) -> np.ndarray:
@@ -421,7 +421,7 @@ def check_skew_symmetry(ffa: DiagonalFFA, samples: int = 5, tol: float = 1e-6,
         _, rhs0 = ffa.apply(vpair, vstate,
                             *ffa.tensor_state_from_dict(upair, ustate, T), -z, T)
         rhs = ffa.exp_d_left_right(lhs_pair, rhs0, z, z.conjugate(), T)
-        mask = ffa.weight_mask(lhs_pair, T, Fraction(T))
+        mask = ffa.weight_mask(lhs_pair, T)
         err = _rel_err(lhs, rhs, mask)
         out.append(CheckRecord("skew-symmetry", (idx, round(z.real, 3), round(z.imag, 3)),
                                "pass" if err <= tol else "fail", path="numeric",
@@ -546,8 +546,8 @@ def _paired_exponents_integral(model: LatticeModel, pair, partner, T: int) -> bo
 def check_virasoro(ffa: DiagonalFFA) -> list[CheckRecord]:
     """Virasoro brackets with central charge 1 per chirality, commuting
     left/right copies, and the residue commutator form for small modes, at
-    truncation at most 8."""
-    T = min(ffa.spec.truncation, 8)
+    the model's truncation."""
+    T = ffa.spec.truncation
     model = ffa.model
     out: list[CheckRecord] = []
     two_k = model.two_k

@@ -161,8 +161,7 @@ class LatticeModel:
                     if cap is not None and self.state_weight(k2) > cap:
                         continue
                     _acc(out, k2, c2 * quarter * mult)
-        # no zero is stored (_acc): this copies; kept until its peak-RSS effect is settled
-        return {k2: v for k2, v in out.items() if v}
+        return out  # _acc stores no zero
 
     def exp_virasoro(self, n: int, scale: Fraction, vec: FockVector,
                      cap: Fraction | int) -> FockVector:
@@ -354,9 +353,8 @@ def _acc(d: dict, key, val) -> None:
 
 
 def _clean(comps: dict) -> dict:
-    # no zero is stored (_acc): this copies; kept until its peak-RSS effect is settled
-    return {m: {k: c for k, c in vec.items() if c}
-            for m, vec in comps.items() if any(vec.values())}
+    # _acc stores no zero, so a component is zero exactly when it is empty
+    return {m: vec for m, vec in comps.items() if vec}
 
 
 def vec_add(a: FockVector, b: FockVector) -> FockVector:

@@ -1,10 +1,10 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
 from math import gcd
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,17 +331,56 @@ class TestSqrt:
             assert field.sqrt(r * r) == root
         assert checked >= 30
 
-    @pytest.mark.parametrize("order", [16, 20, 24, 40])
+    @pytest.mark.parametrize("order", [16, 20, 24, 40, 18])
     def test_embedding_inverse(self, order):
-        # the inverse built from the integer Gram matrix inverts M[j][e] = z^(je)
+        # the traces w = G c embed Z[z] in Z^phi(N), with G[e][f] = c_N(f - e)
+        # read here from cosines; the stored integer matrix is q G^-1, q the
+        # least such scale
         field = CycField(order)
         b = field.zeta(1) + 2
         assert field._sqrt_search(b * b) == b
-        dps, minv = field._embed_inverse
-        with mpmath.workdps(dps):
-            m = mpmath.matrix([[mpmath.expjpi(mpmath.mpf(2 * j * e) / order)
-                                for e in range(field.degree)] for j in field._units])
-            assert mpmath.mnorm(m * minv - mpmath.eye(field.degree), 1) < mpmath.mpf(10) ** -50
+        q, qginv = field._trace_inverse
+        deg = field.degree
+        units = [j for j in range(1, order) if gcd(j, order) == 1]
+        ramanujan = [round(sum(math.cos(2 * math.pi * j * d / order) for j in units))
+                     for d in range(deg)]
+        g = [[ramanujan[abs(f - e)] for f in range(deg)] for e in range(deg)]
+        assert all(type(x) is int for row in qginv for x in row)
+        assert [[sum(qginv[e][k] * g[k][f] for k in range(deg)) for f in range(deg)]
+                for e in range(deg)] == [[q if e == f else 0 for f in range(deg)]
+                                         for e in range(deg)]
+        assert gcd(q, *(x for row in qginv for x in row)) == 1
+
+    def test_search_at_orders_two_and_four(self):
+        # at N = 2 the one unit is its own conjugate pair, so its term
+        # counts once; at N = 4 the pair 1, 3 counts twice its real part
+        f2 = CycField(2)
+        for root in (1, 2, Fraction(3, 2), Fraction(7, 6), Fraction(1, 10**9 + 7)):
+            assert f2._sqrt_search(f2.rational(root * root)) == f2.rational(root)
+        for q in (2, -1, -4, Fraction(1, 2), Fraction(9, 8)):
+            assert f2._sqrt_search(f2.rational(q)) is None
+        f4 = CycField(4)
+        i = f4.zeta(1)
+        # principal roots, arg in [0, pi)
+        for b, want in ((1 + i, 1 + i), (2 * i, 2 * i), (i * -3 + 2, i * 3 - 2),
+                        (Fraction(1, 2) + i / 3, Fraction(1, 2) + i / 3),
+                        (-i * Fraction(5, 4), i * Fraction(5, 4)), (f4.rational(-3), 3)):
+            assert f4._sqrt_search(b * b) == want, b
+        for a in (f4.rational(2), i, 3 * i, 1 + i, f4.rational(-2)):
+            assert f4._sqrt_search(a) is None, a
+
+    def test_search_results_pinned(self):
+        # every root and refusal of the search over the seeded corpus, by
+        # literal, so that no change of the search moves one of them
+        out = []
+        for order in range(2, 33, 2):
+            field = CycField(order)
+            for a in _corpus(order):
+                root = field._sqrt_search(a)
+                out.append((order, a.literal(), None if root is None else root.literal()))
+        assert len(out) == 251 and sum(root is not None for *_a, root in out) == 122
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "de8b263af25f573ea6d16b620aba795cf4491da9d3f5c19ba2b87980f482c147"
 
     def test_search_reads_denominators_up_to_the_bound(self):
         # 99999988/99999989's nearest double is closer to 99999989/99999990:
@@ -406,7 +445,7 @@ class TestSqrtFastPaths:
     # search does, which stays behind them in _sqrt_uncached
     @staticmethod
     def _agree(elements):
-        search = {}  # one field per order, so the embedding is inverted once
+        search = {}  # one field per order, so the trace form is inverted once
         for a in elements:
             order = a.field.order
             want = search.setdefault(order, CycField(order))._sqrt_search(a)
@@ -453,7 +492,7 @@ class TestResidueProof:
         f_sigma = field.scalar(chiral.f_a("sigma").coeffs)
         assert field._has_nonresidue(f_sigma)
         assert field.sqrt(f_sigma) is None
-        assert field._embed_inverse is None
+        assert field._trace_inverse is None
 
     def test_rejects_the_non_square_f_a(self):
         rejected = {(name, a) for name, a, fa in _strict_f_a() if fa.field._has_nonresidue(fa)}

@@ -566,6 +566,19 @@ class TestExactChecks:
         assert not fails(check_virasoro(z2_ffa(6)))
 
     @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
+    def test_virasoro_evaluates_at_the_given_truncation(self, k, name, monkeypatch):
+        # above 8 too: the dense bases and the residue commutator both read T
+        ffa = DiagonalFFA(LatticeSpec(k, 10), bundle=get_bundle(name))
+        seen = []
+        basis, holds = ffa.basis, checks._commutator_holds
+        monkeypatch.setattr(ffa, "basis", lambda j, T: seen.append(T) or basis(j, T))
+        monkeypatch.setattr(checks, "_commutator_holds",
+                            lambda model, m, u, v, T: seen.append(T) or holds(model, m, u, v, T))
+        recs = check_virasoro(ffa)
+        assert len(recs) == 29 and not fails(recs)
+        assert seen and set(seen) == {10}
+
+    @pytest.mark.parametrize("k, name", [(1, "z2k1"), (2, "z4k2")])
     def test_virasoro_bracket_fails_on_a_shifted_l0(self, k, name, monkeypatch):
         # L(0) + 1 leaves [L(m), L(n)] alone but moves the L(0) in the
         # central-term relation [L(m), L(-m)] = 2m L(0) + (m^3 - m)/12 by 2m
